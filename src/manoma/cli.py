@@ -332,6 +332,8 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     loaded = load_config(args.config)
     cfg = resolve_config(_apply_flag_overrides(loaded.raw, args))
     sweep = args.sweep or loaded.sweep or "power"

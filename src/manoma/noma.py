@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from manoma.channel import DegenerateChannelError
 
@@ -262,6 +261,10 @@ def brute_force_allocation(gains, alphas, p_max: float, noise: float) -> NomaSol
     linear, so each subproblem is a small LP. Factorial enumeration caps the
     user count.
     """
+    # Imported here so that importing manoma (and its CLI) does not load
+    # scipy.optimize, which dominates the package's import time.
+    from scipy.optimize import linprog
+
     g = np.asarray(gains, dtype=float)
     a = np.asarray(alphas, dtype=float)
     num = len(g)

@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import manoma.cli as cli
 
 from manoma.cli import CSV_HEADER, main
 from manoma.sim import SCHEMES
@@ -217,6 +222,40 @@ def test_sweep_users_points_must_be_integers(fast_config, tmp_path, capsys):
     )
     assert code == 2
     assert "integers" in err
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_sweep_rejects_nonpositive_workers(fast_config, tmp_path, capsys, monkeypatch, workers):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("the sweep ran despite an invalid worker count")
+
+    monkeypatch.setattr(cli, "sweep_power", no_compute)
+    out_csv = tmp_path / "never.csv"
+    code, _, err = run_cli(
+        ["sweep", "--config", fast_config, "--out", str(out_csv), "--workers", workers], capsys
+    )
+    assert code == 2
+    assert "--workers" in err
+    assert workers in err
+    assert not out_csv.exists()
+    assert not (tmp_path / "never.csv.manifest.json").exists()
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # The LP oracle is the only user of scipy.optimize; loading it eagerly
+    # used to dominate the CLI's start-up time.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    probe = "import sys, manoma.cli; print('scipy.optimize' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.stdout.strip() == "False"
 
 
 def test_sweep_unwritable_output_is_io_error(fast_config, capsys):

@@ -11,11 +11,13 @@ from manoma.channel import (
     Position,
     UserChannel,
     channel_gain,
+    sample_user_channel,
 )
 from manoma.positioner import (
     ScaParams,
     ScaState,
     anchor_vector,
+    ascend,
     coupling_matrix,
     grid_oracle,
     lipschitz_delta,
@@ -26,6 +28,7 @@ from manoma.positioner import (
     surrogate_gradient,
     surrogate_value,
 )
+from manoma.sim import ScenarioConfig
 
 
 def _random_channel(rng, num_paths=4):
@@ -365,6 +368,135 @@ def test_param_validation():
         ScaParams(max_iterations=0)
     with pytest.raises(ValueError):
         ScaParams(multistart=-1)
+
+
+# --- lockstep ascent engine ---
+
+
+def _reference_lane(ch, region, params, init):
+    """The sequential ascent loop, rebuilt from the scalar helpers: the states
+    (position, gain, iteration) one start visits."""
+    z, gain = init, channel_gain(init, ch)
+    states = [(z, gain, 0)]
+    for i in range(1, params.max_iterations + 1):
+        z_new = sca_step(z, ch, region)
+        gain_new = channel_gain(z_new, ch)
+        increase = gain_new - gain
+        if increase < 0.0:
+            break
+        z, gain = z_new, gain_new
+        states.append((z, gain, i))
+        if increase < params.threshold or increase == 0.0:
+            break
+    return states
+
+
+def _bits(z, gain, iteration):
+    """Exact identity of one result; hex keeps the sign of zero apart."""
+    return (float(z.x).hex(), float(z.y).hex(), float(gain).hex(), int(iteration))
+
+
+def test_engine_matches_sequential_loop_bit_for_bit():
+    # Default-scenario channels as the simulator optimizes them (normalized),
+    # at multistart 0 and 10. Every start is first run alone through the
+    # reference loop; multistart keeps the first strictly best lane.
+    cfg = ScenarioConfig()
+    region = MoveRegion(cfg.region_side)
+    params = ScaParams(multistart=10)
+    origin = Position(0.0, 0.0)
+    rng = np.random.default_rng(2024)
+    capped = 0
+    for k in range(200):
+        ch = sample_user_channel(cfg, rng).normalized()
+        draws = np.random.default_rng(k)
+        starts = [origin] + [
+            Position(*(float(v) for v in draws.uniform(-region.half, region.half, 2)))
+            for _ in range(params.multistart)
+        ]
+        lanes = [_reference_lane(ch, region, params, start) for start in starts]
+        finals = [lane[-1] for lane in lanes]
+        capped += sum(f[2] == params.max_iterations for f in finals)
+
+        trajectory = sca_trajectory(ch, region, ScaParams(), origin)
+        assert [_bits(s.current, s.gain, s.iteration) for s in trajectory] == [
+            _bits(*state) for state in lanes[0]
+        ]
+        assert _bits(*optimize_position(ch, region, ScaParams(), origin)) == _bits(*finals[0])
+
+        best = finals[0]
+        for final in finals[1:]:
+            if final[1] > best[1]:
+                best = final
+        got = optimize_position(ch, region, params, origin, rng=np.random.default_rng(k))
+        assert _bits(*got) == _bits(*best)
+    assert capped >= 10  # the iteration cap is exercised, not just early stops
+
+
+@pytest.mark.parametrize("num_paths", [1, 2, 3, 8, 9, 17])
+def test_engine_matches_sequential_loop_for_any_path_count(num_paths):
+    # Path counts on both sides of numpy's 8-wide summation blocks, and the
+    # single path, where the rounding of the anchor product depends on how
+    # its operands are laid out.
+    rng = np.random.default_rng(300 + num_paths)
+    region = MoveRegion(2.0)
+    params = ScaParams()
+    for _ in range(5):
+        ch = _random_channel(rng, num_paths=num_paths).normalized()
+        starts = [Position(0.0, 0.0)] + [_random_position(rng, span=1.0) for _ in range(2)]
+        z, gains, iterations = ascend(ch, region, params, np.array([s.as_array() for s in starts]))
+        for lane, start in enumerate(starts):
+            expected = _bits(*_reference_lane(ch, region, params, start)[-1])
+            assert _bits(Position(*z[lane]), gains[lane], iterations[lane]) == expected
+            alone = optimize_position(ch, region, params, start)
+            assert _bits(*alone) == expected
+
+
+def test_engine_lanes_do_not_depend_on_batch_partition():
+    cfg = ScenarioConfig()
+    region = MoveRegion(cfg.region_side)
+    params = ScaParams()
+    rng = np.random.default_rng(77)
+    for _ in range(30):
+        ch = sample_user_channel(cfg, rng).normalized()
+        starts = rng.uniform(-region.half, region.half, (11, 2))
+        together = ascend(ch, region, params, starts)
+        halves = [ascend(ch, region, params, part) for part in (starts[:4], starts[4:])]
+        for lane, start in enumerate(starts):
+            alone = ascend(ch, region, params, start[None, :])
+            expected = [np.asarray(out[lane]).tobytes() for out in together]
+            assert [np.asarray(out[0]).tobytes() for out in alone] == expected
+            part, row = (0, lane) if lane < 4 else (1, lane - 4)
+            assert [np.asarray(out[row]).tobytes() for out in halves[part]] == expected
+
+
+def test_engine_zero_anchor_lane_stays_put_and_stops():
+    # prv = (1, -1) cancels exactly at the origin: the anchor vector is zero,
+    # so the curvature bound is zero and the step must leave the lane alone
+    # (without a 0/0 warning) while the other lane ascends normally.
+    angles = (PathAngles(0.7, 1.9), PathAngles(2.1, 0.4))
+    ch = UserChannel(angles=angles, prv=np.array([1.0 + 0j, -1.0 + 0j]))
+    region = MoveRegion(2.0)
+    assert lipschitz_delta(Position(0.0, 0.0), ch) == 0.0
+    starts = np.array([[0.0, 0.0], [0.3, -0.2]])
+    z, gains, iterations = ascend(ch, region, ScaParams(), starts)
+    assert z[0].tolist() == [0.0, 0.0]
+    assert gains[0] == 0.0
+    assert iterations[0] == 1
+    alone = ascend(ch, region, ScaParams(), starts[1:])
+    assert z[1].tobytes() == alone[0][0].tobytes()
+    assert (gains[1], iterations[1]) == (alone[1][0], alone[2][0])
+    assert gains[1] > 0.0
+    states = sca_trajectory(ch, region, ScaParams(), Position(0.0, 0.0))
+    assert [(s.current, s.gain, s.iteration) for s in states] == [
+        (Position(0.0, 0.0), 0.0, 0),
+        (Position(0.0, 0.0), 0.0, 1),
+    ]
+
+
+def test_engine_rejects_all_zero_channel():
+    ch = UserChannel(angles=(PathAngles(1.0, 1.0),), prv=np.array([0j]))
+    with pytest.raises(DegenerateChannelError):
+        ascend(ch, MoveRegion(1.0), ScaParams(), np.zeros((1, 2)))
 
 
 # --- grid oracle ---
