@@ -39,10 +39,9 @@ from manoma.positioner import (
 from manoma.sim import (
     SCHEMES,
     ScenarioConfig,
-    SchemeResult,
     SweepRow,
     dbm_to_mw,
-    monte_carlo,
+    draw_users,
     oma_sum_rate,
     run_realization,
     sweep_power,
@@ -79,10 +78,9 @@ __all__ = [
     "sca_trajectory",
     "SCHEMES",
     "ScenarioConfig",
-    "SchemeResult",
     "SweepRow",
     "dbm_to_mw",
-    "monte_carlo",
+    "draw_users",
     "oma_sum_rate",
     "run_realization",
     "sweep_power",

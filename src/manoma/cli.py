@@ -16,10 +16,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 import time
 from dataclasses import dataclass
+from operator import attrgetter
 
 from manoma import __version__
 from manoma.noma import RateRequirement, solve
@@ -28,9 +30,8 @@ from manoma.sim import (
     SCHEMES,
     ScenarioConfig,
     SweepRow,
-    _draw_users,
-    _realization_rng,
     dbm_to_mw,
+    draw_users,
     sweep_power,
     sweep_users,
 )
@@ -76,102 +77,83 @@ def parse_config_text(text: str) -> dict[str, str]:
     return raw
 
 
-def _parse_int(key: str, value: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {value!r}") from None
-
-
-def _parse_float(key: str, value: str) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {value!r}") from None
-
-
-def _parse_with_unit(key: str, value: str, unit: str) -> float:
-    parts = value.rsplit(None, 1)
-    if len(parts) != 2 or parts[1] != unit:
-        raise ConfigError(
-            f"{key}: expected a value with the unit spelled out, like \"{_unit_example(key, unit)}\";"
-            f" got {value!r}"
-        )
-    return _parse_float(key, parts[0])
-
-
-def _unit_example(key: str, unit: str) -> str:
-    return {"dBm": "10 dBm", "wavelengths": "2 wavelengths", "bps/Hz": "0.25 bps/Hz"}.get(
-        unit, f"1 {unit}"
-    )
-
-
-_RANGE_RE = re.compile(r"^\[\s*([^\s,\]]+)\s*,\s*([^\s,\]]+)\s*\]\s*m$")
-
-
-def _parse_meter_range(key: str, value: str) -> tuple[float, float]:
-    match = _RANGE_RE.match(value)
-    if not match:
-        raise ConfigError(
-            f"{key}: expected a range in meters like \"[80, 100] m\", got {value!r}"
-        )
-    return _parse_float(key, match.group(1)), _parse_float(key, match.group(2))
-
-
-CONFIG_KEYS = (
-    "num_users",
-    "paths_per_user",
-    "p_max",
-    "noise",
-    "pathloss_exponent",
-    "distance_range",
-    "region_side",
-    "r_min",
-    "realizations",
-    "seed",
-    "sca_threshold",
-    "sca_max_iterations",
-    "multistart",
+# The config schema, one row per key: (key, ScenarioConfig field or
+# sca.<ScaParams field>, kind, unit). Parsing, the unit check, serialization
+# and the examples in error messages all come from this table.
+SCHEMA = (
+    ("num_users", "num_users", int, None),
+    ("paths_per_user", "paths_per_user", int, None),
+    ("p_max", "p_max_dbm", float, "dBm"),
+    ("noise", "noise_dbm", float, "dBm"),
+    ("pathloss_exponent", "pathloss_exponent", float, None),
+    ("distance_range", "distance_range", tuple, "m"),
+    ("region_side", "region_side", float, "wavelengths"),
+    ("r_min", "r_min", float, "bps/Hz"),
+    ("realizations", "realizations", int, None),
+    ("seed", "seed", int, None),
+    ("sca_threshold", "sca.threshold", float, None),
+    ("sca_max_iterations", "sca.max_iterations", int, None),
+    ("multistart", "sca.multistart", int, None),
 )
+
+_RANGE_RE = re.compile(r"^\[\s*([^\s,\]]+)\s*,\s*([^\s,\]]+)\s*\]\s*(\S+)$")
+
+
+def _format_value(kind: type, unit: str | None, value) -> str:
+    text = f"[{value[0]!r}, {value[1]!r}]" if kind is tuple else repr(kind(value))
+    return f"{text} {unit}" if unit else text
+
+
+def _parse_float(key: str, text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise ConfigError(f"{key}: expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: expected a finite number, got {text!r}")
+    return value
+
+
+def _parse_value(key: str, kind: type, unit: str | None, text: str):
+    if kind is int:
+        try:
+            return int(text)
+        except ValueError:
+            raise ConfigError(f"{key}: expected an integer, got {text!r}") from None
+    if kind is tuple:
+        match = _RANGE_RE.match(text)
+        if not match or match.group(3) != unit:
+            example = serialize_config(ScenarioConfig())[key]
+            raise ConfigError(f"{key}: expected a range like \"{example}\", got {text!r}")
+        return _parse_float(key, match.group(1)), _parse_float(key, match.group(2))
+    if unit:
+        parts = text.rsplit(None, 1)
+        if len(parts) != 2 or parts[1] != unit:
+            example = serialize_config(ScenarioConfig())[key]
+            raise ConfigError(
+                f"{key}: expected a value with the unit spelled out, like \"{example}\";"
+                f" got {text!r}"
+            )
+        text = parts[0]
+    return _parse_float(key, text)
 
 
 def resolve_config(raw: dict[str, str]) -> ScenarioConfig:
     """Typed, unit-checked config with defaults filled in; raises ConfigError
     naming the offending key."""
-    unknown = sorted(set(raw) - set(CONFIG_KEYS))
+    known = [row[0] for row in SCHEMA]
+    unknown = sorted(set(raw) - set(known))
     if unknown:
-        raise ConfigError(f"unknown config key {unknown[0]!r} (known keys: {', '.join(CONFIG_KEYS)})")
+        raise ConfigError(f"unknown config key {unknown[0]!r} (known keys: {', '.join(known)})")
     values: dict = {}
-    if "num_users" in raw:
-        values["num_users"] = _parse_int("num_users", raw["num_users"])
-    if "paths_per_user" in raw:
-        values["paths_per_user"] = _parse_int("paths_per_user", raw["paths_per_user"])
-    if "p_max" in raw:
-        values["p_max_dbm"] = _parse_with_unit("p_max", raw["p_max"], "dBm")
-    if "noise" in raw:
-        values["noise_dbm"] = _parse_with_unit("noise", raw["noise"], "dBm")
-    if "pathloss_exponent" in raw:
-        values["pathloss_exponent"] = _parse_float("pathloss_exponent", raw["pathloss_exponent"])
-    if "distance_range" in raw:
-        values["distance_range"] = _parse_meter_range("distance_range", raw["distance_range"])
-    if "region_side" in raw:
-        values["region_side"] = _parse_with_unit("region_side", raw["region_side"], "wavelengths")
-    if "r_min" in raw:
-        values["r_min"] = _parse_with_unit("r_min", raw["r_min"], "bps/Hz")
-    if "realizations" in raw:
-        values["realizations"] = _parse_int("realizations", raw["realizations"])
-    if "seed" in raw:
-        values["seed"] = _parse_int("seed", raw["seed"])
-    sca_kwargs = {}
-    if "sca_threshold" in raw:
-        sca_kwargs["threshold"] = _parse_float("sca_threshold", raw["sca_threshold"])
-    if "sca_max_iterations" in raw:
-        sca_kwargs["max_iterations"] = _parse_int("sca_max_iterations", raw["sca_max_iterations"])
-    if "multistart" in raw:
-        sca_kwargs["multistart"] = _parse_int("multistart", raw["multistart"])
+    sca_values: dict = {}
+    for key, field, kind, unit in SCHEMA:
+        if key in raw:
+            owner, _, name = field.rpartition(".")
+            (sca_values if owner else values)[name] = _parse_value(key, kind, unit, raw[key])
     try:
-        if sca_kwargs:
-            values["sca"] = ScaParams(**sca_kwargs)
+        if sca_values:
+            values["sca"] = ScaParams(**sca_values)
         return ScenarioConfig(**values)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -181,19 +163,8 @@ def serialize_config(cfg: ScenarioConfig) -> dict[str, str]:
     """Flat unit-suffixed form of a resolved config; resolves back to an
     identical ScenarioConfig."""
     return {
-        "num_users": str(cfg.num_users),
-        "paths_per_user": str(cfg.paths_per_user),
-        "p_max": f"{cfg.p_max_dbm!r} dBm",
-        "noise": f"{cfg.noise_dbm!r} dBm",
-        "pathloss_exponent": repr(cfg.pathloss_exponent),
-        "distance_range": f"[{cfg.distance_range[0]!r}, {cfg.distance_range[1]!r}] m",
-        "region_side": f"{cfg.region_side!r} wavelengths",
-        "r_min": f"{cfg.r_min!r} bps/Hz",
-        "realizations": str(cfg.realizations),
-        "seed": str(cfg.seed),
-        "sca_threshold": repr(cfg.sca.threshold),
-        "sca_max_iterations": str(cfg.sca.max_iterations),
-        "multistart": str(cfg.sca.multistart),
+        key: _format_value(kind, unit, attrgetter(field)(cfg))
+        for key, field, kind, unit in SCHEMA
     }
 
 
@@ -235,13 +206,12 @@ def load_config(path: str | None) -> LoadedConfig:
 
 
 def _apply_flag_overrides(raw: dict[str, str], args) -> dict[str, str]:
+    """A command-line flag named after a config key overrides that key."""
     out = dict(raw)
-    if getattr(args, "seed", None) is not None:
-        out["seed"] = str(args.seed)
-    if getattr(args, "realizations", None) is not None:
-        out["realizations"] = str(args.realizations)
-    if getattr(args, "multistart", None) is not None:
-        out["multistart"] = str(args.multistart)
+    for key, *_ in SCHEMA:
+        value = getattr(args, key, None)
+        if value is not None:
+            out[key] = str(value)
     return out
 
 
@@ -283,10 +253,20 @@ def _parse_points(text: str, sweep: str) -> list:
                     f"--points: user counts must be integers, got {item!r}"
                 ) from None
         return points
-    try:
-        return [float(item) for item in items]
-    except ValueError:
-        raise ConfigError(f"--points: expected numbers, got {text!r}") from None
+    return [_parse_float("--points", item) for item in items]
+
+
+def _output_problem(path: str) -> str | None:
+    """Why the sweep outputs at `path` could not be written, checked before
+    any compute starts; None when nothing is in the way."""
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        return f"directory {directory} does not exist"
+    if not os.access(directory, os.W_OK | os.X_OK):
+        return f"directory {directory} is not writable"
+    if os.path.isdir(path):
+        return "it is a directory"
+    return None
 
 
 def cmd_validate(args) -> int:
@@ -301,7 +281,7 @@ def cmd_validate(args) -> int:
 def cmd_optimize(args) -> int:
     loaded = load_config(args.config)
     cfg = resolve_config(_apply_flag_overrides(loaded.raw, args))
-    draws = _draw_users(cfg, _realization_rng(cfg, 0), cfg.num_users)
+    draws = draw_users(cfg, 0, cfg.num_users)
     noise = dbm_to_mw(cfg.noise_dbm)
     p_max = dbm_to_mw(cfg.p_max_dbm)
     reqs = [RateRequirement(cfg.r_min)] * cfg.num_users
@@ -345,6 +325,11 @@ def cmd_sweep(args) -> int:
         points = [int(p) for p in loaded.points] if sweep == "users" else [float(p) for p in loaded.points]
     else:
         points = list(DEFAULT_USER_POINTS if sweep == "users" else DEFAULT_POWER_POINTS)
+
+    problem = _output_problem(args.out)
+    if problem:
+        print(f"i/o error: cannot write {args.out}: {problem}", file=sys.stderr)
+        return EXIT_IO
 
     print(
         f"{sweep} sweep: {len(points)} points, {cfg.realizations} realizations, "

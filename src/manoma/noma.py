@@ -195,7 +195,10 @@ def power_allocation(gains_in_order, alphas_in_order, p_max: float, noise: float
     return p
 
 
-def _verdict(powers, rates, reqs, p_max: float) -> tuple[bool, str | None]:
+def check_feasibility(powers, rates, reqs, p_max: float) -> tuple[bool, str | None]:
+    """Verify the power box and per-user minimum rates; powers are checked
+    first because invalid powers make the rates meaningless. Returns the
+    verdict and the first violated constraint, or None when clean."""
     tol = 1e-12 * max(1.0, p_max)
     for k, pw in enumerate(powers):
         if pw < -tol:
@@ -209,13 +212,6 @@ def _verdict(powers, rates, reqs, p_max: float) -> tuple[bool, str | None]:
                 msg += "; min-rate power exceeds P_max"
             return False, msg
     return True, None
-
-
-def check_feasibility(solution: NomaSolution, reqs, p_max: float) -> tuple[bool, str | None]:
-    """Verify the power box and per-user minimum rates; powers are checked
-    first because invalid powers make the rates meaningless. Returns the
-    verdict and the first violated constraint, or None when clean."""
-    return _verdict(solution.powers, solution.rates, reqs, p_max)
 
 
 def solve(gains, reqs, p_max: float, noise: float) -> NomaSolution:
@@ -238,7 +234,7 @@ def solve(gains, reqs, p_max: float, noise: float) -> NomaSolution:
         rates = sinr_and_rates(g, ranks, powers, noise)
     else:
         rates = np.full(len(g), np.nan)
-    feasible, diagnostic = _verdict(powers, rates, reqs, p_max)
+    feasible, diagnostic = check_feasibility(powers, rates, reqs, p_max)
     return NomaSolution(
         order=ranks,
         powers=powers,

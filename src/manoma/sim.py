@@ -6,6 +6,13 @@ center (NOMA-FPA), orthogonal time sharing with both antenna variants
 (OMA-MA, OMA-FPA), and an analytic sum-rate cap that assumes every path of
 every user could be phase-aligned simultaneously (UPPER-BOUND).
 
+One pipeline serves every entry point. `draw_users` samples a realization's
+channels and positions each antenna, the five scheme rates are computed on
+those draws for every sweep point, and `sweep_power` / `sweep_users`
+aggregate the realizations into `SweepRow`s. A one-point `sweep_power` at
+the config's power is the plain Monte Carlo estimate; `run_realization`
+gives one realization's rates.
+
 Position optimization happens once per channel draw: transmit power never
 enters the gain objective, so a power sweep reuses the same positions, and
 user sweeps reuse each user's draw because every user gets an independent
@@ -74,10 +81,11 @@ class ScenarioConfig:
 
 
 @dataclass(frozen=True)
-class SchemeResult:
-    """Aggregate of one scheme at one sweep point. Infeasible draws are
+class SweepRow:
+    """One (sweep value, scheme) cell of a sweep table. Infeasible draws are
     excluded from mean and std; their share is reported, never hidden."""
 
+    sweep_value: float
     scheme: str
     mean_sum_rate: float
     std_sum_rate: float
@@ -89,35 +97,23 @@ class SchemeResult:
         return self.infeasible_count / self.realizations
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One (sweep value, scheme) cell of a sweep table."""
-
-    sweep_value: float
-    scheme: str
-    mean_sum_rate: float
-    std_sum_rate: float
-    infeasible_fraction: float
-    realizations: int
-
-
 def dbm_to_mw(dbm: float) -> float:
     """Decibel-milliwatts to milliwatts."""
     return 10.0 ** (dbm / 10.0)
 
 
 @dataclass(frozen=True)
-class _UserDraw:
-    """One user's channel with both antenna placements evaluated."""
+class UserDraw:
+    """One user's raw channel, its optimized antenna position, and the raw
+    channel gain there (ma_gain) and at the region center (fpa_gain)."""
 
+    channel: UserChannel
+    position: Position
     ma_gain: float
     fpa_gain: float
-    amplitude_sum_sq: float
-    position: Position
-    distance: float
 
 
-def _draw_user(cfg: ScenarioConfig, rng: np.random.Generator) -> _UserDraw:
+def _draw_user(cfg: ScenarioConfig, rng: np.random.Generator) -> UserDraw:
     """Sample one channel and optimize its antenna position.
 
     The optimizer runs on the unit-power rescaling of the channel: its
@@ -129,21 +125,23 @@ def _draw_user(cfg: ScenarioConfig, rng: np.random.Generator) -> _UserDraw:
     region = MoveRegion(cfg.region_side)
     origin = Position(0.0, 0.0)
     pos, _, _ = optimize_position(ch.normalized(), region, cfg.sca, origin, rng=rng)
-    return _UserDraw(
+    return UserDraw(
+        channel=ch,
+        position=pos,
         ma_gain=channel_gain(pos, ch),
         fpa_gain=channel_gain(origin, ch),
-        amplitude_sum_sq=ch.amplitude_sum**2,
-        position=pos,
-        distance=ch.distance,
     )
 
 
-def _draw_users(cfg: ScenarioConfig, rng: np.random.Generator, count: int) -> list[_UserDraw]:
-    """Draw `count` users, each from its own child stream of `rng`.
+def draw_users(cfg: ScenarioConfig, index: int, count: int) -> list[UserDraw]:
+    """The first `count` users of realization `index`, antennas positioned.
 
-    Child streams make user k's draw independent of how many users follow,
-    so a smaller user count is an exact prefix of a larger one.
+    The realization's generator depends on (cfg.seed, index) only, so worker
+    scheduling cannot change a draw. Each user then gets its own child
+    stream, which makes user k's draw independent of how many users follow:
+    a smaller count is an exact prefix of a larger one.
     """
+    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, index)))
     return [_draw_user(cfg, child) for child in rng.spawn(count)]
 
 
@@ -163,11 +161,7 @@ def upper_bound(channels, p_max: float, noise: float) -> float:
     return math.log2(1.0 + total * p_max / noise)
 
 
-def _upper_bound_from_amp(amp_sq_total: float, p_max: float, noise: float) -> float:
-    return math.log2(1.0 + amp_sq_total * p_max / noise)
-
-
-def _scheme_rates(draws: list[_UserDraw], r_min: float, p_max: float, noise: float) -> np.ndarray:
+def _scheme_rates(draws: list[UserDraw], r_min: float, p_max: float, noise: float) -> np.ndarray:
     """Five scheme sum rates for one draw set; NaN marks an infeasible NOMA
     instance."""
     reqs = [RateRequirement(r_min)] * len(draws)
@@ -179,38 +173,31 @@ def _scheme_rates(draws: list[_UserDraw], r_min: float, p_max: float, noise: flo
         out[slot] = sol.sum_rate if sol.feasible else math.nan
     out[2] = oma_sum_rate(ma_gains, p_max, noise)
     out[3] = oma_sum_rate(fpa_gains, p_max, noise)
-    out[4] = _upper_bound_from_amp(sum(d.amplitude_sum_sq for d in draws), p_max, noise)
+    out[4] = upper_bound([d.channel for d in draws], p_max, noise)
     return out
 
 
-def run_realization(cfg: ScenarioConfig, rng: np.random.Generator) -> dict[str, float]:
-    """Evaluate all schemes on one shared channel draw at cfg.p_max_dbm.
+def run_realization(cfg: ScenarioConfig, index: int) -> dict[str, float]:
+    """Evaluate all schemes on the draw of realization `index` at cfg.p_max_dbm.
 
     Returns scheme label to sum rate in bps/Hz; NaN flags an infeasible NOMA
     draw (the minimum rates cannot all be met).
     """
-    draws = _draw_users(cfg, rng, cfg.num_users)
+    draws = draw_users(cfg, index, cfg.num_users)
     rates = _scheme_rates(draws, cfg.r_min, dbm_to_mw(cfg.p_max_dbm), dbm_to_mw(cfg.noise_dbm))
     return dict(zip(SCHEMES, rates))
 
 
-def _realization_rng(cfg: ScenarioConfig, index: int) -> np.random.Generator:
-    # Sub-seed derived from (seed, index) only: aggregation order and worker
-    # scheduling cannot change any draw.
-    return np.random.default_rng(np.random.SeedSequence((cfg.seed, index)))
-
-
 def _realization_table(cfg: ScenarioConfig, sweep: str, values, index: int) -> np.ndarray:
     """Rates for one realization at every sweep point, shape (points, schemes)."""
-    rng = _realization_rng(cfg, index)
     noise = dbm_to_mw(cfg.noise_dbm)
     if sweep == "power":
-        draws = _draw_users(cfg, rng, cfg.num_users)
+        draws = draw_users(cfg, index, cfg.num_users)
         return np.array(
             [_scheme_rates(draws, cfg.r_min, dbm_to_mw(p_dbm), noise) for p_dbm in values]
         )
     if sweep == "users":
-        draws = _draw_users(cfg, rng, max(values))
+        draws = draw_users(cfg, index, max(values))
         p_max = dbm_to_mw(cfg.p_max_dbm)
         return np.array(
             [_scheme_rates(draws[:k], cfg.r_min, p_max, noise) for k in values]
@@ -231,47 +218,29 @@ def _collect(cfg: ScenarioConfig, sweep: str, values, workers: int) -> np.ndarra
     return np.array(tables)
 
 
-def _aggregate_point(samples: np.ndarray, scheme: str, realizations: int) -> SchemeResult:
-    feasible = samples[~np.isnan(samples)]
-    if len(feasible) == 0:
-        mean = math.nan
-        std = math.nan
-    else:
-        mean = float(np.mean(feasible))
-        std = float(np.std(feasible, ddof=1)) if len(feasible) >= 2 else 0.0
-    return SchemeResult(
-        scheme=scheme,
-        mean_sum_rate=mean,
-        std_sum_rate=std,
-        infeasible_count=realizations - len(feasible),
-        realizations=realizations,
-    )
-
-
-def monte_carlo(cfg: ScenarioConfig, workers: int = 1) -> list[SchemeResult]:
-    """Per-scheme mean and spread over cfg.realizations independent draws at
-    the config's operating point."""
-    tables = _collect(cfg, "power", [cfg.p_max_dbm], workers)
-    return [
-        _aggregate_point(tables[:, 0, s], scheme, cfg.realizations)
-        for s, scheme in enumerate(SCHEMES)
-    ]
-
-
-def _sweep(cfg: ScenarioConfig, sweep: str, values, workers: int) -> list[SweepRow]:
-    tables = _collect(cfg, sweep, values, workers)
+def _aggregate(tables: np.ndarray, values) -> list[SweepRow]:
+    """One row per (sweep value, scheme) from the (realizations, points,
+    schemes) rate tables; NaN entries count as infeasible."""
+    realizations = len(tables)
     rows = []
     for i, value in enumerate(values):
         for s, scheme in enumerate(SCHEMES):
-            agg = _aggregate_point(tables[:, i, s], scheme, cfg.realizations)
+            samples = tables[:, i, s]
+            feasible = samples[~np.isnan(samples)]
+            if len(feasible) == 0:
+                mean = math.nan
+                std = math.nan
+            else:
+                mean = float(np.mean(feasible))
+                std = float(np.std(feasible, ddof=1)) if len(feasible) >= 2 else 0.0
             rows.append(
                 SweepRow(
                     sweep_value=float(value),
                     scheme=scheme,
-                    mean_sum_rate=agg.mean_sum_rate,
-                    std_sum_rate=agg.std_sum_rate,
-                    infeasible_fraction=agg.infeasible_fraction,
-                    realizations=cfg.realizations,
+                    mean_sum_rate=mean,
+                    std_sum_rate=std,
+                    infeasible_count=realizations - len(feasible),
+                    realizations=realizations,
                 )
             )
     return rows
@@ -280,11 +249,13 @@ def _sweep(cfg: ScenarioConfig, sweep: str, values, workers: int) -> list[SweepR
 def sweep_power(cfg: ScenarioConfig, p_max_dbm_values, workers: int = 1) -> list[SweepRow]:
     """Sum rates versus transmit power cap, all sweep points sharing the
     exact same channel draws and antenna positions (positions do not depend
-    on power, so pairing is free variance reduction)."""
+    on power, so pairing is free variance reduction). A one-point sweep at
+    cfg.p_max_dbm is the Monte Carlo estimate at the config's operating
+    point."""
     values = [float(v) for v in p_max_dbm_values]
     if not values:
         raise ValueError("at least one power value is required")
-    return _sweep(cfg, "power", values, workers)
+    return _aggregate(_collect(cfg, "power", values, workers), values)
 
 
 def sweep_users(cfg: ScenarioConfig, k_values, workers: int = 1) -> list[SweepRow]:
@@ -295,4 +266,4 @@ def sweep_users(cfg: ScenarioConfig, k_values, workers: int = 1) -> list[SweepRo
         raise ValueError("at least one user count is required")
     if min(values) < 1:
         raise ValueError(f"user counts must be at least 1, got {min(values)}")
-    return _sweep(cfg, "users", values, workers)
+    return _aggregate(_collect(cfg, "users", values, workers), values)

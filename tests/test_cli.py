@@ -1,14 +1,20 @@
+import filecmp
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import manoma.cli as cli
 
-from manoma.cli import CSV_HEADER, main
-from manoma.sim import SCHEMES
+from manoma.cli import CSV_HEADER, main, serialize_config
+from manoma.sim import SCHEMES, ScenarioConfig
+
+ROOT = Path(__file__).resolve().parents[1]
+REFERENCE_DIR = ROOT / "perfbench" / "reference"
 
 FAST_CONFIG = """
 # small scenario for quick runs
@@ -91,6 +97,34 @@ def test_validate_requires_unit_suffix(tmp_path, capsys):
     code, _, err = run_cli(["validate", "--config", str(cfg)], capsys)
     assert code == 2
     assert "dBm" in err
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        'p_max = "nan dBm"',
+        'noise = "inf dBm"',
+        'r_min = "inf bps/Hz"',
+        'distance_range = "[1, inf] m"',
+        'region_side = "nan wavelengths"',
+        "sca_threshold = nan",
+        "pathloss_exponent = inf",
+    ],
+)
+def test_validate_rejects_non_finite_numbers(tmp_path, capsys, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    code, out, err = run_cli(["validate", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert out == ""
+    key = line.split(" = ")[0]
+    assert err.startswith(f"config error: {key}: expected a finite number")
+
+
+def test_readme_defaults_table_matches_schema():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `(\w+)` \| `([^`]*)` \|", readme, flags=re.MULTILINE)
+    assert rows == list(serialize_config(ScenarioConfig()).items())
 
 
 def test_validate_rejects_missing_file(capsys):
@@ -224,6 +258,20 @@ def test_sweep_users_points_must_be_integers(fast_config, tmp_path, capsys):
     assert "integers" in err
 
 
+def test_sweep_rejects_non_finite_power_points(fast_config, tmp_path, capsys, monkeypatch):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("the sweep ran despite a non-finite power point")
+
+    monkeypatch.setattr(cli, "sweep_power", no_compute)
+    out_csv = tmp_path / "never.csv"
+    code, _, err = run_cli(
+        ["sweep", "--config", fast_config, "--points", "10,nan", "--out", str(out_csv)], capsys
+    )
+    assert code == 2
+    assert "--points: expected a finite number" in err
+    assert not out_csv.exists()
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_sweep_rejects_nonpositive_workers(fast_config, tmp_path, capsys, monkeypatch, workers):
     def no_compute(*args, **kwargs):
@@ -265,6 +313,49 @@ def test_sweep_unwritable_output_is_io_error(fast_config, capsys):
     )
     assert code == 4
     assert "/no/such/dir/out.csv" in err
+
+
+@pytest.mark.parametrize("out", ["missing/out.csv", "."])
+def test_sweep_checks_output_path_before_compute(
+    fast_config, tmp_path, capsys, monkeypatch, out
+):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("the sweep ran although its output cannot be written")
+
+    monkeypatch.setattr(cli, "sweep_power", no_compute)
+    out_path = tmp_path / out
+    code, _, err = run_cli(["sweep", "--config", fast_config, "--out", str(out_path)], capsys)
+    assert code == 4
+    assert str(out_path) in err
+    assert list(tmp_path.iterdir()) == [tmp_path / "fast.cfg"]
+
+
+@pytest.mark.parametrize(
+    "reference, config, flags",
+    [
+        ("power_sweep-n2-seed0.csv", "", ["--realizations", "2"]),
+        (
+            "dense_power_k32-n1-seed0.csv",
+            'num_users = 32\nr_min = "0.1 bps/Hz"\n',
+            ["--realizations", "1", "--points", ",".join(f"{0.25 * i:g}" for i in range(81))],
+        ),
+        (
+            "multistart_w2-n2-seed0.csv",
+            "multistart = 10\n",
+            ["--workers", "2", "--realizations", "2"],
+        ),
+    ],
+    ids=["power_sweep", "dense_power_k32", "multistart_w2"],
+)
+def test_sweep_reproduces_reference_csv(tmp_path, capsys, reference, config, flags):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    out_csv = tmp_path / "out.csv"
+    code, _, _ = run_cli(
+        ["sweep", "--config", str(cfg), "--seed", "0", "--out", str(out_csv), *flags], capsys
+    )
+    assert code == 0
+    assert filecmp.cmp(out_csv, REFERENCE_DIR / reference, shallow=False)
 
 
 def test_seed_flag_overrides_config(fast_config, tmp_path, capsys):

@@ -200,7 +200,7 @@ def test_single_user_infeasible_diagnostic():
     sol = solve([0.5], [RateRequirement(3.0)], p_max=10.0, noise=1.0)
     assert not sol.feasible
     assert "min-rate power exceeds P_max" in sol.diagnostic
-    ok, diag = check_feasibility(sol, [RateRequirement(3.0)], 10.0)
+    ok, diag = check_feasibility(sol.powers, sol.rates, [RateRequirement(3.0)], 10.0)
     assert not ok and "min-rate power exceeds P_max" in diag
 
 
@@ -223,7 +223,7 @@ def test_power_cap_violation_diagnostic():
         sum_rate=2.0,
         feasible=True,
     )
-    ok, diag = check_feasibility(sol, [RateRequirement(0.1)], p_max=10.0)
+    ok, diag = check_feasibility(sol.powers, sol.rates, [RateRequirement(0.1)], p_max=10.0)
     assert not ok and "exceeds" in diag
 
 
@@ -235,7 +235,7 @@ def test_negative_power_diagnostic():
         sum_rate=float("nan"),
         feasible=True,
     )
-    ok, diag = check_feasibility(sol, [RateRequirement(0.1)] * 2, p_max=10.0)
+    ok, diag = check_feasibility(sol.powers, sol.rates, [RateRequirement(0.1)] * 2, p_max=10.0)
     assert not ok and "negative" in diag
 
 

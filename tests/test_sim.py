@@ -11,13 +11,12 @@ from manoma.sim import (
     SCHEMES,
     ScenarioConfig,
     dbm_to_mw,
-    monte_carlo,
+    draw_users,
     oma_sum_rate,
     run_realization,
     sweep_power,
     sweep_users,
     upper_bound,
-    _realization_rng,
 )
 
 
@@ -110,14 +109,14 @@ def test_upper_bound_tight_for_single_path_channels():
 
 def test_realization_deterministic():
     cfg = _small_cfg()
-    a = run_realization(cfg, _realization_rng(cfg, 0))
-    b = run_realization(cfg, _realization_rng(cfg, 0))
+    a = run_realization(cfg, 0)
+    b = run_realization(cfg, 0)
     assert a == b
 
 
 def test_point_region_collapses_ma_to_fpa():
     cfg = _small_cfg(region_side=0.0)
-    rates = run_realization(cfg, _realization_rng(cfg, 1))
+    rates = run_realization(cfg, 1)
     assert rates["NOMA-MA"] == rates["NOMA-FPA"] or (
         math.isnan(rates["NOMA-MA"]) and math.isnan(rates["NOMA-FPA"])
     )
@@ -126,7 +125,7 @@ def test_point_region_collapses_ma_to_fpa():
 
 def test_single_path_collapses_ma_to_fpa():
     cfg = _small_cfg(paths_per_user=1)
-    rates = run_realization(cfg, _realization_rng(cfg, 2))
+    rates = run_realization(cfg, 2)
     assert rates["OMA-MA"] == rates["OMA-FPA"]
     if not math.isnan(rates["NOMA-MA"]):
         assert rates["NOMA-MA"] == rates["NOMA-FPA"]
@@ -136,7 +135,7 @@ def test_per_realization_scheme_ordering():
     cfg = _small_cfg(num_users=4, realizations=1)
     checked_noma = 0
     for r in range(30):
-        rates = run_realization(cfg, _realization_rng(cfg, r))
+        rates = run_realization(cfg, r)
         bound = rates["UPPER-BOUND"]
         for scheme in SCHEMES[:4]:
             if not math.isnan(rates[scheme]):
@@ -158,8 +157,7 @@ def test_per_realization_scheme_ordering():
 def test_gain_first_pipeline_beats_random_positions():
     # Decoupling check: optimizing each user's gain first is never worse
     # than any alternative position set with powers re-optimized.
-    from manoma.channel import MoveRegion, Position, channel_gain, sample_user_channel
-    from manoma.positioner import optimize_position
+    from manoma.channel import MoveRegion, Position, channel_gain
 
     cfg = _small_cfg(sca=ScaParams(multistart=8))
     region = MoveRegion(cfg.region_side)
@@ -168,19 +166,14 @@ def test_gain_first_pipeline_beats_random_positions():
     reqs = [RateRequirement(cfg.r_min)] * cfg.num_users
     compared = 0
     for r in range(10):
-        rng = _realization_rng(cfg, r)
-        channels = [sample_user_channel(cfg, child) for child in rng.spawn(cfg.num_users)]
-        opt_gains = []
-        for ch in channels:
-            pos, _, _ = optimize_position(ch.normalized(), region, cfg.sca, rng=rng)
-            opt_gains.append(channel_gain(pos, ch))
-        pipeline = solve(opt_gains, reqs, p_max, noise)
+        draws = draw_users(cfg, r, cfg.num_users)
+        pipeline = solve([d.ma_gain for d in draws], reqs, p_max, noise)
         alt_rng = np.random.default_rng(1000 + r)
         for _ in range(5):
-            alt_positions = [
-                Position(*alt_rng.uniform(-region.half, region.half, 2)) for _ in channels
+            alt_gains = [
+                channel_gain(Position(*alt_rng.uniform(-region.half, region.half, 2)), d.channel)
+                for d in draws
             ]
-            alt_gains = [channel_gain(z, ch) for z, ch in zip(alt_positions, channels)]
             alt = solve(alt_gains, reqs, p_max, noise)
             if alt.feasible:
                 assert pipeline.feasible
@@ -194,22 +187,23 @@ def test_gain_first_pipeline_beats_random_positions():
 
 def test_monte_carlo_single_realization_matches_run():
     cfg = _small_cfg(realizations=1)
-    results = monte_carlo(cfg)
-    single = run_realization(cfg, _realization_rng(cfg, 0))
-    for res in results:
-        if math.isnan(single[res.scheme]):
-            assert res.infeasible_count == 1
-            assert math.isnan(res.mean_sum_rate)
+    rows = sweep_power(cfg, [cfg.p_max_dbm])
+    single = run_realization(cfg, 0)
+    for row in rows:
+        assert row.sweep_value == cfg.p_max_dbm
+        if math.isnan(single[row.scheme]):
+            assert row.infeasible_count == 1
+            assert math.isnan(row.mean_sum_rate)
         else:
-            assert_allclose(res.mean_sum_rate, single[res.scheme], rtol=1e-12)
-            assert res.std_sum_rate == 0.0
-        assert res.realizations == 1
+            assert_allclose(row.mean_sum_rate, single[row.scheme], rtol=1e-12)
+            assert row.std_sum_rate == 0.0
+        assert row.realizations == 1
 
 
 def test_monte_carlo_worker_count_invariance():
     cfg = _small_cfg(num_users=2, paths_per_user=2, realizations=6)
-    serial = monte_carlo(cfg, workers=1)
-    parallel = monte_carlo(cfg, workers=3)
+    serial = sweep_power(cfg, [cfg.p_max_dbm], workers=1)
+    parallel = sweep_power(cfg, [cfg.p_max_dbm], workers=3)
     assert serial == parallel
 
 
@@ -217,36 +211,20 @@ def test_infeasible_draws_excluded_from_mean():
     # Tight requirements at low power leave a mix of feasible and infeasible
     # draws; the mean must cover exactly the feasible ones.
     cfg = _small_cfg(num_users=4, r_min=1.0, p_max_dbm=5.0, realizations=40)
-    results = {res.scheme: res for res in monte_carlo(cfg)}
-    rates = [run_realization(cfg, _realization_rng(cfg, r))["NOMA-FPA"] for r in range(40)]
+    results = {row.scheme: row for row in sweep_power(cfg, [cfg.p_max_dbm])}
+    rates = [run_realization(cfg, r)["NOMA-FPA"] for r in range(40)]
     feasible = [x for x in rates if not math.isnan(x)]
     res = results["NOMA-FPA"]
     assert res.infeasible_count == 40 - len(feasible)
     assert 0 < res.infeasible_count < 40
     assert_allclose(res.mean_sum_rate, np.mean(feasible), rtol=1e-12)
     assert_allclose(res.std_sum_rate, np.std(feasible, ddof=1), rtol=1e-12)
-    assert 0.0 < res.infeasible_fraction < 1.0
+    assert res.infeasible_fraction == res.infeasible_count / 40
     for scheme in ("OMA-MA", "OMA-FPA", "UPPER-BOUND"):
         assert results[scheme].infeasible_count == 0
 
 
 # --- sweeps ---
-
-
-def test_sweep_power_single_point_matches_monte_carlo():
-    cfg = _small_cfg()
-    rows = sweep_power(cfg, [cfg.p_max_dbm])
-    results = monte_carlo(cfg)
-    assert len(rows) == len(results)
-    for row, res in zip(rows, results):
-        assert row.scheme == res.scheme
-        assert row.sweep_value == cfg.p_max_dbm
-        for a, b in (
-            (row.mean_sum_rate, res.mean_sum_rate),
-            (row.std_sum_rate, res.std_sum_rate),
-            (row.infeasible_fraction, res.infeasible_fraction),
-        ):
-            assert (math.isnan(a) and math.isnan(b)) or a == b
 
 
 def test_sweep_power_shares_draws_across_points():
@@ -276,13 +254,16 @@ def test_sweep_power_monotone_and_bounded():
 def test_sweep_users_prefix_matches_direct_run():
     cfg = _small_cfg(num_users=4, realizations=4)
     rows = sweep_users(cfg, [2, 4])
-    small = monte_carlo(ScenarioConfig(
-        num_users=2,
-        paths_per_user=cfg.paths_per_user,
-        realizations=cfg.realizations,
-        seed=cfg.seed,
-        sca=cfg.sca,
-    ))
+    small = sweep_power(
+        ScenarioConfig(
+            num_users=2,
+            paths_per_user=cfg.paths_per_user,
+            realizations=cfg.realizations,
+            seed=cfg.seed,
+            sca=cfg.sca,
+        ),
+        [cfg.p_max_dbm],
+    )
     for row, res in zip(rows[: len(SCHEMES)], small):
         assert row.scheme == res.scheme
         a, b = row.mean_sum_rate, res.mean_sum_rate
