@@ -239,10 +239,10 @@ def write_sweep_csv(path: str, rows: list[SweepRow], seed: int) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _parse_points(text: str, sweep: str) -> list:
-    items = [item.strip() for item in text.split(",") if item.strip()]
+def _parse_points(key: str, items: list[str], sweep: str) -> list:
+    """Sweep points from their text, for --points and a manifest's points."""
     if not items:
-        raise ConfigError("--points: expected a comma-separated list of values")
+        raise ConfigError(f"{key}: expected at least one value")
     if sweep == "users":
         points = []
         for item in items:
@@ -250,10 +250,10 @@ def _parse_points(text: str, sweep: str) -> list:
                 points.append(int(item))
             except ValueError:
                 raise ConfigError(
-                    f"--points: user counts must be integers, got {item!r}"
+                    f"{key}: user counts must be integers, got {item!r}"
                 ) from None
         return points
-    return [_parse_float("--points", item) for item in items]
+    return [_parse_float(key, item) for item in items]
 
 
 def _output_problem(path: str) -> str | None:
@@ -320,9 +320,12 @@ def cmd_sweep(args) -> int:
     if sweep not in ("power", "users"):
         raise ConfigError(f"--sweep must be 'power' or 'users', got {sweep!r}")
     if args.points is not None:
-        points = _parse_points(args.points, sweep)
+        items = [item.strip() for item in args.points.split(",") if item.strip()]
+        points = _parse_points("--points", items, sweep)
     elif loaded.points is not None:
-        points = [int(p) for p in loaded.points] if sweep == "users" else [float(p) for p in loaded.points]
+        if not isinstance(loaded.points, list):
+            raise ConfigError(f"points: expected a list of values, got {loaded.points!r}")
+        points = _parse_points("points", [str(p) for p in loaded.points], sweep)
     else:
         points = list(DEFAULT_USER_POINTS if sweep == "users" else DEFAULT_POWER_POINTS)
 

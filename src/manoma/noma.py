@@ -9,6 +9,12 @@ powers have a saturation structure: leading users transmit at full power
 until the first user that must back off to protect the minimum rates of
 those decoded before it; everyone after that gets exactly the power that
 meets their own minimum rate.
+
+Power control runs as array operations with no Python loop over pairs of
+users: one np.add.reduce per window width gives every window sum the caps
+need, and the per-user caps, products and verdicts are elementwise. Each
+result is bit for bit what the per-pair formulas give, because every sum and
+product is taken in the order np.sum and np.prod take it on the slice alone.
 """
 
 from __future__ import annotations
@@ -50,7 +56,8 @@ class NomaSolution:
     order[k] is the decoding rank of user k, 1-based: rank 1 is decoded
     first and sees all other users as interference. powers are in mW, rates
     in bps/Hz. When powers are invalid (negative back-off forced by an
-    infeasible instance) the rates are NaN. diagnostic names the first
+    infeasible instance) the rates are NaN; when a minimum-rate power is too
+    large for a float, powers are NaN as well. diagnostic names the first
     violated constraint when infeasible.
     """
 
@@ -102,6 +109,25 @@ def sum_rate_collapsed(gains, powers, noise: float) -> float:
     return float(np.log2(1.0 + np.sum(g * p) / noise))
 
 
+def _decoding_sequence(g: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """User indices in decoding order; see decoding_order."""
+    if g.shape != a.shape:
+        raise ValueError("gains and alphas must have the same length")
+    if np.any(a < 0.0):
+        raise ValueError("alpha values must be nonnegative")
+    constrained = a > 0.0
+    key = -g
+    key[constrained] = -g[constrained] * (1.0 + 1.0 / a[constrained])
+    # lexsort is stable, so equal keys keep the lower user index first.
+    return np.lexsort((key, ~constrained))
+
+
+def _ranks(seq: np.ndarray) -> tuple[int, ...]:
+    ranks = np.empty(len(seq), dtype=int)
+    ranks[seq] = np.arange(1, len(seq) + 1)
+    return tuple(ranks.tolist())
+
+
 def decoding_order(gains, alphas) -> tuple[int, ...]:
     """Decoding ranks maximizing the feasible power budget.
 
@@ -111,22 +137,7 @@ def decoding_order(gains, alphas) -> tuple[int, ...]:
     constrained users, in decreasing gain order.
     """
     g = np.asarray(gains, dtype=float)
-    a = np.asarray(alphas, dtype=float)
-    if g.shape != a.shape:
-        raise ValueError("gains and alphas must have the same length")
-    if np.any(a < 0.0):
-        raise ValueError("alpha values must be nonnegative")
-
-    def sort_key(k: int):
-        if a[k] > 0.0:
-            return (0, -g[k] * (1.0 + 1.0 / a[k]), k)
-        return (1, -g[k], k)
-
-    seq = sorted(range(len(g)), key=sort_key)
-    ranks = [0] * len(g)
-    for position, user in enumerate(seq):
-        ranks[user] = position + 1
-    return tuple(ranks)
+    return _ranks(_decoding_sequence(g, np.asarray(alphas, dtype=float)))
 
 
 def minimum_rate_powers(gains, alphas, noise: float) -> np.ndarray:
@@ -135,27 +146,25 @@ def minimum_rate_powers(gains, alphas, noise: float) -> np.ndarray:
     Assumes every user decoded after k transmits its own c: the interference
     plus noise then equals noise times the product of (alpha+1) over later
     users, which is what the product term accounts for. Unconstrained users
-    (alpha = 0) need nothing.
+    (alpha = 0) need nothing. A product too large for a float makes c_k inf.
     """
     g = np.asarray(gains, dtype=float)
     a = np.asarray(alphas, dtype=float)
-    c = np.zeros(len(g))
-    for k in range(len(g)):
-        if a[k] > 0.0:
-            c[k] = noise * a[k] / g[k] * float(np.prod(a[k + 1 :] + 1.0))
+    num = len(g)
+    # Segment k of the reduceat is factors[k+1:num], multiplied left to right
+    # as np.prod does; the odd segments pick the padding 1.0 and are dropped.
+    factors = np.append(a + 1.0, 1.0)
+    bounds = np.full(2 * num, num)
+    bounds[0::2] = np.arange(1, num + 1)
+    need = a > 0.0
+    c = np.zeros(num)
+    # Many large factors overflow to inf; solve reports that user infeasible.
+    with np.errstate(over="ignore"):
+        c[need] = noise * a[need] / g[need] * np.multiply.reduceat(factors, bounds)[0::2][need]
     return c
 
 
-def power_allocation(gains_in_order, alphas_in_order, p_max: float, noise: float) -> np.ndarray:
-    """Optimal transmit powers, inputs relabeled so index 0 is decoded first.
-
-    The first user always transmits at p_max. While every earlier user sits
-    at p_max, user k gets the largest power that keeps all earlier users'
-    minimum rates intact (capped at p_max); once some user backs off below
-    p_max, every later user gets exactly its minimum-rate power. Powers can
-    come out negative or above p_max on infeasible instances; callers decide
-    feasibility, nothing is clipped here.
-    """
+def _allocation_inputs(gains_in_order, alphas_in_order, p_max: float, noise: float):
     g = np.asarray(gains_in_order, dtype=float)
     a = np.asarray(alphas_in_order, dtype=float)
     if g.shape != a.shape:
@@ -168,31 +177,75 @@ def power_allocation(gains_in_order, alphas_in_order, p_max: float, noise: float
         )
     if np.any(a < 0.0):
         raise ValueError("alpha values must be nonnegative")
+    if not math.isfinite(p_max):
+        raise ValueError(f"power cap p_max must be finite, got {p_max}")
     if p_max < 0.0:
         raise ValueError(f"power cap must be nonnegative, got {p_max}")
-    if noise <= 0.0:
-        raise ValueError(f"noise power must be positive, got {noise}")
+    if not 0.0 < noise < math.inf:
+        raise ValueError(f"noise power must be positive and finite, got {noise}")
+    return g, a
 
+
+def _windows(x: np.ndarray, width: int) -> np.ndarray:
+    """Read-only view of contiguous x whose row j is x[j : j + width]; what
+    sliding_window_view gives, without its per-call overhead."""
+    view = np.ndarray((len(x) - width + 1, width), x.dtype, x, 0, (x.itemsize, x.itemsize))
+    view.flags.writeable = False
+    return view
+
+
+def _saturating_powers(g, a, c, p_max: float, noise: float) -> np.ndarray:
+    """power_allocation on validated inputs and their minimum-rate powers c.
+
+    User k may send at most (g_i p_max / a_i - sum(g[i+1:k]) p_max - later_k
+    - noise) / g_k while each constrained user i < k keeps its rate, where
+    later_k = sum(g c) over the users after k. Every window sum is taken by
+    np.add.reduce on a row of a strided view, which sums it exactly as np.sum
+    sums that slice on its own: row r of `sums` holds the windows of width
+    num-2-r, later_{r+1} in column 0 and sum(g[k-w:k]) in column k >= w+1
+    (columns 1..w straddle the two arrays and are never used). caps[r, k]
+    pairs user k with i = k+r-(num-1); NaN marks pairs that do not constrain
+    k (i < 0, or alpha_i = 0), and fmin skips NaN as Python's min did.
+    """
     num = len(g)
-    c = minimum_rate_powers(g, a, noise)
-    p = np.empty(num)
-    p[0] = p_max
-    saturated = True
-    for k in range(1, num):
-        if not saturated:
-            p[k] = c[k]
-            continue
-        later_c = float(np.sum(g[k + 1 :] * c[k + 1 :]))
-        cap = math.inf
-        for i in range(k):
-            if a[i] <= 0.0:
-                continue  # no rate requirement, no interference headroom limit
-            between = float(np.sum(g[i + 1 : k])) * p_max
-            cap = min(cap, (g[i] * p_max / a[i] - between - later_c - noise) / g[k])
-        p[k] = min(p_max, cap)
-        if p[k] < p_max:
-            saturated = False
+    p = np.full(num, p_max, dtype=float)
+    if num == 1:
+        return p
+    # received[m] = g c of user m+2, followed by the gains: a window of width
+    # w starting at index r covers received[r:] exactly when r + w = num-2.
+    windows = _windows(np.concatenate((g[2:] * c[2:], g, np.zeros(num))), num)
+    sums = np.empty((num - 1, num))
+    for r in range(num - 1):
+        # Positional (axis, dtype, out): keyword parsing costs more than the sum.
+        np.add.reduce(windows[r : r + num, : num - 2 - r], 1, None, sums[r])
+    headroom = np.full(2 * num - 2, np.nan)
+    constrained = np.flatnonzero(a[:-1] > 0.0)
+    headroom[num - 1 + constrained] = g[constrained] * p_max / a[constrained]
+    caps = _windows(headroom, num) - sums * p_max
+    caps -= np.concatenate(([0.0], sums[:, 0]))
+    caps -= noise
+    caps /= g
+    cap = np.fmin.reduce(caps, axis=0)  # NaN where no user constrains k
+    backs_off = np.flatnonzero(cap[1:] < p_max)
+    if len(backs_off):
+        k = int(backs_off[0]) + 1
+        p[k] = cap[k]
+        p[k + 1 :] = c[k + 1 :]
     return p
+
+
+def power_allocation(gains_in_order, alphas_in_order, p_max: float, noise: float) -> np.ndarray:
+    """Optimal transmit powers, inputs relabeled so index 0 is decoded first.
+
+    The first user always transmits at p_max. While every earlier user sits
+    at p_max, user k gets the largest power that keeps all earlier users'
+    minimum rates intact (capped at p_max); once some user backs off below
+    p_max, every later user gets exactly its minimum-rate power. Powers can
+    come out negative or above p_max on infeasible instances; callers decide
+    feasibility, nothing is clipped here.
+    """
+    g, a = _allocation_inputs(gains_in_order, alphas_in_order, p_max, noise)
+    return _saturating_powers(g, a, minimum_rate_powers(g, a, noise), p_max, noise)
 
 
 def check_feasibility(powers, rates, reqs, p_max: float) -> tuple[bool, str | None]:
@@ -200,17 +253,22 @@ def check_feasibility(powers, rates, reqs, p_max: float) -> tuple[bool, str | No
     first because invalid powers make the rates meaningless. Returns the
     verdict and the first violated constraint, or None when clean."""
     tol = 1e-12 * max(1.0, p_max)
-    for k, pw in enumerate(powers):
-        if pw < -tol:
-            return False, f"user {k + 1} power {pw:.6g} mW is negative"
-        if pw > p_max + tol:
-            return False, f"user {k + 1} power {pw:.6g} mW exceeds the {p_max:.6g} mW cap"
-    for k, (rate, req) in enumerate(zip(rates, reqs)):
-        if not rate >= req.r_min - RATE_SLACK:
-            msg = f"user {k + 1} rate {rate:.6g} bps/Hz is below the required {req.r_min:.6g}"
-            if powers[k] >= p_max * (1.0 - 1e-12):
-                msg += "; min-rate power exceeds P_max"
-            return False, msg
+    p = np.asarray(powers, dtype=float)
+    negative = p < -tol
+    outside = negative | (p > p_max + tol)
+    if outside.any():
+        k = int(np.argmax(outside))
+        if negative[k]:
+            return False, f"user {k + 1} power {p[k]:.6g} mW is negative"
+        return False, f"user {k + 1} power {p[k]:.6g} mW exceeds the {p_max:.6g} mW cap"
+    rates = np.asarray(rates, dtype=float)
+    short = ~(rates >= np.array([req.r_min for req in reqs]) - RATE_SLACK)
+    if short.any():
+        k = int(np.argmax(short))
+        msg = f"user {k + 1} rate {rates[k]:.6g} bps/Hz is below the required {reqs[k].r_min:.6g}"
+        if p[k] >= p_max * (1.0 - 1e-12):
+            msg += "; min-rate power exceeds P_max"
+        return False, msg
     return True, None
 
 
@@ -218,18 +276,35 @@ def solve(gains, reqs, p_max: float, noise: float) -> NomaSolution:
     """Order selection, closed-form powers, rates, and feasibility in one call.
 
     Handles the relabeling between user indexing and decoding ranks in one
-    place. Infeasible draws are flagged, never clipped.
+    place. Infeasible draws are flagged, never clipped. A minimum-rate power
+    too large for a float leaves powers and rates NaN, with a diagnostic
+    naming the lowest-indexed such user.
     """
     g = np.asarray(gains, dtype=float)
     reqs = list(reqs)
     if len(g) != len(reqs):
         raise ValueError("one rate requirement per user is required")
     alphas = np.array([r.alpha for r in reqs])
-    ranks = decoding_order(g, alphas)
-    seq = np.argsort(np.asarray(ranks))
-    powers_seq = power_allocation(g[seq], alphas[seq], p_max, noise)
+    seq = _decoding_sequence(g, alphas)
+    ranks = _ranks(seq)
+    g_seq, a_seq = _allocation_inputs(g[seq], alphas[seq], p_max, noise)
+    c_seq = minimum_rate_powers(g_seq, a_seq, noise)
+    overflow = ~np.isfinite(c_seq)
+    if overflow.any():
+        user = int(seq[overflow].min())
+        return NomaSolution(
+            order=ranks,
+            powers=np.full(len(g), np.nan),
+            rates=np.full(len(g), np.nan),
+            sum_rate=math.nan,
+            feasible=False,
+            diagnostic=(
+                f"user {user + 1} minimum-rate power is not finite: the product of "
+                "(1 + alpha) over the users decoded after it overflows"
+            ),
+        )
     powers = np.empty(len(g))
-    powers[seq] = powers_seq
+    powers[seq] = _saturating_powers(g_seq, a_seq, c_seq, p_max, noise)
     if np.all(powers >= 0.0):
         rates = sinr_and_rates(g, ranks, powers, noise)
     else:
@@ -248,19 +323,39 @@ def solve(gains, reqs, p_max: float, noise: float) -> NomaSolution:
 MAX_BRUTE_FORCE_USERS = 4
 
 
-def brute_force_allocation(gains, alphas, p_max: float, noise: float) -> NomaSolution:
-    """Optimality oracle: enumerate every decoding order and solve each
-    order's power problem as an exact linear program.
+def fixed_order_lp_powers(gains_in_order, alphas_in_order, p_max: float, noise: float):
+    """Powers maximizing the total received power g.p with the decoding
+    order held fixed, by an exact linear program (HiGHS); None when this
+    order cannot meet every minimum rate within the power cap.
 
     For a fixed order the minimum-rate constraints are linear in the powers
     and the objective (total received power, monotone in the sum rate) is
-    linear, so each subproblem is a small LP. Factorial enumeration caps the
-    user count.
+    linear, so the power problem is an LP of any size.
     """
     # Imported here so that importing manoma (and its CLI) does not load
     # scipy.optimize, which dominates the package's import time.
     from scipy.optimize import linprog
 
+    gs = np.asarray(gains_in_order, dtype=float)
+    als = np.asarray(alphas_in_order, dtype=float)
+    # Row m: user at sequence position m needs SINR >= alpha against
+    # everyone decoded later.
+    a_ub = np.triu(np.outer(als, gs), 1) - np.diag(gs)
+    res = linprog(
+        c=-gs,
+        A_ub=a_ub,
+        b_ub=-als * noise,
+        bounds=[(0.0, p_max)] * len(gs),
+        method="highs",
+    )
+    return res.x if res.success else None
+
+
+def brute_force_allocation(gains, alphas, p_max: float, noise: float) -> NomaSolution:
+    """Optimality oracle: enumerate every decoding order and solve each
+    order's power problem with fixed_order_lp_powers. Factorial enumeration
+    caps the user count.
+    """
     g = np.asarray(gains, dtype=float)
     a = np.asarray(alphas, dtype=float)
     num = len(g)
@@ -276,28 +371,14 @@ def brute_force_allocation(gains, alphas, p_max: float, noise: float) -> NomaSol
     best_seq = None
     for seq in itertools.permutations(range(num)):
         gs = g[list(seq)]
-        als = a[list(seq)]
-        # Row m: user at sequence position m needs SINR >= alpha against
-        # everyone decoded later.
-        a_ub = np.zeros((num, num))
-        for m in range(num):
-            a_ub[m, m] = -gs[m]
-            a_ub[m, m + 1 :] = als[m] * gs[m + 1 :]
-        b_ub = -als * noise
-        res = linprog(
-            c=-gs,
-            A_ub=a_ub,
-            b_ub=b_ub,
-            bounds=[(0.0, p_max)] * num,
-            method="highs",
-        )
-        if not res.success:
+        x = fixed_order_lp_powers(gs, a[list(seq)], p_max, noise)
+        if x is None:
             continue
-        objective = float(gs @ res.x)
+        objective = float(gs @ x)
         if objective > best_objective:
             best_objective = objective
             best_seq = seq
-            best_powers = res.x
+            best_powers = x
 
     if best_powers is None:
         return NomaSolution(
@@ -308,14 +389,12 @@ def brute_force_allocation(gains, alphas, p_max: float, noise: float) -> NomaSol
             feasible=False,
             diagnostic="infeasible under every decoding order",
         )
-    ranks = [0] * num
-    for position, user in enumerate(best_seq):
-        ranks[user] = position + 1
+    ranks = _ranks(np.array(best_seq))
     powers = np.empty(num)
     powers[list(best_seq)] = best_powers
     rates = sinr_and_rates(g, ranks, powers, noise)
     return NomaSolution(
-        order=tuple(ranks),
+        order=ranks,
         powers=powers,
         rates=rates,
         sum_rate=float(np.sum(rates)),

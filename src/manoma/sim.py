@@ -36,6 +36,9 @@ from manoma.positioner import ScaParams, optimize_position
 SCHEMES = ("NOMA-MA", "NOMA-FPA", "OMA-MA", "OMA-FPA", "UPPER-BOUND")
 
 _MAX_SEED = 2**64
+_FINITE_FIELDS = (
+    "p_max_dbm", "noise_dbm", "pathloss_exponent", "distance_range", "region_side", "r_min"
+)
 
 
 @dataclass(frozen=True)
@@ -58,6 +61,10 @@ class ScenarioConfig:
     sca: ScaParams = field(default_factory=ScaParams)
 
     def __post_init__(self) -> None:
+        for name in _FINITE_FIELDS:
+            value = getattr(self, name)
+            if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.num_users < 1:
             raise ValueError(f"num_users must be at least 1, got {self.num_users}")
         if self.paths_per_user < 1:
@@ -157,23 +164,31 @@ def oma_sum_rate(gains, p_max: float, noise: float) -> float:
 def upper_bound(channels, p_max: float, noise: float) -> float:
     """Sum-rate cap with every user at the per-user maximum gain (all path
     amplitudes aligned) and full power; independent of antenna positions."""
-    total = sum(ch.amplitude_sum**2 for ch in channels)
-    return math.log2(1.0 + total * p_max / noise)
+    return _aligned_rate(sum(ch.amplitude_sum**2 for ch in channels), p_max, noise)
 
 
-def _scheme_rates(draws: list[UserDraw], r_min: float, p_max: float, noise: float) -> np.ndarray:
-    """Five scheme sum rates for one draw set; NaN marks an infeasible NOMA
-    instance."""
+def _aligned_rate(amplitude_total: float, p_max: float, noise: float) -> float:
+    """upper_bound given the channels' sum of squared amplitude sums."""
+    return math.log2(1.0 + amplitude_total * p_max / noise)
+
+
+def _scheme_rates(draws: list[UserDraw], r_min: float, p_max_values, noise: float) -> np.ndarray:
+    """Five scheme sum rates for one draw set at each power cap, shape
+    (points, schemes); NaN marks an infeasible NOMA instance. What does not
+    depend on the power (gains, requirements, the amplitude total) is
+    gathered once."""
     reqs = [RateRequirement(r_min)] * len(draws)
     ma_gains = np.array([d.ma_gain for d in draws])
     fpa_gains = np.array([d.fpa_gain for d in draws])
-    out = np.empty(len(SCHEMES))
-    for slot, gains in ((0, ma_gains), (1, fpa_gains)):
-        sol = solve(gains, reqs, p_max, noise)
-        out[slot] = sol.sum_rate if sol.feasible else math.nan
-    out[2] = oma_sum_rate(ma_gains, p_max, noise)
-    out[3] = oma_sum_rate(fpa_gains, p_max, noise)
-    out[4] = upper_bound([d.channel for d in draws], p_max, noise)
+    amplitude_total = sum(d.channel.amplitude_sum**2 for d in draws)
+    out = np.empty((len(p_max_values), len(SCHEMES)))
+    for row, p_max in zip(out, p_max_values):
+        for slot, gains in ((0, ma_gains), (1, fpa_gains)):
+            sol = solve(gains, reqs, p_max, noise)
+            row[slot] = sol.sum_rate if sol.feasible else math.nan
+        row[2] = oma_sum_rate(ma_gains, p_max, noise)
+        row[3] = oma_sum_rate(fpa_gains, p_max, noise)
+        row[4] = _aligned_rate(amplitude_total, p_max, noise)
     return out
 
 
@@ -184,7 +199,8 @@ def run_realization(cfg: ScenarioConfig, index: int) -> dict[str, float]:
     draw (the minimum rates cannot all be met).
     """
     draws = draw_users(cfg, index, cfg.num_users)
-    rates = _scheme_rates(draws, cfg.r_min, dbm_to_mw(cfg.p_max_dbm), dbm_to_mw(cfg.noise_dbm))
+    p_max_values = [dbm_to_mw(cfg.p_max_dbm)]
+    rates = _scheme_rates(draws, cfg.r_min, p_max_values, dbm_to_mw(cfg.noise_dbm))[0]
     return dict(zip(SCHEMES, rates))
 
 
@@ -193,14 +209,12 @@ def _realization_table(cfg: ScenarioConfig, sweep: str, values, index: int) -> n
     noise = dbm_to_mw(cfg.noise_dbm)
     if sweep == "power":
         draws = draw_users(cfg, index, cfg.num_users)
-        return np.array(
-            [_scheme_rates(draws, cfg.r_min, dbm_to_mw(p_dbm), noise) for p_dbm in values]
-        )
+        return _scheme_rates(draws, cfg.r_min, [dbm_to_mw(p_dbm) for p_dbm in values], noise)
     if sweep == "users":
         draws = draw_users(cfg, index, max(values))
         p_max = dbm_to_mw(cfg.p_max_dbm)
-        return np.array(
-            [_scheme_rates(draws[:k], cfg.r_min, p_max, noise) for k in values]
+        return np.concatenate(
+            [_scheme_rates(draws[:k], cfg.r_min, [p_max], noise) for k in values]
         )
     raise ValueError(f"unknown sweep axis {sweep!r}")
 

@@ -239,6 +239,27 @@ def test_manifest_replay_reproduces_csv(fast_config, tmp_path, capsys):
     assert replay.read_bytes() == first.read_bytes()
 
 
+@pytest.mark.parametrize("points", [["x"], [10.0, float("nan")]])
+def test_manifest_points_are_validated(fast_config, tmp_path, capsys, monkeypatch, points):
+    first = tmp_path / "first.csv"
+    argv = ["sweep", "--config", fast_config, "--points", "10", "--out", str(first)]
+    assert run_cli(argv, capsys)[0] == 0
+    manifest_path = tmp_path / "edited.json"
+    manifest = json.loads((tmp_path / "first.csv.manifest.json").read_text())
+    manifest["points"] = points
+    manifest_path.write_text(json.dumps(manifest))  # NaN is written as the bare token NaN
+
+    def no_compute(*args, **kwargs):
+        raise AssertionError("the sweep ran despite invalid manifest points")
+
+    monkeypatch.setattr(cli, "sweep_power", no_compute)
+    replay = tmp_path / "replay.csv"
+    code, _, err = run_cli(["sweep", "--config", str(manifest_path), "--out", str(replay)], capsys)
+    assert code == 2
+    assert "points: expected a" in err
+    assert not replay.exists()
+
+
 def test_sweep_users_points_must_be_integers(fast_config, tmp_path, capsys):
     code, _, err = run_cli(
         [

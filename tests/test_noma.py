@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from manoma.noma import (
     brute_force_allocation,
     check_feasibility,
     decoding_order,
+    fixed_order_lp_powers,
     minimum_rate_powers,
     power_allocation,
     sinr_and_rates,
@@ -322,3 +324,203 @@ def test_oracle_reports_infeasible_everywhere():
     assert "every decoding order" in oracle.diagnostic
     closed = solve(gains, reqs, p_max=1.0, noise=1.0)
     assert not closed.feasible
+
+
+# --- bitwise oracle: the power-control formulas as per-user loops ---
+
+
+def _loop_decoding_order(gains, alphas):
+    g = np.asarray(gains, dtype=float)
+    a = np.asarray(alphas, dtype=float)
+
+    def sort_key(k: int):
+        if a[k] > 0.0:
+            return (0, -g[k] * (1.0 + 1.0 / a[k]), k)
+        return (1, -g[k], k)
+
+    seq = sorted(range(len(g)), key=sort_key)
+    ranks = [0] * len(g)
+    for position, user in enumerate(seq):
+        ranks[user] = position + 1
+    return tuple(ranks)
+
+
+def _loop_minimum_rate_powers(gains, alphas, noise):
+    g = np.asarray(gains, dtype=float)
+    a = np.asarray(alphas, dtype=float)
+    c = np.zeros(len(g))
+    for k in range(len(g)):
+        if a[k] > 0.0:
+            c[k] = noise * a[k] / g[k] * float(np.prod(a[k + 1 :] + 1.0))
+    return c
+
+
+def _loop_power_allocation(gains_in_order, alphas_in_order, p_max, noise):
+    g = np.asarray(gains_in_order, dtype=float)
+    a = np.asarray(alphas_in_order, dtype=float)
+    num = len(g)
+    c = _loop_minimum_rate_powers(g, a, noise)
+    p = np.empty(num)
+    p[0] = p_max
+    saturated = True
+    for k in range(1, num):
+        if not saturated:
+            p[k] = c[k]
+            continue
+        later_c = float(np.sum(g[k + 1 :] * c[k + 1 :]))
+        cap = math.inf
+        for i in range(k):
+            if a[i] <= 0.0:
+                continue
+            between = float(np.sum(g[i + 1 : k])) * p_max
+            cap = min(cap, (g[i] * p_max / a[i] - between - later_c - noise) / g[k])
+        p[k] = min(p_max, cap)
+        if p[k] < p_max:
+            saturated = False
+    return p
+
+
+def _loop_check_feasibility(powers, rates, reqs, p_max):
+    tol = 1e-12 * max(1.0, p_max)
+    for k, pw in enumerate(powers):
+        if pw < -tol:
+            return False, f"user {k + 1} power {pw:.6g} mW is negative"
+        if pw > p_max + tol:
+            return False, f"user {k + 1} power {pw:.6g} mW exceeds the {p_max:.6g} mW cap"
+    for k, (rate, req) in enumerate(zip(rates, reqs)):
+        if not rate >= req.r_min - 1e-9:
+            msg = f"user {k + 1} rate {rate:.6g} bps/Hz is below the required {req.r_min:.6g}"
+            if powers[k] >= p_max * (1.0 - 1e-12):
+                msg += "; min-rate power exceeds P_max"
+            return False, msg
+    return True, None
+
+
+def _loop_solve(gains, reqs, p_max, noise):
+    g = np.asarray(gains, dtype=float)
+    alphas = np.array([r.alpha for r in reqs])
+    ranks = _loop_decoding_order(g, alphas)
+    seq = np.argsort(np.asarray(ranks))
+    powers = np.empty(len(g))
+    powers[seq] = _loop_power_allocation(g[seq], alphas[seq], p_max, noise)
+    if np.all(powers >= 0.0):
+        rates = sinr_and_rates(g, ranks, powers, noise)
+    else:
+        rates = np.full(len(g), np.nan)
+    feasible, diagnostic = _loop_check_feasibility(powers, rates, reqs, p_max)
+    return NomaSolution(ranks, powers, rates, float(np.sum(rates)), feasible, diagnostic)
+
+
+def _assert_matches_loops(gains, reqs, p_max, noise):
+    """solve and each of its stages equal the loop reference bit for bit."""
+    g = np.asarray(gains, dtype=float)
+    alphas = np.array([r.alpha for r in reqs])
+    got = solve(g, reqs, p_max, noise)
+    want = _loop_solve(g, reqs, p_max, noise)
+    assert got.order == want.order == decoding_order(g, alphas)
+    assert np.array_equal(got.powers, want.powers, equal_nan=True)
+    assert np.array_equal(got.rates, want.rates, equal_nan=True)
+    assert np.array_equal(got.sum_rate, want.sum_rate, equal_nan=True)
+    assert (got.feasible, got.diagnostic) == (want.feasible, want.diagnostic)
+    assert check_feasibility(want.powers, want.rates, reqs, p_max) == (
+        want.feasible,
+        want.diagnostic,
+    )
+    seq = np.argsort(np.asarray(got.order))
+    assert np.array_equal(
+        minimum_rate_powers(g[seq], alphas[seq], noise),
+        _loop_minimum_rate_powers(g[seq], alphas[seq], noise),
+    )
+    assert np.array_equal(
+        power_allocation(g[seq], alphas[seq], p_max, noise),
+        _loop_power_allocation(g[seq], alphas[seq], p_max, noise),
+    )
+    return got
+
+
+def test_array_code_matches_loops_bitwise_on_fuzz_set():
+    rng = np.random.default_rng(60)
+    feasible = 0
+    for case in range(240):
+        k = int(rng.integers(1, 141))
+        gains = rng.exponential(1.0, k) * 10.0 ** rng.uniform(-2.0, 2.0)
+        if case % 3 == 1:
+            gains = np.sort(gains)[::-1]
+        elif case % 3 == 2:
+            gains = np.sort(gains)
+        r_min = rng.uniform(0.0, float(rng.choice([0.02, 0.2, 1.0])), k)
+        r_min[rng.random(k) < 0.2] = 0.0  # users with alpha = 0
+        reqs = [RateRequirement(float(r)) for r in r_min]
+        p_max = 0.0 if case % 7 == 0 else float(10.0 ** rng.uniform(-2.0, 3.0))
+        noise = float(10.0 ** rng.uniform(-2.0, 0.5))
+        feasible += _assert_matches_loops(gains, reqs, p_max, noise).feasible
+    assert 20 <= feasible <= 220
+
+
+@pytest.mark.parametrize("num_users,r_min", [(6, 0.25), (32, 0.1), (64, 0.05)])
+def test_array_code_matches_loops_bitwise_on_sweep_draws(num_users, r_min):
+    from manoma.sim import ScenarioConfig, dbm_to_mw, draw_users
+
+    cfg = ScenarioConfig(num_users=num_users, r_min=r_min)
+    draws = draw_users(cfg, 0, num_users)
+    reqs = [RateRequirement(r_min)] * num_users
+    noise = dbm_to_mw(cfg.noise_dbm)
+    for gains in ([d.ma_gain for d in draws], [d.fpa_gain for d in draws]):
+        for i in range(81):  # the 0-20 dBm axis in 0.25 dB steps
+            _assert_matches_loops(gains, reqs, dbm_to_mw(0.25 * i), noise)
+
+
+@pytest.mark.parametrize("p_max", [math.inf, -math.inf, math.nan])
+def test_non_finite_power_cap_rejected(p_max):
+    with pytest.raises(ValueError, match="p_max"):
+        solve([1.0, 0.5], [RateRequirement(0.5)] * 2, p_max, 1.0)
+    with pytest.raises(ValueError, match="p_max"):
+        power_allocation([1.0, 0.5], [0.5, 0.5], p_max, 1.0)
+
+
+@pytest.mark.parametrize("noise", [math.inf, math.nan])
+def test_non_finite_noise_rejected(noise):
+    # Otherwise every minimum-rate power is non-finite and solve blames an overflow.
+    with pytest.raises(ValueError, match="noise power"):
+        solve([1.0, 0.5], [RateRequirement(0.5)] * 2, 1.0, noise)
+
+
+def test_minimum_rate_power_overflow_is_infeasible_without_warnings():
+    # alpha = 1023: the product of (1 + alpha) over the users decoded after
+    # a user is 2**(10 * count), which no float holds past 102 users.
+    num = 200
+    gains = np.linspace(1.0, 2.0, num)
+    reqs = [RateRequirement(10.0)] * num
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve(gains, reqs, p_max=10.0, noise=1.0)
+    # log2 of c_k = 1023 / g_k * 1024**(users after k); floats end near 2**1024.
+    overflowing = [
+        k + 1
+        for k in range(num)
+        if math.log2(1023 / gains[k]) + 10 * (num - sol.order[k]) > 1024
+    ]
+    assert not sol.feasible
+    assert sol.diagnostic.startswith(f"user {min(overflowing)} minimum-rate power is not finite")
+    assert np.all(np.isnan(sol.powers)) and math.isnan(sol.sum_rate)
+
+
+@pytest.mark.parametrize("num_users", [8, 16, 32, 64])
+def test_closed_form_matches_fixed_order_lp(num_users):
+    # The decoding order solve picks, held fixed, with its power problem
+    # solved as an LP: same verdict, and the same total received power.
+    rng = np.random.default_rng(61 + num_users)
+    verdicts = []
+    for _ in range(12):
+        gains, reqs, p_max, noise = _random_instance(
+            rng, num_users, p_max_span=(1.0, 50.0), r_span=(0.02, 4.0 / num_users)
+        )
+        sol = solve(gains, reqs, p_max, noise)
+        seq = np.argsort(np.asarray(sol.order))
+        alphas = np.array([r.alpha for r in reqs])
+        lp = fixed_order_lp_powers(gains[seq], alphas[seq], p_max, noise)
+        assert (lp is not None) == sol.feasible
+        verdicts.append(sol.feasible)
+        if sol.feasible:
+            assert_allclose(gains @ sol.powers, gains[seq] @ lp, rtol=1e-9)
+    assert any(verdicts) and not all(verdicts)

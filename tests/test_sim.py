@@ -62,6 +62,22 @@ def test_config_validation(bad):
         ScenarioConfig(**bad)
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("p_max_dbm", math.inf),
+        ("noise_dbm", -math.inf),
+        ("pathloss_exponent", math.nan),
+        ("distance_range", (80.0, math.inf)),
+        ("region_side", math.nan),
+        ("r_min", math.inf),
+    ],
+)
+def test_config_rejects_non_finite_values(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        ScenarioConfig(**{field: value})
+
+
 # --- scheme formulas ---
 
 
