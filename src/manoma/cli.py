@@ -14,6 +14,7 @@ instance, 4 output I/O failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -239,6 +240,12 @@ def write_sweep_csv(path: str, rows: list[SweepRow], seed: int) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _write_manifest(path: str, manifest: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=False)
+        fh.write("\n")
+
+
 def _parse_points(key: str, items: list[str], sweep: str) -> list:
     """Sweep points from their text, for --points and a manifest's points."""
     if not items:
@@ -376,14 +383,22 @@ def cmd_sweep(args) -> int:
             for i, point in enumerate(points)
         },
     }
+    # Both files are written beside their targets first and then moved into
+    # place, so a failed write leaves no partial file and no clobbered output.
+    temps = {path: f"{path}.{os.getpid()}.tmp" for path in (args.out, manifest_path)}
     try:
-        write_sweep_csv(args.out, rows, cfg.seed)
-        with open(manifest_path, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=False)
-            fh.write("\n")
+        write_sweep_csv(temps[args.out], rows, cfg.seed)
+        _write_manifest(temps[manifest_path], manifest)
+        for path, temp in temps.items():
+            os.replace(temp, path)
     except OSError as exc:
-        print(f"i/o error: cannot write {exc.filename or args.out}: {exc.strerror}", file=sys.stderr)
+        target = {temp: path for path, temp in temps.items()}.get(exc.filename, exc.filename)
+        print(f"i/o error: cannot write {target or args.out}: {exc.strerror}", file=sys.stderr)
         return EXIT_IO
+    finally:
+        for temp in temps.values():
+            with contextlib.suppress(OSError):  # gone once moved into place
+                os.remove(temp)
     print(f"wrote {args.out} and {manifest_path}")
     return EXIT_OK
 

@@ -10,6 +10,10 @@ until the first user that must back off to protect the minimum rates of
 those decoded before it; everyone after that gets exactly the power that
 meets their own minimum rate.
 
+Internally an order is the sequence of user indices, first decoded first;
+ranks appear only in NomaSolution.order, decoding_order and the order
+argument of sinr_and_rates.
+
 Power control runs as array operations with no Python loop over pairs of
 users: one np.add.reduce per window width gives every window sum the caps
 need, and the per-user caps, products and verdicts are elementwise. Each
@@ -41,6 +45,8 @@ class RateRequirement:
     r_min: float
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.r_min):
+            raise ValueError(f"minimum rate r_min must be finite, got {self.r_min}")
         if self.r_min < 0.0:
             raise ValueError(f"minimum rate must be nonnegative, got {self.r_min}")
 
@@ -69,15 +75,6 @@ class NomaSolution:
     diagnostic: str | None = None
 
 
-def _validate_order(order, num_users: int) -> np.ndarray:
-    ranks = np.asarray(order, dtype=int)
-    if ranks.shape != (num_users,) or sorted(ranks.tolist()) != list(
-        range(1, num_users + 1)
-    ):
-        raise ValueError(f"order {order!r} is not a permutation of 1..{num_users}")
-    return ranks
-
-
 def sinr_and_rates(gains, order, powers, noise: float) -> np.ndarray:
     """Per-user achievable rates under successive decoding.
 
@@ -89,17 +86,24 @@ def sinr_and_rates(gains, order, powers, noise: float) -> np.ndarray:
     p = np.asarray(powers, dtype=float)
     if noise <= 0.0:
         raise ValueError(f"noise power must be positive, got {noise}")
+    if not np.all(np.isfinite(g)):
+        raise ValueError("gains must be finite")
     if np.any(g < 0.0) or np.any(p < 0.0):
         raise ValueError("gains and powers must be nonnegative")
-    ranks = _validate_order(order, len(g))
-    seq = np.argsort(ranks)  # user indices in decoding sequence
-    received = g[seq] * p[seq]
-    # interference[r] = sum of received powers decoded after rank r+1
-    tail = np.concatenate((np.cumsum(received[::-1])[::-1][1:], [0.0]))
-    sinr_seq = received / (tail + noise)
+    ranks = np.asarray(order, dtype=int)
+    if ranks.shape != (len(g),) or not np.array_equal(np.sort(ranks), np.arange(1, len(g) + 1)):
+        raise ValueError(f"order {order!r} is not a permutation of 1..{len(g)}")
+    seq = np.argsort(ranks)
     rates = np.empty(len(g))
-    rates[seq] = np.log2(1.0 + sinr_seq)
+    rates[seq] = _sequence_rates(g[seq], p[seq], noise)
     return rates
+
+
+def _sequence_rates(g_seq: np.ndarray, p_seq: np.ndarray, noise: float) -> np.ndarray:
+    """sinr_and_rates on gains and powers already in decoding sequence."""
+    received = g_seq * p_seq
+    tail = np.concatenate((np.cumsum(received[::-1])[::-1][1:], [0.0]))
+    return np.log2(1.0 + received / (tail + noise))
 
 
 def sum_rate_collapsed(gains, powers, noise: float) -> float:
@@ -109,12 +113,18 @@ def sum_rate_collapsed(gains, powers, noise: float) -> float:
     return float(np.log2(1.0 + np.sum(g * p) / noise))
 
 
-def _decoding_sequence(g: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """User indices in decoding order; see decoding_order."""
+def _gains_and_alphas(gains, alphas) -> tuple[np.ndarray, np.ndarray]:
+    g = np.asarray(gains, dtype=float)
+    a = np.asarray(alphas, dtype=float)
     if g.shape != a.shape:
         raise ValueError("gains and alphas must have the same length")
     if np.any(a < 0.0):
         raise ValueError("alpha values must be nonnegative")
+    return g, a
+
+
+def _decoding_sequence(g: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """User indices in decoding order, on checked inputs; see decoding_order."""
     constrained = a > 0.0
     key = -g
     key[constrained] = -g[constrained] * (1.0 + 1.0 / a[constrained])
@@ -136,8 +146,7 @@ def decoding_order(gains, alphas) -> tuple[int, ...]:
     key in the limit yet impose no constraint, so they are ranked after all
     constrained users, in decreasing gain order.
     """
-    g = np.asarray(gains, dtype=float)
-    return _ranks(_decoding_sequence(g, np.asarray(alphas, dtype=float)))
+    return _ranks(_decoding_sequence(*_gains_and_alphas(gains, alphas)))
 
 
 def minimum_rate_powers(gains, alphas, noise: float) -> np.ndarray:
@@ -164,19 +173,17 @@ def minimum_rate_powers(gains, alphas, noise: float) -> np.ndarray:
     return c
 
 
-def _allocation_inputs(gains_in_order, alphas_in_order, p_max: float, noise: float):
-    g = np.asarray(gains_in_order, dtype=float)
-    a = np.asarray(alphas_in_order, dtype=float)
-    if g.shape != a.shape:
-        raise ValueError("gains and alphas must have the same length")
+def _allocation_inputs(gains, alphas, p_max: float, noise: float):
+    """Checked gains and alphas; no check depends on the order of the users."""
+    g, a = _gains_and_alphas(gains, alphas)
     if len(g) == 0:
         raise ValueError("at least one user is required")
+    if not np.all(np.isfinite(g)):
+        raise ValueError("gains must be finite")
     if np.any(g < GAIN_FLOOR):
         raise DegenerateChannelError(
             f"gain below {GAIN_FLOOR} would make the power formulas divide by zero"
         )
-    if np.any(a < 0.0):
-        raise ValueError("alpha values must be nonnegative")
     if not math.isfinite(p_max):
         raise ValueError(f"power cap p_max must be finite, got {p_max}")
     if p_max < 0.0:
@@ -275,19 +282,18 @@ def check_feasibility(powers, rates, reqs, p_max: float) -> tuple[bool, str | No
 def solve(gains, reqs, p_max: float, noise: float) -> NomaSolution:
     """Order selection, closed-form powers, rates, and feasibility in one call.
 
-    Handles the relabeling between user indexing and decoding ranks in one
-    place. Infeasible draws are flagged, never clipped. A minimum-rate power
-    too large for a float leaves powers and rates NaN, with a diagnostic
+    Validates once, then works in decoding sequence until it scatters powers
+    and rates back to user order. Infeasible draws are flagged, never
+    clipped. A minimum-rate power too large for a float leaves powers and rates NaN, with a diagnostic
     naming the lowest-indexed such user.
     """
-    g = np.asarray(gains, dtype=float)
     reqs = list(reqs)
-    if len(g) != len(reqs):
+    if len(gains) != len(reqs):
         raise ValueError("one rate requirement per user is required")
-    alphas = np.array([r.alpha for r in reqs])
+    g, alphas = _allocation_inputs(gains, [r.alpha for r in reqs], p_max, noise)
     seq = _decoding_sequence(g, alphas)
     ranks = _ranks(seq)
-    g_seq, a_seq = _allocation_inputs(g[seq], alphas[seq], p_max, noise)
+    g_seq, a_seq = g[seq], alphas[seq]
     c_seq = minimum_rate_powers(g_seq, a_seq, noise)
     overflow = ~np.isfinite(c_seq)
     if overflow.any():
@@ -303,12 +309,12 @@ def solve(gains, reqs, p_max: float, noise: float) -> NomaSolution:
                 "(1 + alpha) over the users decoded after it overflows"
             ),
         )
+    p_seq = _saturating_powers(g_seq, a_seq, c_seq, p_max, noise)
     powers = np.empty(len(g))
-    powers[seq] = _saturating_powers(g_seq, a_seq, c_seq, p_max, noise)
-    if np.all(powers >= 0.0):
-        rates = sinr_and_rates(g, ranks, powers, noise)
-    else:
-        rates = np.full(len(g), np.nan)
+    powers[seq] = p_seq
+    rates = np.full(len(g), np.nan)
+    if np.all(p_seq >= 0.0):
+        rates[seq] = _sequence_rates(g_seq, p_seq, noise)
     feasible, diagnostic = check_feasibility(powers, rates, reqs, p_max)
     return NomaSolution(
         order=ranks,
@@ -356,22 +362,19 @@ def brute_force_allocation(gains, alphas, p_max: float, noise: float) -> NomaSol
     order's power problem with fixed_order_lp_powers. Factorial enumeration
     caps the user count.
     """
-    g = np.asarray(gains, dtype=float)
-    a = np.asarray(alphas, dtype=float)
+    g, a = _allocation_inputs(gains, alphas, p_max, noise)
     num = len(g)
     if num > MAX_BRUTE_FORCE_USERS:
         raise ValueError(
             f"brute force supports at most {MAX_BRUTE_FORCE_USERS} users, got {num}"
         )
-    if np.any(g < GAIN_FLOOR):
-        raise DegenerateChannelError(f"gain below {GAIN_FLOOR}")
 
     best_powers = None
     best_objective = -math.inf
     best_seq = None
-    for seq in itertools.permutations(range(num)):
-        gs = g[list(seq)]
-        x = fixed_order_lp_powers(gs, a[list(seq)], p_max, noise)
+    for seq in map(list, itertools.permutations(range(num))):
+        gs = g[seq]
+        x = fixed_order_lp_powers(gs, a[seq], p_max, noise)
         if x is None:
             continue
         objective = float(gs @ x)
@@ -389,12 +392,12 @@ def brute_force_allocation(gains, alphas, p_max: float, noise: float) -> NomaSol
             feasible=False,
             diagnostic="infeasible under every decoding order",
         )
-    ranks = _ranks(np.array(best_seq))
     powers = np.empty(num)
-    powers[list(best_seq)] = best_powers
-    rates = sinr_and_rates(g, ranks, powers, noise)
+    powers[best_seq] = best_powers
+    rates = np.empty(num)
+    rates[best_seq] = _sequence_rates(g[best_seq], best_powers, noise)
     return NomaSolution(
-        order=ranks,
+        order=_ranks(best_seq),
         powers=powers,
         rates=rates,
         sum_rate=float(np.sum(rates)),

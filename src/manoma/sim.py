@@ -226,9 +226,8 @@ def _collect(cfg: ScenarioConfig, sweep: str, values, workers: int) -> np.ndarra
     if workers <= 1:
         tables = [job(i) for i in indices]
     else:
-        chunk = max(1, cfg.realizations // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            tables = list(pool.map(job, indices, chunksize=chunk))
+            tables = list(pool.map(job, indices))
     return np.array(tables)
 
 

@@ -1,3 +1,4 @@
+import errno
 import filecmp
 import json
 import os
@@ -349,6 +350,36 @@ def test_sweep_checks_output_path_before_compute(
     assert code == 4
     assert str(out_path) in err
     assert list(tmp_path.iterdir()) == [tmp_path / "fast.cfg"]
+
+
+@pytest.mark.parametrize("earlier_run", [False, True], ids=["fresh", "over_earlier_run"])
+def test_failed_manifest_write_leaves_outputs_untouched(
+    fast_config, tmp_path, capsys, monkeypatch, earlier_run
+):
+    out_csv = tmp_path / "out.csv"
+    manifest = tmp_path / "out.csv.manifest.json"
+    if earlier_run:
+        out_csv.write_text("earlier csv\n")
+
+    def partial_write(path, content):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("{")
+        raise OSError(errno.ENOSPC, "No space left on device", path)
+
+    monkeypatch.setattr(cli, "_write_manifest", partial_write)
+    code, _, err = run_cli(
+        ["sweep", "--config", fast_config, "--points", "10", "--out", str(out_csv)], capsys
+    )
+    assert code == 4
+    assert f"cannot write {manifest}: No space left on device" in err
+    assert not manifest.exists()
+    if earlier_run:
+        assert out_csv.read_text() == "earlier csv\n"
+    else:
+        assert not out_csv.exists()
+    # No temporary file is left behind either.
+    expected = {"fast.cfg", "out.csv"} if earlier_run else {"fast.cfg"}
+    assert {path.name for path in tmp_path.iterdir()} == expected
 
 
 @pytest.mark.parametrize(

@@ -3,10 +3,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from manoma.channel import DegenerateChannelError
 from manoma.noma import (
+    RATE_SLACK,
     NomaSolution,
     RateRequirement,
     brute_force_allocation,
@@ -41,6 +44,14 @@ def test_alpha_matches_rate():
 def test_negative_rate_rejected():
     with pytest.raises(ValueError):
         RateRequirement(-0.1)
+
+
+@pytest.mark.parametrize("r_min", [math.nan, math.inf])
+def test_non_finite_rate_rejected(r_min):
+    # A NaN requirement used to be accepted and solve then reported a rate
+    # "below the required nan".
+    with pytest.raises(ValueError, match="r_min"):
+        RateRequirement(r_min)
 
 
 # --- SINR and rates ---
@@ -478,6 +489,22 @@ def test_non_finite_power_cap_rejected(p_max):
         power_allocation([1.0, 0.5], [0.5, 0.5], p_max, 1.0)
 
 
+def test_nan_gain_rejected():
+    # It used to be reported as infeasible, blaming an overflow of (1 + alpha).
+    with pytest.raises(ValueError, match="gains must be finite"):
+        solve([math.nan, 1e-8, 2e-8], [RateRequirement(0.25)] * 3, 10.0, 1e-8)
+    with pytest.raises(ValueError, match="gains must be finite"):
+        sinr_and_rates([math.nan, 1.0], (1, 2), [1.0, 1.0], 1.0)
+
+
+def test_infinite_gain_rejected():
+    # It used to give a feasible solution with an infinite sum rate.
+    with pytest.raises(ValueError, match="gains must be finite"):
+        solve([math.inf, 1e-8, 2e-8], [RateRequirement(0.25)] * 3, 10.0, 1e-8)
+    with pytest.raises(ValueError, match="gains must be finite"):
+        sinr_and_rates([math.inf, 1.0], (1, 2), [1.0, 1.0], 1.0)
+
+
 @pytest.mark.parametrize("noise", [math.inf, math.nan])
 def test_non_finite_noise_rejected(noise):
     # Otherwise every minimum-rate power is non-finite and solve blames an overflow.
@@ -524,3 +551,94 @@ def test_closed_form_matches_fixed_order_lp(num_users):
         if sol.feasible:
             assert_allclose(gains @ sol.powers, gains[seq] @ lp, rtol=1e-9)
     assert any(verdicts) and not all(verdicts)
+
+
+@pytest.mark.parametrize("num_users", [8, 16, 32])
+def test_no_adjacent_swap_beats_the_chosen_order(num_users):
+    # Exchanging two neighbours of the decoding sequence solve picks, with
+    # the new order's power problem solved exactly as an LP, never gives a
+    # larger total received power g.p. Only instances where some user backs
+    # off are kept: when everyone transmits at full power, every order ties.
+    rng = np.random.default_rng(70 + num_users)
+    kept = 0
+    for _ in range(100):
+        gains, reqs, p_max, noise = _random_instance(
+            rng, num_users, p_max_span=(1.0, 50.0), r_span=(0.02, 12.0 / num_users)
+        )
+        sol = solve(gains, reqs, p_max, noise)
+        if not sol.feasible or np.all(sol.powers >= p_max * (1.0 - 1e-12)):
+            continue
+        best = gains @ sol.powers
+        seq = np.argsort(np.asarray(sol.order))
+        alphas = np.array([r.alpha for r in reqs])
+        for m in range(num_users - 1):
+            swapped = seq.copy()
+            swapped[[m, m + 1]] = seq[[m + 1, m]]
+            lp = fixed_order_lp_powers(gains[swapped], alphas[swapped], p_max, noise)
+            if lp is not None:
+                assert gains[swapped] @ lp <= best * (1.0 + 1e-9)
+        kept += 1
+        if kept == 6:
+            break
+    assert kept == 6
+
+
+# --- properties ---
+
+_PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+
+
+@st.composite
+def _instances(draw, max_users=8):
+    """Gains over six decades, a mix of zero and positive minimum rates, a
+    power cap over four decades, unit noise."""
+    k = draw(st.integers(1, max_users))
+    exponents = draw(st.lists(st.floats(-3.0, 3.0), min_size=k, max_size=k))
+    r_min = draw(
+        st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.5)), min_size=k, max_size=k)
+    )
+    p_max = 10.0 ** draw(st.floats(-2.0, 2.0))
+    return 10.0 ** np.array(exponents), [RateRequirement(r) for r in r_min], p_max, 1.0
+
+
+@_PROPERTY_SETTINGS
+@given(st.data())
+def test_property_rates_telescope(data):
+    gains, reqs, p_max, noise = data.draw(_instances())
+    k = len(gains)
+    order = np.array(data.draw(st.permutations(range(1, k + 1))))
+    powers = np.array(data.draw(st.lists(st.floats(0.0, p_max), min_size=k, max_size=k)))
+    rates = sinr_and_rates(gains, order, powers, noise)
+    assert_allclose(np.sum(rates), sum_rate_collapsed(gains, powers, noise), atol=1e-9)
+    sol = solve(gains, reqs, p_max, noise)
+    if sol.feasible:
+        assert_allclose(sol.sum_rate, sum_rate_collapsed(gains, sol.powers, noise), atol=1e-9)
+
+
+@_PROPERTY_SETTINGS
+@given(_instances())
+def test_property_backed_off_users_are_tight(instance):
+    # Every user decoded after the first one below full power gets exactly
+    # its minimum-rate power. The first one's power is set by a user decoded
+    # before it, which then sits at its own minimum rate.
+    gains, reqs, p_max, noise = instance
+    sol = solve(gains, reqs, p_max, noise)
+    if not sol.feasible:
+        return
+    seq = np.argsort(np.asarray(sol.order))
+    slack = sol.rates[seq] - np.array([r.r_min for r in reqs])[seq]
+    below = np.flatnonzero(sol.powers[seq] < p_max * (1.0 - 1e-12))
+    if len(below):
+        assert np.all(np.abs(slack[below[0] + 1 :]) <= RATE_SLACK)
+        assert np.min(np.abs(slack[: below[0]])) <= RATE_SLACK
+
+
+@_PROPERTY_SETTINGS
+@given(_instances(), st.floats(1.0, 100.0))
+def test_property_monotone_in_power_cap(instance, factor):
+    gains, reqs, p_max, noise = instance
+    low = solve(gains, reqs, p_max, noise)
+    high = solve(gains, reqs, p_max * factor, noise)
+    if low.feasible:
+        assert high.feasible
+        assert high.sum_rate >= low.sum_rate - 1e-9
