@@ -19,13 +19,20 @@ users: one np.add.reduce per window width gives every window sum the caps
 need, and the per-user caps, products and verdicts are elementwise. Each
 result is bit for bit what the per-pair formulas give, because every sum and
 product is taken in the order np.sum and np.prod take it on the slice alone.
+
+The rate, order and power functions check their inputs by one rule per
+quantity, and a ValueError names the quantity that breaks it:
+- gains, alphas, powers: finite and >= 0, one alpha or power per gain, and
+  gains >= GAIN_FLOOR where the power formulas divide (DegenerateChannelError);
+- noise: positive and finite; p_max: finite and >= 0;
+- r_min: in [0, 1024), so a RateRequirement's alpha = 2**r_min - 1 is finite.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,16 +50,13 @@ class RateRequirement:
     """
 
     r_min: float
+    alpha: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.r_min):
-            raise ValueError(f"minimum rate r_min must be finite, got {self.r_min}")
-        if self.r_min < 0.0:
-            raise ValueError(f"minimum rate must be nonnegative, got {self.r_min}")
-
-    @property
-    def alpha(self) -> float:
-        return 2.0**self.r_min - 1.0
+        # 2**1024 is the first power of two that a float cannot hold.
+        if not 0.0 <= self.r_min < 1024.0:
+            raise ValueError(f"r_min must be finite and in [0, 1024) bps/Hz, got {self.r_min}")
+        object.__setattr__(self, "alpha", 2.0**self.r_min - 1.0)
 
 
 @dataclass(frozen=True)
@@ -82,14 +86,8 @@ def sinr_and_rates(gains, order, powers, noise: float) -> np.ndarray:
     its interference is the received power of ranks above r. The last user
     sees noise only.
     """
-    g = np.asarray(gains, dtype=float)
-    p = np.asarray(powers, dtype=float)
-    if noise <= 0.0:
-        raise ValueError(f"noise power must be positive, got {noise}")
-    if not np.all(np.isfinite(g)):
-        raise ValueError("gains must be finite")
-    if np.any(g < 0.0) or np.any(p < 0.0):
-        raise ValueError("gains and powers must be nonnegative")
+    g, p = _per_user(gains, "powers", powers)
+    _check_noise(noise)
     ranks = np.asarray(order, dtype=int)
     if ranks.shape != (len(g),) or not np.array_equal(np.sort(ranks), np.arange(1, len(g) + 1)):
         raise ValueError(f"order {order!r} is not a permutation of 1..{len(g)}")
@@ -108,19 +106,30 @@ def _sequence_rates(g_seq: np.ndarray, p_seq: np.ndarray, noise: float) -> np.nd
 
 def sum_rate_collapsed(gains, powers, noise: float) -> float:
     """Order-independent form of the sum rate: the per-user logs telescope."""
-    g = np.asarray(gains, dtype=float)
-    p = np.asarray(powers, dtype=float)
+    g, p = _per_user(gains, "powers", powers)
+    _check_noise(noise)
     return float(np.log2(1.0 + np.sum(g * p) / noise))
 
 
-def _gains_and_alphas(gains, alphas) -> tuple[np.ndarray, np.ndarray]:
-    g = np.asarray(gains, dtype=float)
-    a = np.asarray(alphas, dtype=float)
-    if g.shape != a.shape:
-        raise ValueError("gains and alphas must have the same length")
-    if np.any(a < 0.0):
-        raise ValueError("alpha values must be nonnegative")
-    return g, a
+def _per_user(gains, name: str, values, floor: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Checked float arrays of the gains and of one alpha or power per gain."""
+    g, x = np.asarray(gains, dtype=float), np.asarray(values, dtype=float)
+    if g.shape != x.shape:
+        raise ValueError(f"{name} must have one entry per gain, got {x.shape} for {g.shape}")
+    for label, arr, least in (("gains", g, floor), (name, x, 0.0)):
+        if arr.size:
+            low, high = arr.min(), arr.max()  # NaN if any entry is, failing both tests
+            if not (0.0 <= low and high < math.inf):
+                raise ValueError(f"{label} must be finite and nonnegative")
+            if low < least:
+                msg = f"gains below {least} would make the power formulas divide by zero"
+                raise DegenerateChannelError(msg)
+    return g, x
+
+
+def _check_noise(noise: float) -> None:
+    if not 0.0 < noise < math.inf:
+        raise ValueError(f"noise power must be positive and finite, got {noise}")
 
 
 def _decoding_sequence(g: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -146,7 +155,7 @@ def decoding_order(gains, alphas) -> tuple[int, ...]:
     key in the limit yet impose no constraint, so they are ranked after all
     constrained users, in decreasing gain order.
     """
-    return _ranks(_decoding_sequence(*_gains_and_alphas(gains, alphas)))
+    return _ranks(_decoding_sequence(*_per_user(gains, "alphas", alphas)))
 
 
 def minimum_rate_powers(gains, alphas, noise: float) -> np.ndarray:
@@ -157,8 +166,12 @@ def minimum_rate_powers(gains, alphas, noise: float) -> np.ndarray:
     users, which is what the product term accounts for. Unconstrained users
     (alpha = 0) need nothing. A product too large for a float makes c_k inf.
     """
-    g = np.asarray(gains, dtype=float)
-    a = np.asarray(alphas, dtype=float)
+    g, a = _per_user(gains, "alphas", alphas, GAIN_FLOOR)
+    _check_noise(noise)
+    return _minimum_rate_powers(g, a, noise)
+
+
+def _minimum_rate_powers(g: np.ndarray, a: np.ndarray, noise: float) -> np.ndarray:
     num = len(g)
     # Segment k of the reduceat is factors[k+1:num], multiplied left to right
     # as np.prod does; the odd segments pick the padding 1.0 and are dropped.
@@ -175,21 +188,12 @@ def minimum_rate_powers(gains, alphas, noise: float) -> np.ndarray:
 
 def _allocation_inputs(gains, alphas, p_max: float, noise: float):
     """Checked gains and alphas; no check depends on the order of the users."""
-    g, a = _gains_and_alphas(gains, alphas)
+    g, a = _per_user(gains, "alphas", alphas, GAIN_FLOOR)
     if len(g) == 0:
         raise ValueError("at least one user is required")
-    if not np.all(np.isfinite(g)):
-        raise ValueError("gains must be finite")
-    if np.any(g < GAIN_FLOOR):
-        raise DegenerateChannelError(
-            f"gain below {GAIN_FLOOR} would make the power formulas divide by zero"
-        )
-    if not math.isfinite(p_max):
-        raise ValueError(f"power cap p_max must be finite, got {p_max}")
-    if p_max < 0.0:
-        raise ValueError(f"power cap must be nonnegative, got {p_max}")
-    if not 0.0 < noise < math.inf:
-        raise ValueError(f"noise power must be positive and finite, got {noise}")
+    if not 0.0 <= p_max < math.inf:
+        raise ValueError(f"power cap p_max must be finite and nonnegative, got {p_max}")
+    _check_noise(noise)
     return g, a
 
 
@@ -252,7 +256,7 @@ def power_allocation(gains_in_order, alphas_in_order, p_max: float, noise: float
     feasibility, nothing is clipped here.
     """
     g, a = _allocation_inputs(gains_in_order, alphas_in_order, p_max, noise)
-    return _saturating_powers(g, a, minimum_rate_powers(g, a, noise), p_max, noise)
+    return _saturating_powers(g, a, _minimum_rate_powers(g, a, noise), p_max, noise)
 
 
 def check_feasibility(powers, rates, reqs, p_max: float) -> tuple[bool, str | None]:
@@ -288,13 +292,11 @@ def solve(gains, reqs, p_max: float, noise: float) -> NomaSolution:
     naming the lowest-indexed such user.
     """
     reqs = list(reqs)
-    if len(gains) != len(reqs):
-        raise ValueError("one rate requirement per user is required")
     g, alphas = _allocation_inputs(gains, [r.alpha for r in reqs], p_max, noise)
     seq = _decoding_sequence(g, alphas)
     ranks = _ranks(seq)
     g_seq, a_seq = g[seq], alphas[seq]
-    c_seq = minimum_rate_powers(g_seq, a_seq, noise)
+    c_seq = _minimum_rate_powers(g_seq, a_seq, noise)
     overflow = ~np.isfinite(c_seq)
     if overflow.any():
         user = int(seq[overflow].min())
@@ -338,8 +340,8 @@ def fixed_order_lp_powers(gains_in_order, alphas_in_order, p_max: float, noise: 
     and the objective (total received power, monotone in the sum rate) is
     linear, so the power problem is an LP of any size.
     """
-    # Imported here so that importing manoma (and its CLI) does not load
-    # scipy.optimize, which dominates the package's import time.
+    # Imported here: scipy is a test-only dependency, and loading
+    # scipy.optimize would dominate the package's import time.
     from scipy.optimize import linprog
 
     gs = np.asarray(gains_in_order, dtype=float)

@@ -23,7 +23,6 @@ worker count or sweep shape.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -36,9 +35,7 @@ from manoma.positioner import ScaParams, optimize_position
 SCHEMES = ("NOMA-MA", "NOMA-FPA", "OMA-MA", "OMA-FPA", "UPPER-BOUND")
 
 _MAX_SEED = 2**64
-_FINITE_FIELDS = (
-    "p_max_dbm", "noise_dbm", "pathloss_exponent", "distance_range", "region_side", "r_min"
-)
+_FINITE_FIELDS = ("p_max_dbm", "noise_dbm", "pathloss_exponent", "distance_range", "region_side")
 
 
 @dataclass(frozen=True)
@@ -75,8 +72,7 @@ class ScenarioConfig:
             )
         if self.region_side < 0.0:
             raise ValueError(f"region_side must be nonnegative, got {self.region_side}")
-        if self.r_min < 0.0:
-            raise ValueError(f"r_min must be nonnegative, got {self.r_min}")
+        RateRequirement(self.r_min)  # raises unless r_min is a valid minimum rate
         if self.pathloss_exponent <= 0.0:
             raise ValueError(
                 f"pathloss_exponent must be positive, got {self.pathloss_exponent}"
@@ -226,6 +222,8 @@ def _collect(cfg: ScenarioConfig, sweep: str, values, workers: int) -> np.ndarra
     if workers <= 1:
         tables = [job(i) for i in indices]
     else:
+        # Imported here: one-worker runs then never load the process pool.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             tables = list(pool.map(job, indices))
     return np.array(tables)

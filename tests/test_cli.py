@@ -311,21 +311,62 @@ def test_sweep_rejects_nonpositive_workers(fast_config, tmp_path, capsys, monkey
     assert not (tmp_path / "never.csv.manifest.json").exists()
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    # The LP oracle is the only user of scipy.optimize; loading it eagerly
-    # used to dominate the CLI's start-up time.
+def _run_python(*args):
+    """Run a fresh interpreter that imports manoma from this checkout."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    probe = "import sys, manoma.cli; print('scipy.optimize' in sys.modules)"
-    done = subprocess.run(
-        [sys.executable, "-c", probe],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         timeout=60,
         check=True,
         env={**os.environ, "PYTHONPATH": path},
     )
-    assert done.stdout.strip() == "False"
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # The LP oracle is the only user of scipy.optimize; loading it eagerly
+    # used to dominate the CLI's start-up time. The process pool is loaded
+    # only by runs with more than one worker.
+    modules = ("scipy.optimize", "concurrent.futures.process")
+    probe = f"import sys, manoma.cli; print([m in sys.modules for m in {modules!r}])"
+    assert _run_python("-c", probe).stdout.strip() == "[False, False]"
+
+
+def test_sweep_runs_without_scipy(fast_config, tmp_path, capsys):
+    # scipy is a test-only dependency: without it a one-worker sweep writes
+    # the same CSV, loads no process pool, and only the LP oracle fails.
+    probe = """
+import sys
+sys.modules["scipy"] = sys.modules["scipy.optimize"] = None
+import manoma.cli, manoma.noma
+assert manoma.cli.main(sys.argv[1:]) == 0
+print("concurrent.futures.process" in sys.modules)
+try:
+    manoma.noma.brute_force_allocation([1.0], [0.5], 1.0, 1.0)
+except ImportError:
+    print("ImportError")
+"""
+    args = ["sweep", "--config", fast_config, "--points", "10", "--out"]
+    done = _run_python("-c", probe, *args, str(tmp_path / "no_scipy.csv"))
+    assert done.stdout.splitlines()[-2:] == ["False", "ImportError"]
+    assert run_cli([*args, str(tmp_path / "with_scipy.csv")], capsys)[0] == 0
+    assert filecmp.cmp(tmp_path / "no_scipy.csv", tmp_path / "with_scipy.csv", shallow=False)
+
+
+def test_sweep_rejects_overflowing_r_min_before_compute(tmp_path, capsys, monkeypatch):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("the sweep ran despite an invalid r_min")
+
+    monkeypatch.setattr(cli, "sweep_power", no_compute)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text('r_min = "1100 bps/Hz"\n')
+    out_csv = tmp_path / "never.csv"
+    code, _, err = run_cli(["sweep", "--config", str(cfg), "--out", str(out_csv)], capsys)
+    assert code == 2
+    assert err.startswith("config error: r_min")
+    assert not out_csv.exists()
 
 
 def test_sweep_unwritable_output_is_io_error(fast_config, capsys):

@@ -512,6 +512,73 @@ def test_non_finite_noise_rejected(noise):
         solve([1.0, 0.5], [RateRequirement(0.5)] * 2, 1.0, noise)
 
 
+_VALID = {
+    "gains": [1.0, 2.0],
+    "powers": [1.0, 1.0],
+    "alphas": [0.5, 0.5],
+    "r_min": 0.5,
+    "p_max": 4.0,
+    "noise": 1.0,
+}
+_ENTRY_POINTS = {
+    "sinr_and_rates": lambda v: sinr_and_rates(v["gains"], (1, 2), v["powers"], v["noise"]),
+    "sum_rate_collapsed": lambda v: sum_rate_collapsed(v["gains"], v["powers"], v["noise"]),
+    "decoding_order": lambda v: decoding_order(v["gains"], v["alphas"]),
+    "minimum_rate_powers": lambda v: minimum_rate_powers(v["gains"], v["alphas"], v["noise"]),
+    "power_allocation": lambda v: power_allocation(
+        v["gains"], v["alphas"], v["p_max"], v["noise"]
+    ),
+    "solve": lambda v: solve(
+        v["gains"], [RateRequirement(v["r_min"])] * 2, v["p_max"], v["noise"]
+    ),
+    "brute_force_allocation": lambda v: brute_force_allocation(
+        v["gains"], v["alphas"], v["p_max"], v["noise"]
+    ),
+}
+_QUANTITIES = {
+    "sinr_and_rates": ("gains", "powers", "noise"),
+    "sum_rate_collapsed": ("gains", "powers", "noise"),
+    "decoding_order": ("gains", "alphas"),
+    "minimum_rate_powers": ("gains", "alphas", "noise"),
+    "power_allocation": ("gains", "alphas", "p_max", "noise"),
+    "solve": ("gains", "r_min", "p_max", "noise"),
+    "brute_force_allocation": ("gains", "alphas", "p_max", "noise"),
+}
+
+
+def _invalid_input_cases():
+    for entry, quantities in _QUANTITIES.items():
+        for quantity in quantities:
+            for bad in (math.nan, math.inf, -math.inf, -1.0):
+                value = [bad, 2.0] if isinstance(_VALID[quantity], list) else bad
+                case_id = f"{entry}-{quantity}-{bad}"
+                yield pytest.param(entry, {quantity: value}, quantity, id=case_id)
+    # Calls that used to return: sinr_and_rates-noise-nan above gave NaN
+    # rates, an infinite power an infinite rate, decoding_order ranked a NaN
+    # gain, and r_min = 1100 raised OverflowError once a sweep had positioned
+    # every user.
+    found = [
+        ("sinr_and_rates", {"powers": [1.0, math.inf]}, "powers"),
+        ("decoding_order", {"gains": [math.nan, 1.0]}, "gains"),
+        ("solve", {"r_min": 1100.0}, "r_min"),
+    ]
+    for entry, overrides, quantity in found:
+        yield pytest.param(entry, overrides, quantity, id=f"found-{entry}-{quantity}")
+
+
+@pytest.mark.parametrize("entry, overrides, quantity", _invalid_input_cases())
+def test_invalid_input_is_rejected_naming_the_quantity(entry, overrides, quantity):
+    call = _ENTRY_POINTS[entry]
+    call(_VALID)  # the valid instance passes, so the error is the override's
+    with pytest.raises(ValueError, match=quantity):
+        call({**_VALID, **overrides})
+
+
+def test_largest_rate_below_the_overflow_limit_is_accepted():
+    r_min = math.nextafter(1024.0, 0.0)
+    assert math.isfinite(RateRequirement(r_min).alpha)
+
+
 def test_minimum_rate_power_overflow_is_infeasible_without_warnings():
     # alpha = 1023: the product of (1 + alpha) over the users decoded after
     # a user is 2**(10 * count), which no float holds past 102 users.

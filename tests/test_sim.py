@@ -55,6 +55,7 @@ def test_dbm_to_mw(dbm, mw):
         dict(realizations=0),
         dict(seed=-1),
         dict(pathloss_exponent=0.0),
+        dict(r_min=1100.0),
     ],
 )
 def test_config_validation(bad):
