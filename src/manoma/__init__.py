@@ -24,6 +24,7 @@ from manoma.noma import (
     brute_force_allocation,
     check_feasibility,
     decoding_order,
+    oma_sum_rate,
     power_allocation,
     sinr_and_rates,
     solve,
@@ -42,7 +43,6 @@ from manoma.sim import (
     SweepRow,
     dbm_to_mw,
     draw_users,
-    oma_sum_rate,
     run_realization,
     sweep_power,
     sweep_users,
@@ -67,6 +67,7 @@ __all__ = [
     "brute_force_allocation",
     "check_feasibility",
     "decoding_order",
+    "oma_sum_rate",
     "power_allocation",
     "sinr_and_rates",
     "solve",
@@ -81,7 +82,6 @@ __all__ = [
     "SweepRow",
     "dbm_to_mw",
     "draw_users",
-    "oma_sum_rate",
     "run_realization",
     "sweep_power",
     "sweep_users",

@@ -53,9 +53,6 @@ class Position:
         return np.array([self.x, self.y])
 
 
-ORIGIN = Position(0.0, 0.0)
-
-
 @dataclass(frozen=True)
 class MoveRegion:
     """Square feasible area [-side/2, side/2] x [-side/2, side/2] for one antenna."""
@@ -63,8 +60,8 @@ class MoveRegion:
     side: float
 
     def __post_init__(self) -> None:
-        if self.side < 0.0:
-            raise ValueError(f"region side must be nonnegative, got {self.side}")
+        if not 0.0 <= self.side < math.inf:
+            raise ValueError(f"region side must be finite and nonnegative, got {self.side}")
 
     @property
     def half(self) -> float:
@@ -100,6 +97,8 @@ class UserChannel:
             raise ValueError(
                 f"angles ({len(self.angles)}) and path responses ({prv.shape}) must match"
             )
+        if not np.isfinite(prv).all():
+            raise ValueError(f"path responses prv must be finite, got {prv}")
         if not self.distance > 0.0:
             raise ValueError(f"distance must be positive, got {self.distance}")
         # Direction cosines that map a position to per-path travel distances;

@@ -111,25 +111,44 @@ def sum_rate_collapsed(gains, powers, noise: float) -> float:
     return float(np.log2(1.0 + np.sum(g * p) / noise))
 
 
+def oma_sum_rate(gains, p_max: float, noise: float) -> float:
+    """Orthogonal time sharing: each user sends at full power in its 1/K slot."""
+    g = np.asarray(gains, dtype=float)
+    _check_nonnegative("gains", g)
+    _check_p_max(p_max)
+    _check_noise(noise)
+    return float(np.mean(np.log2(1.0 + g * p_max / noise)))
+
+
+def _check_nonnegative(label: str, arr: np.ndarray, floor: float = 0.0) -> None:
+    """The rule for gains, alphas and powers, on a float array."""
+    if arr.size:
+        low, high = arr.min(), arr.max()  # NaN if any entry is, failing both tests
+        if not (0.0 <= low and high < math.inf):
+            raise ValueError(f"{label} must be finite and nonnegative")
+        if low < floor:
+            msg = f"gains below {floor} would make the power formulas divide by zero"
+            raise DegenerateChannelError(msg)
+
+
 def _per_user(gains, name: str, values, floor: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Checked float arrays of the gains and of one alpha or power per gain."""
     g, x = np.asarray(gains, dtype=float), np.asarray(values, dtype=float)
     if g.shape != x.shape:
         raise ValueError(f"{name} must have one entry per gain, got {x.shape} for {g.shape}")
-    for label, arr, least in (("gains", g, floor), (name, x, 0.0)):
-        if arr.size:
-            low, high = arr.min(), arr.max()  # NaN if any entry is, failing both tests
-            if not (0.0 <= low and high < math.inf):
-                raise ValueError(f"{label} must be finite and nonnegative")
-            if low < least:
-                msg = f"gains below {least} would make the power formulas divide by zero"
-                raise DegenerateChannelError(msg)
+    _check_nonnegative("gains", g, floor)
+    _check_nonnegative(name, x)
     return g, x
 
 
 def _check_noise(noise: float) -> None:
     if not 0.0 < noise < math.inf:
         raise ValueError(f"noise power must be positive and finite, got {noise}")
+
+
+def _check_p_max(p_max: float) -> None:
+    if not 0.0 <= p_max < math.inf:
+        raise ValueError(f"power cap p_max must be finite and nonnegative, got {p_max}")
 
 
 def _decoding_sequence(g: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -191,8 +210,7 @@ def _allocation_inputs(gains, alphas, p_max: float, noise: float):
     g, a = _per_user(gains, "alphas", alphas, GAIN_FLOOR)
     if len(g) == 0:
         raise ValueError("at least one user is required")
-    if not 0.0 <= p_max < math.inf:
-        raise ValueError(f"power cap p_max must be finite and nonnegative, got {p_max}")
+    _check_p_max(p_max)
     _check_noise(noise)
     return g, a
 

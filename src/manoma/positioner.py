@@ -55,8 +55,8 @@ class ScaParams:
     multistart: int = 0
 
     def __post_init__(self) -> None:
-        if self.threshold < 0.0:
-            raise ValueError(f"threshold must be nonnegative, got {self.threshold}")
+        if not 0.0 <= self.threshold < math.inf:
+            raise ValueError(f"threshold must be finite and nonnegative, got {self.threshold}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
         if self.multistart < 0:

@@ -6,12 +6,14 @@ center (NOMA-FPA), orthogonal time sharing with both antenna variants
 (OMA-MA, OMA-FPA), and an analytic sum-rate cap that assumes every path of
 every user could be phase-aligned simultaneously (UPPER-BOUND).
 
-One pipeline serves every entry point. `draw_users` samples a realization's
-channels and positions each antenna, the five scheme rates are computed on
-those draws for every sweep point, and `sweep_power` / `sweep_users`
-aggregate the realizations into `SweepRow`s. A one-point `sweep_power` at
-the config's power is the plain Monte Carlo estimate; `run_realization`
-gives one realization's rates.
+One pipeline serves every entry point, in stages. `draw_users` spawns one
+child stream per user, samples every user's channel, positions every
+antenna on the unit-power channels, and evaluates the gains there and at
+the region center. The five scheme rates are then computed on those draws
+for every sweep point, and `sweep_power` / `sweep_users` aggregate the
+realizations into `SweepRow`s. A one-point `sweep_power` at the config's
+power is the plain Monte Carlo estimate; `run_realization` gives one
+realization's rates, as row 0 of that one-point table.
 
 Position optimization happens once per channel draw: transmit power never
 enters the gain objective, so a power sweep reuses the same positions, and
@@ -29,7 +31,7 @@ from functools import partial
 import numpy as np
 
 from manoma.channel import MoveRegion, Position, UserChannel, channel_gain, sample_user_channel
-from manoma.noma import RateRequirement, solve
+from manoma.noma import RateRequirement, oma_sum_rate, solve
 from manoma.positioner import ScaParams, optimize_position
 
 SCHEMES = ("NOMA-MA", "NOMA-FPA", "OMA-MA", "OMA-FPA", "UPPER-BOUND")
@@ -116,45 +118,32 @@ class UserDraw:
     fpa_gain: float
 
 
-def _draw_user(cfg: ScenarioConfig, rng: np.random.Generator) -> UserDraw:
-    """Sample one channel and optimize its antenna position.
-
-    The optimizer runs on the unit-power rescaling of the channel: its
-    iterates are invariant to channel scale, but the absolute stop threshold
-    is calibrated for order-one gains, and raw gains here carry the path
-    loss (around 1e-8). The reported gains are evaluated on the raw channel.
-    """
-    ch = sample_user_channel(cfg, rng)
-    region = MoveRegion(cfg.region_side)
-    origin = Position(0.0, 0.0)
-    pos, _, _ = optimize_position(ch.normalized(), region, cfg.sca, origin, rng=rng)
-    return UserDraw(
-        channel=ch,
-        position=pos,
-        ma_gain=channel_gain(pos, ch),
-        fpa_gain=channel_gain(origin, ch),
-    )
-
-
 def draw_users(cfg: ScenarioConfig, index: int, count: int) -> list[UserDraw]:
     """The first `count` users of realization `index`, antennas positioned.
 
     The realization's generator depends on (cfg.seed, index) only, so worker
     scheduling cannot change a draw. Each user then gets its own child
     stream, which makes user k's draw independent of how many users follow:
-    a smaller count is an exact prefix of a larger one.
+    a smaller count is an exact prefix of a larger one. A stream draws its
+    user's channel and then the multistart starts, so running each stage
+    over all users before the next changes no draw.
+
+    The optimizer runs on the unit-power rescaling of each channel: its
+    iterates are invariant to channel scale, but the absolute stop threshold
+    is calibrated for order-one gains, and raw gains here carry the path
+    loss (around 1e-8). The reported gains are evaluated on the raw channel.
     """
-    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, index)))
-    return [_draw_user(cfg, child) for child in rng.spawn(count)]
-
-
-def oma_sum_rate(gains, p_max: float, noise: float) -> float:
-    """Orthogonal time sharing: each user transmits at full power during its
-    1/K slot."""
-    g = np.asarray(gains, dtype=float)
-    if np.any(g < 0.0):
-        raise ValueError("gains must be nonnegative")
-    return float(np.mean(np.log2(1.0 + g * p_max / noise)))
+    streams = np.random.default_rng(np.random.SeedSequence((cfg.seed, index))).spawn(count)
+    channels = [sample_user_channel(cfg, rng) for rng in streams]
+    region, origin = MoveRegion(cfg.region_side), Position(0.0, 0.0)
+    positions = [
+        optimize_position(ch.normalized(), region, cfg.sca, origin, rng=rng)[0]
+        for ch, rng in zip(channels, streams)
+    ]
+    return [
+        UserDraw(ch, pos, ma_gain=channel_gain(pos, ch), fpa_gain=channel_gain(origin, ch))
+        for ch, pos in zip(channels, positions)
+    ]
 
 
 def upper_bound(channels, p_max: float, noise: float) -> float:
@@ -179,11 +168,10 @@ def _scheme_rates(draws: list[UserDraw], r_min: float, p_max_values, noise: floa
     amplitude_total = sum(d.channel.amplitude_sum**2 for d in draws)
     out = np.empty((len(p_max_values), len(SCHEMES)))
     for row, p_max in zip(out, p_max_values):
-        for slot, gains in ((0, ma_gains), (1, fpa_gains)):
+        for slot, gains in enumerate((ma_gains, fpa_gains)):
             sol = solve(gains, reqs, p_max, noise)
             row[slot] = sol.sum_rate if sol.feasible else math.nan
-        row[2] = oma_sum_rate(ma_gains, p_max, noise)
-        row[3] = oma_sum_rate(fpa_gains, p_max, noise)
+            row[slot + 2] = oma_sum_rate(gains, p_max, noise)
         row[4] = _aligned_rate(amplitude_total, p_max, noise)
     return out
 
@@ -194,10 +182,7 @@ def run_realization(cfg: ScenarioConfig, index: int) -> dict[str, float]:
     Returns scheme label to sum rate in bps/Hz; NaN flags an infeasible NOMA
     draw (the minimum rates cannot all be met).
     """
-    draws = draw_users(cfg, index, cfg.num_users)
-    p_max_values = [dbm_to_mw(cfg.p_max_dbm)]
-    rates = _scheme_rates(draws, cfg.r_min, p_max_values, dbm_to_mw(cfg.noise_dbm))[0]
-    return dict(zip(SCHEMES, rates))
+    return dict(zip(SCHEMES, _realization_table(cfg, "power", [cfg.p_max_dbm], index)[0]))
 
 
 def _realization_table(cfg: ScenarioConfig, sweep: str, values, index: int) -> np.ndarray:
@@ -208,10 +193,8 @@ def _realization_table(cfg: ScenarioConfig, sweep: str, values, index: int) -> n
         return _scheme_rates(draws, cfg.r_min, [dbm_to_mw(p_dbm) for p_dbm in values], noise)
     if sweep == "users":
         draws = draw_users(cfg, index, max(values))
-        p_max = dbm_to_mw(cfg.p_max_dbm)
-        return np.concatenate(
-            [_scheme_rates(draws[:k], cfg.r_min, [p_max], noise) for k in values]
-        )
+        p_max = [dbm_to_mw(cfg.p_max_dbm)]
+        return np.concatenate([_scheme_rates(draws[:k], cfg.r_min, p_max, noise) for k in values])
     raise ValueError(f"unknown sweep axis {sweep!r}")
 
 
@@ -239,8 +222,7 @@ def _aggregate(tables: np.ndarray, values) -> list[SweepRow]:
             samples = tables[:, i, s]
             feasible = samples[~np.isnan(samples)]
             if len(feasible) == 0:
-                mean = math.nan
-                std = math.nan
+                mean = std = math.nan
             else:
                 mean = float(np.mean(feasible))
                 std = float(np.std(feasible, ddof=1)) if len(feasible) >= 2 else 0.0

@@ -144,6 +144,10 @@ def test_channel_validation():
         UserChannel(angles=(good,), prv=np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         UserChannel(angles=(good,), prv=np.array([1.0]), distance=0.0)
+    # Non-finite path responses used to run a whole ascent first.
+    for bad in (math.nan, math.inf, complex(1.0, math.nan)):
+        with pytest.raises(ValueError, match="prv must be finite"):
+            UserChannel(angles=(good, good), prv=np.array([1.0, bad]))
     with pytest.raises(ValueError):
         Position(math.nan, 0.0)
 
@@ -161,6 +165,10 @@ def test_region_contains_and_clamp():
     assert_allclose(region.clamp(np.array([3.0, -0.4])), [1.0, -0.4])
     with pytest.raises(ValueError):
         MoveRegion(side=-1.0)
+    # A NaN side used to fail only at the first containment test.
+    for side in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="side must be finite"):
+            MoveRegion(side=side)
     # Zero-area region pins the antenna to the origin.
     assert_allclose(MoveRegion(side=0.0).clamp(np.array([0.3, -0.7])), [0.0, 0.0])
 

@@ -16,6 +16,7 @@ from manoma.sim import SCHEMES, ScenarioConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 REFERENCE_DIR = ROOT / "perfbench" / "reference"
+PINNED_DIR = ROOT / "tests" / "reference"
 
 FAST_CONFIG = """
 # small scenario for quick runs
@@ -449,6 +450,20 @@ def test_sweep_reproduces_reference_csv(tmp_path, capsys, reference, config, fla
     )
     assert code == 0
     assert filecmp.cmp(out_csv, REFERENCE_DIR / reference, shallow=False)
+
+
+def test_users_sweep_reproduces_pinned_csv(tmp_path, capsys):
+    out_csv = tmp_path / "out.csv"
+    argv = ["sweep", "--sweep", "users", "--points", "1,3,6", "--realizations", "4"]
+    code, _, _ = run_cli([*argv, "--out", str(out_csv)], capsys)
+    assert code == 0
+    assert filecmp.cmp(out_csv, PINNED_DIR / "users_sweep-n4-seed0.csv", shallow=False)
+
+
+def test_optimize_reproduces_pinned_output(capsys):
+    code, out, _ = run_cli(["optimize"], capsys)
+    assert code == 0
+    assert out.encode() == (PINNED_DIR / "optimize-default.txt").read_bytes()
 
 
 def test_seed_flag_overrides_config(fast_config, tmp_path, capsys):

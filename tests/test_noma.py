@@ -17,6 +17,7 @@ from manoma.noma import (
     decoding_order,
     fixed_order_lp_powers,
     minimum_rate_powers,
+    oma_sum_rate,
     power_allocation,
     sinr_and_rates,
     solve,
@@ -534,6 +535,7 @@ _ENTRY_POINTS = {
     "brute_force_allocation": lambda v: brute_force_allocation(
         v["gains"], v["alphas"], v["p_max"], v["noise"]
     ),
+    "oma_sum_rate": lambda v: oma_sum_rate(v["gains"], v["p_max"], v["noise"]),
 }
 _QUANTITIES = {
     "sinr_and_rates": ("gains", "powers", "noise"),
@@ -543,6 +545,7 @@ _QUANTITIES = {
     "power_allocation": ("gains", "alphas", "p_max", "noise"),
     "solve": ("gains", "r_min", "p_max", "noise"),
     "brute_force_allocation": ("gains", "alphas", "p_max", "noise"),
+    "oma_sum_rate": ("gains", "p_max", "noise"),
 }
 
 
@@ -555,12 +558,14 @@ def _invalid_input_cases():
                 yield pytest.param(entry, {quantity: value}, quantity, id=case_id)
     # Calls that used to return: sinr_and_rates-noise-nan above gave NaN
     # rates, an infinite power an infinite rate, decoding_order ranked a NaN
-    # gain, and r_min = 1100 raised OverflowError once a sweep had positioned
-    # every user.
+    # gain, r_min = 1100 raised OverflowError once a sweep had positioned
+    # every user, and oma_sum_rate kept its own gains sign test, so a NaN
+    # gain or noise gave NaN and an infinite p_max an infinite rate.
     found = [
         ("sinr_and_rates", {"powers": [1.0, math.inf]}, "powers"),
         ("decoding_order", {"gains": [math.nan, 1.0]}, "gains"),
         ("solve", {"r_min": 1100.0}, "r_min"),
+        ("oma_sum_rate", {"noise": 0.0}, "noise"),
     ]
     for entry, overrides, quantity in found:
         yield pytest.param(entry, overrides, quantity, id=f"found-{entry}-{quantity}")

@@ -364,6 +364,10 @@ def test_multistart_never_hurts_and_is_reproducible():
 def test_param_validation():
     with pytest.raises(ValueError):
         ScaParams(threshold=-1.0)
+    # NaN used to run every lane to the cap, and inf stopped each after one step.
+    for threshold in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="threshold must be finite"):
+            ScaParams(threshold=threshold)
     with pytest.raises(ValueError):
         ScaParams(max_iterations=0)
     with pytest.raises(ValueError):

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import manoma
+import manoma.noma as noma
+import manoma.sim as sim
 from manoma.channel import PathAngles, UserChannel
 from manoma.noma import RateRequirement, solve
 from manoma.positioner import ScaParams
@@ -92,6 +95,11 @@ def test_oma_equal_gains_match_single_user_total():
     assert_allclose(two, one, rtol=1e-12)
 
 
+def test_oma_sum_rate_lives_in_noma():
+    assert sim.oma_sum_rate is noma.oma_sum_rate
+    assert manoma.oma_sum_rate is noma.oma_sum_rate
+
+
 def test_oma_zero_gains_zero_rate():
     assert oma_sum_rate([0.0, 0.0], 10.0, 1.0) == 0.0
     with pytest.raises(ValueError):
@@ -122,6 +130,20 @@ def test_upper_bound_tight_for_single_path_channels():
 
 
 # --- single realizations ---
+
+
+def test_draw_users_samples_every_channel_before_positioning(monkeypatch):
+    calls = []
+    for name in ("sample_user_channel", "optimize_position"):
+        fn = getattr(sim, name)
+
+        def spy(*args, _fn=fn, _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(sim, name, spy)
+    draw_users(_small_cfg(), 0, 3)
+    assert calls == ["sample_user_channel"] * 3 + ["optimize_position"] * 3
 
 
 def test_realization_deterministic():
