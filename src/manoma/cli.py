@@ -152,9 +152,15 @@ def resolve_config(raw: dict[str, str]) -> ScenarioConfig:
         if key in raw:
             owner, _, name = field.rpartition(".")
             (sca_values if owner else values)[name] = _parse_value(key, kind, unit, raw[key])
-    try:
-        if sca_values:
+    if sca_values:
+        try:
             values["sca"] = ScaParams(**sca_values)
+        except ValueError as exc:
+            # ScaParams names its field first; the config key may differ.
+            name, _, rest = str(exc).partition(" ")
+            key = next(row[0] for row in SCHEMA if row[1] == f"sca.{name}")
+            raise ConfigError(f"{key} {rest}") from None
+    try:
         return ScenarioConfig(**values)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None

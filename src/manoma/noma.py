@@ -20,6 +20,15 @@ need, and the per-user caps, products and verdicts are elementwise. Each
 result is bit for bit what the per-pair formulas give, because every sum and
 product is taken in the order np.sum and np.prod take it on the slice alone.
 
+Power control splits in two. The plan (decoding sequence, minimum-rate
+powers, window sums) depends on the gains, alphas and noise but not on the
+power cap; the finish (caps, back-off, rates, feasibility) is per cap. solve
+keeps the plans of its last two distinct (gains, alphas, noise) inputs in a
+bounded cache, keyed by their bytes, so a power sweep that alternates two
+gain sets at every point plans each set once. Inputs are validated on every
+call before the cache is consulted, and the cached arrays are read-only.
+power_allocation runs the same two halves without the cache.
+
 The rate, order and power functions check their inputs by one rule per
 quantity, and a ValueError names the quantity that breaks it:
 - gains, alphas, powers: finite and >= 0, one alpha or power per gain, and
@@ -30,6 +39,7 @@ quantity, and a ValueError names the quantity that breaks it:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -115,6 +125,7 @@ def oma_sum_rate(gains, p_max: float, noise: float) -> float:
     """Orthogonal time sharing: each user sends at full power in its 1/K slot."""
     g = np.asarray(gains, dtype=float)
     _check_nonnegative("gains", g)
+    _check_users(g)
     _check_p_max(p_max)
     _check_noise(noise)
     return float(np.mean(np.log2(1.0 + g * p_max / noise)))
@@ -139,6 +150,11 @@ def _per_user(gains, name: str, values, floor: float = 0.0) -> tuple[np.ndarray,
     _check_nonnegative("gains", g, floor)
     _check_nonnegative(name, x)
     return g, x
+
+
+def _check_users(g: np.ndarray) -> None:
+    if g.size == 0:
+        raise ValueError("at least one user is required")
 
 
 def _check_noise(noise: float) -> None:
@@ -208,8 +224,7 @@ def _minimum_rate_powers(g: np.ndarray, a: np.ndarray, noise: float) -> np.ndarr
 def _allocation_inputs(gains, alphas, p_max: float, noise: float):
     """Checked gains and alphas; no check depends on the order of the users."""
     g, a = _per_user(gains, "alphas", alphas, GAIN_FLOOR)
-    if len(g) == 0:
-        raise ValueError("at least one user is required")
+    _check_users(g)
     _check_p_max(p_max)
     _check_noise(noise)
     return g, a
@@ -223,23 +238,16 @@ def _windows(x: np.ndarray, width: int) -> np.ndarray:
     return view
 
 
-def _saturating_powers(g, a, c, p_max: float, noise: float) -> np.ndarray:
-    """power_allocation on validated inputs and their minimum-rate powers c.
+def _window_sums(g: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The window sums _saturating_powers needs, which no power cap enters.
 
-    User k may send at most (g_i p_max / a_i - sum(g[i+1:k]) p_max - later_k
-    - noise) / g_k while each constrained user i < k keeps its rate, where
-    later_k = sum(g c) over the users after k. Every window sum is taken by
-    np.add.reduce on a row of a strided view, which sums it exactly as np.sum
-    sums that slice on its own: row r of `sums` holds the windows of width
-    num-2-r, later_{r+1} in column 0 and sum(g[k-w:k]) in column k >= w+1
-    (columns 1..w straddle the two arrays and are never used). caps[r, k]
-    pairs user k with i = k+r-(num-1); NaN marks pairs that do not constrain
-    k (i < 0, or alpha_i = 0), and fmin skips NaN as Python's min did.
+    Every window sum is taken by np.add.reduce on a row of a strided view,
+    which sums it exactly as np.sum sums that slice on its own: row r of
+    `sums` holds the windows of width num-2-r, later_{r+1} in column 0 and
+    sum(g[k-w:k]) in column k >= w+1 (columns 1..w straddle the two arrays
+    and are never used). `later` holds later_k for every k.
     """
     num = len(g)
-    p = np.full(num, p_max, dtype=float)
-    if num == 1:
-        return p
     # received[m] = g c of user m+2, followed by the gains: a window of width
     # w starting at index r covers received[r:] exactly when r + w = num-2.
     windows = _windows(np.concatenate((g[2:] * c[2:], g, np.zeros(num))), num)
@@ -247,11 +255,28 @@ def _saturating_powers(g, a, c, p_max: float, noise: float) -> np.ndarray:
     for r in range(num - 1):
         # Positional (axis, dtype, out): keyword parsing costs more than the sum.
         np.add.reduce(windows[r : r + num, : num - 2 - r], 1, None, sums[r])
+    return sums, np.concatenate(([0.0], sums[:, 0]))
+
+
+def _saturating_powers(g, a, c, sums, later, p_max: float, noise: float) -> np.ndarray:
+    """power_allocation on validated inputs, their minimum-rate powers c and
+    their _window_sums.
+
+    User k may send at most (g_i p_max / a_i - sum(g[i+1:k]) p_max - later_k
+    - noise) / g_k while each constrained user i < k keeps its rate, where
+    later_k = sum(g c) over the users after k. caps[r, k] pairs user k with
+    i = k+r-(num-1); NaN marks pairs that do not constrain k (i < 0, or
+    alpha_i = 0), and fmin skips NaN as Python's min did.
+    """
+    num = len(g)
+    p = np.full(num, p_max, dtype=float)
+    if num == 1:
+        return p
     headroom = np.full(2 * num - 2, np.nan)
     constrained = np.flatnonzero(a[:-1] > 0.0)
     headroom[num - 1 + constrained] = g[constrained] * p_max / a[constrained]
     caps = _windows(headroom, num) - sums * p_max
-    caps -= np.concatenate(([0.0], sums[:, 0]))
+    caps -= later
     caps -= noise
     caps /= g
     cap = np.fmin.reduce(caps, axis=0)  # NaN where no user constrains k
@@ -274,7 +299,8 @@ def power_allocation(gains_in_order, alphas_in_order, p_max: float, noise: float
     feasibility, nothing is clipped here.
     """
     g, a = _allocation_inputs(gains_in_order, alphas_in_order, p_max, noise)
-    return _saturating_powers(g, a, _minimum_rate_powers(g, a, noise), p_max, noise)
+    c = _minimum_rate_powers(g, a, noise)
+    return _saturating_powers(g, a, c, *_window_sums(g, c), p_max, noise)
 
 
 def check_feasibility(powers, rates, reqs, p_max: float) -> tuple[bool, str | None]:
@@ -301,22 +327,49 @@ def check_feasibility(powers, rates, reqs, p_max: float) -> tuple[bool, str | No
     return True, None
 
 
+# Two entries: a sweep point solves the movable- and the fixed-antenna gains
+# of one draw set in turn, and every point of the set shares both plans.
+@functools.lru_cache(maxsize=2)
+def _plan(shape: tuple[int, ...], gain_bytes: bytes, alpha_bytes: bytes, noise: float) -> tuple:
+    """The power-cap-independent half of solve, keyed by the bytes of the
+    validated float gains and alphas.
+
+    Returns (seq, ranks, g, a, c, overflow, sums, later): the decoding
+    sequence and ranks, then gains, alphas and minimum-rate powers in
+    decoding sequence, the users whose c overflows, and _window_sums(g, c),
+    which is (None, None) when any does. The arrays are read-only, since
+    every call that hits the cache shares them.
+    """
+    g, a = np.frombuffer(gain_bytes).reshape(shape), np.frombuffer(alpha_bytes).reshape(shape)
+    seq = _decoding_sequence(g, a)
+    g_seq, a_seq = g[seq], a[seq]
+    c_seq = _minimum_rate_powers(g_seq, a_seq, noise)
+    overflow = ~np.isfinite(c_seq)
+    sums = later = None
+    if not overflow.any():
+        sums, later = _window_sums(g_seq, c_seq)
+    for arr in (seq, g_seq, a_seq, c_seq, overflow, sums, later):
+        if arr is not None:
+            arr.flags.writeable = False
+    return seq, _ranks(seq), g_seq, a_seq, c_seq, overflow, sums, later
+
+
 def solve(gains, reqs, p_max: float, noise: float) -> NomaSolution:
     """Order selection, closed-form powers, rates, and feasibility in one call.
 
-    Validates once, then works in decoding sequence until it scatters powers
-    and rates back to user order. Infeasible draws are flagged, never
-    clipped. A minimum-rate power too large for a float leaves powers and rates NaN, with a diagnostic
-    naming the lowest-indexed such user.
+    Validates on every call, then works in decoding sequence until it
+    scatters powers and rates back to user order. The order, minimum-rate
+    powers and window sums come from the plan cache, so repeated gains at
+    new power caps only redo the caps. Infeasible draws are flagged, never
+    clipped. A minimum-rate power too large for a float leaves powers and
+    rates NaN, with a diagnostic naming the lowest-indexed such user.
     """
     reqs = list(reqs)
     g, alphas = _allocation_inputs(gains, [r.alpha for r in reqs], p_max, noise)
-    seq = _decoding_sequence(g, alphas)
-    ranks = _ranks(seq)
-    g_seq, a_seq = g[seq], alphas[seq]
-    c_seq = _minimum_rate_powers(g_seq, a_seq, noise)
-    overflow = ~np.isfinite(c_seq)
-    if overflow.any():
+    seq, ranks, g_seq, a_seq, c_seq, overflow, sums, later = _plan(
+        g.shape, g.tobytes(), alphas.tobytes(), float(noise)
+    )
+    if sums is None:
         user = int(seq[overflow].min())
         return NomaSolution(
             order=ranks,
@@ -329,7 +382,7 @@ def solve(gains, reqs, p_max: float, noise: float) -> NomaSolution:
                 "(1 + alpha) over the users decoded after it overflows"
             ),
         )
-    p_seq = _saturating_powers(g_seq, a_seq, c_seq, p_max, noise)
+    p_seq = _saturating_powers(g_seq, a_seq, c_seq, sums, later, p_max, noise)
     powers = np.empty(len(g))
     powers[seq] = p_seq
     rates = np.full(len(g), np.nan)

@@ -123,6 +123,19 @@ def test_validate_rejects_non_finite_numbers(tmp_path, capsys, line):
     assert err.startswith(f"config error: {key}: expected a finite number")
 
 
+@pytest.mark.parametrize(
+    "line", ["sca_threshold = -1", "sca_max_iterations = 0", "multistart = -1"]
+)
+def test_validate_names_the_sca_config_key(tmp_path, capsys, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    code, out, err = run_cli(["validate", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert out == ""
+    key = line.split(" = ")[0]
+    assert err.startswith(f"config error: {key} must be")
+
+
 def test_readme_defaults_table_matches_schema():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     rows = re.findall(r"^\| `(\w+)` \| `([^`]*)` \|", readme, flags=re.MULTILINE)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import manoma.noma as noma
 from manoma.channel import DegenerateChannelError
 from manoma.noma import (
     RATE_SLACK,
@@ -423,17 +424,22 @@ def _loop_solve(gains, reqs, p_max, noise):
     return NomaSolution(ranks, powers, rates, float(np.sum(rates)), feasible, diagnostic)
 
 
+def _assert_same_solution(got, want):
+    assert got.order == want.order
+    assert np.array_equal(got.powers, want.powers, equal_nan=True)
+    assert np.array_equal(got.rates, want.rates, equal_nan=True)
+    assert np.array_equal(got.sum_rate, want.sum_rate, equal_nan=True)
+    assert (got.feasible, got.diagnostic) == (want.feasible, want.diagnostic)
+
+
 def _assert_matches_loops(gains, reqs, p_max, noise):
     """solve and each of its stages equal the loop reference bit for bit."""
     g = np.asarray(gains, dtype=float)
     alphas = np.array([r.alpha for r in reqs])
     got = solve(g, reqs, p_max, noise)
     want = _loop_solve(g, reqs, p_max, noise)
-    assert got.order == want.order == decoding_order(g, alphas)
-    assert np.array_equal(got.powers, want.powers, equal_nan=True)
-    assert np.array_equal(got.rates, want.rates, equal_nan=True)
-    assert np.array_equal(got.sum_rate, want.sum_rate, equal_nan=True)
-    assert (got.feasible, got.diagnostic) == (want.feasible, want.diagnostic)
+    _assert_same_solution(got, want)
+    assert got.order == decoding_order(g, alphas)
     assert check_feasibility(want.powers, want.rates, reqs, p_max) == (
         want.feasible,
         want.diagnostic,
@@ -480,6 +486,80 @@ def test_array_code_matches_loops_bitwise_on_sweep_draws(num_users, r_min):
     for gains in ([d.ma_gain for d in draws], [d.fpa_gain for d in draws]):
         for i in range(81):  # the 0-20 dBm axis in 0.25 dB steps
             _assert_matches_loops(gains, reqs, dbm_to_mw(0.25 * i), noise)
+
+
+# --- the plan cache: solve's power-cap-independent half, memoized ---
+
+
+@pytest.mark.parametrize("num_users,r_min", [(6, 0.25), (32, 0.1)])
+def test_cached_plan_gives_the_uncached_result(num_users, r_min):
+    # The benchmark's default and dense_power_k32 shapes: the movable- and
+    # fixed-antenna gains of one draw set alternate at every point of the
+    # 0-20 dBm axis in 0.25 dB steps, as sim's sweep calls them.
+    from manoma.sim import ScenarioConfig, dbm_to_mw, draw_users
+
+    cfg = ScenarioConfig(num_users=num_users, r_min=r_min)
+    reqs = [RateRequirement(r_min)] * num_users
+    noise = dbm_to_mw(cfg.noise_dbm)
+    calls = []
+    for index in range(2):
+        draws = draw_users(cfg, index, num_users)
+        ma, fpa = [d.ma_gain for d in draws], [d.fpa_gain for d in draws]
+        calls += [(gains, dbm_to_mw(0.25 * i)) for i in range(81) for gains in (ma, fpa)]
+    noma._plan.cache_clear()
+    cached = [solve(gains, reqs, p_max, noise) for gains, p_max in calls]
+    assert noma._plan.cache_info().hits == len(calls) - 4
+    for (gains, p_max), got in zip(calls, cached):
+        noma._plan.cache_clear()
+        _assert_same_solution(got, solve(gains, reqs, p_max, noise))
+
+
+def test_plan_cache_is_not_changed_through_inputs_or_results():
+    gains = np.array([2.0, 1.0, 0.5])
+    reqs = [RateRequirement(0.5)] * 3
+    first = solve(gains, reqs, 4.0, 1.0)
+    want = solve(gains.copy(), reqs, 4.0, 1.0)
+    first.powers[:] = -1.0
+    first.rates[:] = math.nan
+    _assert_same_solution(solve(gains, reqs, 4.0, 1.0), want)
+    gains[0] = 0.25  # the cache still holds the plan of the old values
+    got = solve(gains, reqs, 4.0, 1.0)
+    noma._plan.cache_clear()
+    _assert_same_solution(got, solve(gains, reqs, 4.0, 1.0))
+    assert got.order != want.order
+    plan = noma._plan(gains.shape, gains.tobytes(), gains.tobytes(), 1.0)
+    arrays = [x for x in plan if isinstance(x, np.ndarray)]
+    assert len(arrays) == 7
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0
+
+
+@pytest.mark.parametrize(
+    "gains, p_max, noise, error",
+    [
+        ([math.nan, 1.0], 4.0, 1.0, ValueError),
+        ([1.0, 1e-40], 4.0, 1.0, DegenerateChannelError),
+        ([2.0, 1.0], -1.0, 1.0, ValueError),  # the valid (gains, noise) plan is cached
+        ([2.0, 1.0], 4.0, math.nan, ValueError),
+    ],
+    ids=["nan-gain", "degenerate-gain", "negative-p_max", "nan-noise"],
+)
+def test_invalid_input_is_rejected_on_every_call(gains, p_max, noise, error):
+    reqs = [RateRequirement(0.5)] * 2
+    solve([2.0, 1.0], reqs, 4.0, 1.0)
+    for _ in range(2):
+        with pytest.raises(error):
+            solve(gains, reqs, p_max, noise)
+
+
+def test_plan_cache_is_bounded():
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        solve(rng.exponential(1.0, 4), [RateRequirement(0.1)] * 4, 4.0, 1.0)
+    info = noma._plan.cache_info()
+    assert info.maxsize == 2
+    assert info.currsize <= 2
 
 
 @pytest.mark.parametrize("p_max", [math.inf, -math.inf, math.nan])
@@ -560,12 +640,14 @@ def _invalid_input_cases():
     # rates, an infinite power an infinite rate, decoding_order ranked a NaN
     # gain, r_min = 1100 raised OverflowError once a sweep had positioned
     # every user, and oma_sum_rate kept its own gains sign test, so a NaN
-    # gain or noise gave NaN and an infinite p_max an infinite rate.
+    # gain or noise gave NaN and an infinite p_max an infinite rate; with no
+    # gains it took the mean of an empty array, NaN and a RuntimeWarning.
     found = [
         ("sinr_and_rates", {"powers": [1.0, math.inf]}, "powers"),
         ("decoding_order", {"gains": [math.nan, 1.0]}, "gains"),
         ("solve", {"r_min": 1100.0}, "r_min"),
         ("oma_sum_rate", {"noise": 0.0}, "noise"),
+        ("oma_sum_rate", {"gains": []}, "user"),
     ]
     for entry, overrides, quantity in found:
         yield pytest.param(entry, overrides, quantity, id=f"found-{entry}-{quantity}")

@@ -146,6 +146,32 @@ def test_draw_users_samples_every_channel_before_positioning(monkeypatch):
     assert calls == ["sample_user_channel"] * 3 + ["optimize_position"] * 3
 
 
+def test_sweep_calls_the_traced_layers_once_per_instance(monkeypatch):
+    # The benchmark's tracer wraps sim.solve and sim.optimize_position and
+    # reads one span per call: a solve per (point, NOMA scheme) with a scalar
+    # p_max and a bool verdict, and a positioning per user.
+    solves, positions = [], []
+
+    def solve_spy(gains, reqs, p_max, noise, _fn=sim.solve):
+        sol = _fn(gains, reqs, p_max, noise)
+        solves.append((p_max, sol))
+        return sol
+
+    def position_spy(*args, _fn=sim.optimize_position, **kwargs):
+        positions.append(args)
+        return _fn(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "solve", solve_spy)
+    monkeypatch.setattr(sim, "optimize_position", position_spy)
+    cfg = _small_cfg(realizations=2)
+    points = [0.0, 10.0, 20.0]
+    sweep_power(cfg, points)
+    assert len(solves) == cfg.realizations * len(points) * 2
+    assert all(isinstance(p_max, float) for p_max, _ in solves)
+    assert all(type(sol.feasible) is bool for _, sol in solves)
+    assert len(positions) == cfg.realizations * cfg.num_users
+
+
 def test_realization_deterministic():
     cfg = _small_cfg()
     a = run_realization(cfg, 0)
