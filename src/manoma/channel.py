@@ -5,6 +5,9 @@ Moving the antenna inside its region changes only the per-path phases, so
 the complex channel coefficient is a function of the 2-D antenna position.
 All lengths are measured in carrier wavelengths (the physics depends only
 on position/wavelength, so the wavelength is normalized to 1 throughout).
+
+lane_phases, lane_coefficients and lane_gains compute each channel quantity
+over lanes (rows of positions); the scalar helpers are their one-lane calls.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+_J_TWO_PI = 1j * TWO_PI  # the factor of every field response exp(j*2*pi*rho)
 
 
 class DegenerateChannelError(ValueError):
@@ -105,22 +109,16 @@ class UserChannel:
         # cached because every optimizer iteration re-evaluates the phases.
         theta = np.array([a.theta for a in self.angles])
         phi = np.array([a.phi for a in self.angles])
-        object.__setattr__(self, "_dir_x", np.sin(theta) * np.cos(phi))
-        object.__setattr__(self, "_dir_y", np.cos(theta))
+        object.__setattr__(self, "_dirs", np.stack((np.sin(theta) * np.cos(phi), np.cos(theta))))
 
     @property
     def num_paths(self) -> int:
         return len(self.angles)
 
     @property
-    def direction_x(self) -> np.ndarray:
-        """Per-path sin(theta)*cos(phi), the x-sensitivity of the path delay."""
-        return self._dir_x
-
-    @property
-    def direction_y(self) -> np.ndarray:
-        """Per-path cos(theta), the y-sensitivity of the path delay."""
-        return self._dir_y
+    def directions(self) -> np.ndarray:
+        """Path delay sensitivities, rows sin(theta)*cos(phi) (x) and cos(theta) (y)."""
+        return self._dirs
 
     @property
     def power(self) -> float:
@@ -146,25 +144,47 @@ def propagation_delta(z: Position, p: PathAngles) -> float:
     return z.x * math.sin(p.theta) * math.cos(p.phi) + z.y * math.cos(p.theta)
 
 
+def lane_phases(xy: np.ndarray, dir_x: np.ndarray, dir_y: np.ndarray) -> np.ndarray:
+    """Per-path travel distances rho (lanes, paths) of (lanes, 2) positions."""
+    return xy[:, :1] * dir_x + xy[:, 1:] * dir_y
+
+
+def _field_responses(rho: np.ndarray) -> np.ndarray:
+    return np.exp(_J_TWO_PI * rho)
+
+
+def lane_coefficients(rho: np.ndarray, prv: np.ndarray) -> np.ndarray:
+    """Conjugated path responses dotted with each lane's field response; np.vecdot
+    sums each row alone, where a (lanes x paths) @ (paths,) product would not."""
+    return np.vecdot(prv, _field_responses(rho))
+
+
+def lane_gains(h: np.ndarray) -> np.ndarray:
+    """Squared modulus of every lane's channel coefficient."""
+    return h.real * h.real + h.imag * h.imag
+
+
+def _one_lane_phases(z: Position, ch: UserChannel) -> np.ndarray:
+    return lane_phases(z.as_array()[None], *ch.directions)
+
+
 def field_response_vector(z: Position, ch: UserChannel) -> np.ndarray:
     """Unit-modulus phase vector over paths at position z.
 
     Entry p is exp(j*2*pi*rho_p(z)); at the origin it is the all-ones vector.
     """
-    rho = z.x * ch.direction_x + z.y * ch.direction_y
-    return np.exp(1j * TWO_PI * rho)
+    return _field_responses(_one_lane_phases(z, ch))[0]
 
 
 def channel_coefficient(z: Position, ch: UserChannel) -> complex:
     """Complex channel response: conjugated path responses dotted with the
     field-response vector at z."""
-    return complex(np.vdot(ch.prv, field_response_vector(z, ch)))
+    return complex(lane_coefficients(_one_lane_phases(z, ch), ch.prv)[0])
 
 
 def channel_gain(z: Position, ch: UserChannel) -> float:
     """Squared modulus of the channel coefficient at z."""
-    h = channel_coefficient(z, ch)
-    return h.real * h.real + h.imag * h.imag
+    return float(lane_gains(lane_coefficients(_one_lane_phases(z, ch), ch.prv))[0])
 
 
 def sample_user_channel(cfg, rng: np.random.Generator) -> UserChannel:

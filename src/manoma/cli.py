@@ -97,6 +97,7 @@ SCHEMA = (
     ("multistart", "sca.multistart", int, None),
 )
 
+_KEY_OF_FIELD = {field.rpartition(".")[2]: key for key, field, *_ in SCHEMA}
 _RANGE_RE = re.compile(r"^\[\s*([^\s,\]]+)\s*,\s*([^\s,\]]+)\s*\]\s*(\S+)$")
 
 
@@ -152,18 +153,14 @@ def resolve_config(raw: dict[str, str]) -> ScenarioConfig:
         if key in raw:
             owner, _, name = field.rpartition(".")
             (sca_values if owner else values)[name] = _parse_value(key, kind, unit, raw[key])
-    if sca_values:
-        try:
-            values["sca"] = ScaParams(**sca_values)
-        except ValueError as exc:
-            # ScaParams names its field first; the config key may differ.
-            name, _, rest = str(exc).partition(" ")
-            key = next(row[0] for row in SCHEMA if row[1] == f"sca.{name}")
-            raise ConfigError(f"{key} {rest}") from None
     try:
+        if sca_values:
+            values["sca"] = ScaParams(**sca_values)
         return ScenarioConfig(**values)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        # Both dataclasses name their field first; the config key may differ.
+        name, _, rest = str(exc).partition(" ")
+        raise ConfigError(f"{_KEY_OF_FIELD.get(name, name)} {rest}") from None
 
 
 def serialize_config(cfg: ScenarioConfig) -> dict[str, str]:
@@ -266,7 +263,11 @@ def _parse_points(key: str, items: list[str], sweep: str) -> list:
                     f"{key}: user counts must be integers, got {item!r}"
                 ) from None
         return points
-    return [_parse_float(key, item) for item in items]
+    points = [_parse_float(key, item) for item in items]
+    for item, point in zip(items, points):
+        if dbm_to_mw(point) == math.inf:
+            raise ConfigError(f"{key}: power points must be finite in mW, got {item!r} dBm")
+    return points
 
 
 def _output_problem(path: str) -> str | None:

@@ -76,9 +76,9 @@ class NomaSolution:
     order[k] is the decoding rank of user k, 1-based: rank 1 is decoded
     first and sees all other users as interference. powers are in mW, rates
     in bps/Hz. When powers are invalid (negative back-off forced by an
-    infeasible instance) the rates are NaN; when a minimum-rate power is too
-    large for a float, powers are NaN as well. diagnostic names the first
-    violated constraint when infeasible.
+    infeasible instance) the rates are NaN; when a quantity overflows a float
+    (see solve), powers are NaN as well. diagnostic names the first violated
+    constraint when infeasible.
     """
 
     order: tuple[int, ...]
@@ -258,23 +258,30 @@ def _window_sums(g: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return sums, np.concatenate(([0.0], sums[:, 0]))
 
 
-def _saturating_powers(g, a, c, sums, later, p_max: float, noise: float) -> np.ndarray:
-    """power_allocation on validated inputs, their minimum-rate powers c and
-    their _window_sums.
+def _headroom(g: np.ndarray, a: np.ndarray, p_max: float) -> np.ndarray:
+    """g_i p_max / a_i of every constrained user i but the last, at index
+    num-1+i; NaN pads the rest (users that constrain no one, and i < 0)."""
+    num = len(g)
+    headroom = np.full(2 * num - 2, np.nan)
+    constrained = np.flatnonzero(a[:-1] > 0.0)
+    headroom[num - 1 + constrained] = g[constrained] * p_max / a[constrained]
+    return headroom
+
+
+def _saturating_powers(g, c, headroom, sums, later, p_max: float, noise: float) -> np.ndarray:
+    """power_allocation on validated inputs, their minimum-rate powers c,
+    _headroom and _window_sums.
 
     User k may send at most (g_i p_max / a_i - sum(g[i+1:k]) p_max - later_k
     - noise) / g_k while each constrained user i < k keeps its rate, where
     later_k = sum(g c) over the users after k. caps[r, k] pairs user k with
-    i = k+r-(num-1); NaN marks pairs that do not constrain k (i < 0, or
-    alpha_i = 0), and fmin skips NaN as Python's min did.
+    i = k+r-(num-1); NaN marks pairs that do not constrain k, and fmin skips
+    NaN as Python's min did.
     """
     num = len(g)
     p = np.full(num, p_max, dtype=float)
     if num == 1:
         return p
-    headroom = np.full(2 * num - 2, np.nan)
-    constrained = np.flatnonzero(a[:-1] > 0.0)
-    headroom[num - 1 + constrained] = g[constrained] * p_max / a[constrained]
     caps = _windows(headroom, num) - sums * p_max
     caps -= later
     caps -= noise
@@ -300,7 +307,7 @@ def power_allocation(gains_in_order, alphas_in_order, p_max: float, noise: float
     """
     g, a = _allocation_inputs(gains_in_order, alphas_in_order, p_max, noise)
     c = _minimum_rate_powers(g, a, noise)
-    return _saturating_powers(g, a, c, *_window_sums(g, c), p_max, noise)
+    return _saturating_powers(g, c, _headroom(g, a, p_max), *_window_sums(g, c), p_max, noise)
 
 
 def check_feasibility(powers, rates, reqs, p_max: float) -> tuple[bool, str | None]:
@@ -361,8 +368,8 @@ def solve(gains, reqs, p_max: float, noise: float) -> NomaSolution:
     scatters powers and rates back to user order. The order, minimum-rate
     powers and window sums come from the plan cache, so repeated gains at
     new power caps only redo the caps. Infeasible draws are flagged, never
-    clipped. A minimum-rate power too large for a float leaves powers and
-    rates NaN, with a diagnostic naming the lowest-indexed such user.
+    clipped. An overflowing minimum-rate power, headroom or received-power
+    ratio leaves powers and rates NaN, naming it and its lowest-indexed user.
     """
     reqs = list(reqs)
     g, alphas = _allocation_inputs(gains, [r.alpha for r in reqs], p_max, noise)
@@ -370,33 +377,34 @@ def solve(gains, reqs, p_max: float, noise: float) -> NomaSolution:
         g.shape, g.tobytes(), alphas.tobytes(), float(noise)
     )
     if sums is None:
-        user = int(seq[overflow].min())
-        return NomaSolution(
-            order=ranks,
-            powers=np.full(len(g), np.nan),
-            rates=np.full(len(g), np.nan),
-            sum_rate=math.nan,
-            feasible=False,
-            diagnostic=(
-                f"user {user + 1} minimum-rate power is not finite: the product of "
-                "(1 + alpha) over the users decoded after it overflows"
-            ),
-        )
-    p_seq = _saturating_powers(g_seq, a_seq, c_seq, sums, later, p_max, noise)
+        why = "the product of (1 + alpha) over the users decoded after it overflows"
+        return _not_finite(ranks, seq[overflow], f"minimum-rate power is not finite: {why}")
+    # Overflow in the finish is reported below instead of warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        headroom = _headroom(g_seq, a_seq, p_max)
+        p_seq = _saturating_powers(g_seq, c_seq, headroom, sums, later, p_max, noise)
+        rates = np.full(len(g), np.nan)
+        computed = bool(np.all(p_seq >= 0.0))
+        if computed:
+            rates[seq] = _sequence_rates(g_seq, p_seq, noise)
+    too_large = np.isinf(headroom)
+    if too_large.any():
+        users = seq[np.flatnonzero(too_large) - (len(g) - 1)]
+        return _not_finite(ranks, users, "headroom g * p_max / alpha is not finite")
+    sum_rate = float(np.sum(rates))
+    if computed and not math.isfinite(sum_rate):
+        ratio = "received-power ratio g * p / (interference + noise)"
+        return _not_finite(ranks, np.flatnonzero(~np.isfinite(rates)), f"{ratio} is not finite")
     powers = np.empty(len(g))
     powers[seq] = p_seq
-    rates = np.full(len(g), np.nan)
-    if np.all(p_seq >= 0.0):
-        rates[seq] = _sequence_rates(g_seq, p_seq, noise)
     feasible, diagnostic = check_feasibility(powers, rates, reqs, p_max)
-    return NomaSolution(
-        order=ranks,
-        powers=powers,
-        rates=rates,
-        sum_rate=float(np.sum(rates)),
-        feasible=feasible,
-        diagnostic=diagnostic,
-    )
+    return NomaSolution(ranks, powers, rates, sum_rate, feasible, diagnostic)
+
+
+def _not_finite(ranks: tuple[int, ...], users: np.ndarray, what: str) -> NomaSolution:
+    """solve's infeasible verdict when `what` overflows a float for `users`."""
+    nan = np.full(len(ranks), np.nan)
+    return NomaSolution(ranks, nan, nan.copy(), math.nan, False, f"user {users.min() + 1} {what}")
 
 
 MAX_BRUTE_FORCE_USERS = 4

@@ -13,8 +13,9 @@ One engine, ascend, runs the loop: every start of one user is a lane of a
 single array program over (starts x paths) arrays, each lane with its own
 stop rule. A multistart search therefore costs a fraction of running its
 starts one after another (ten extra starts take about 1.5 to 2 times as long
-as one start, not eleven times), and each lane reproduces the scalar helpers
-below (sca_step, channel_gain) bit for bit, whichever lanes run beside it.
+as one start, not eleven times). Each step runs _minorant and _newton_step
+over lanes; lipschitz_delta, surrogate_gradient and sca_step are their
+one-lane calls, and the paper-form helpers are independent oracles.
 """
 
 from __future__ import annotations
@@ -32,13 +33,12 @@ from manoma.channel import (
     UserChannel,
     channel_coefficient,
     field_response_vector,
+    lane_coefficients,
+    lane_gains,
+    lane_phases,
 )
 
-# Curvature constant of lipschitz_delta, and the phase factor of
-# field_response_vector, each kept as one constant so the batched ascent
-# rounds exactly as the scalar helpers do.
 _CURVATURE = 8.0 * math.pi**2
-_J_TWO_PI = 1j * TWO_PI
 
 
 @dataclass(frozen=True)
@@ -100,20 +100,42 @@ def surrogate_value(z: Position, z_ref: Position, ch: UserChannel) -> float:
     return float(np.real(np.vdot(b, field_response_vector(z, ch))))
 
 
-def _kappa(z: Position, b: np.ndarray, ch: UserChannel) -> np.ndarray:
-    """Per-path phase of the surrogate cosine sum: path phase minus anchor phase."""
-    rho = z.x * ch.direction_x + z.y * ch.direction_y
-    return TWO_PI * rho - np.angle(b)
+def _minorant(rho, h, prv_rows, dirs) -> tuple[np.ndarray, np.ndarray]:
+    """Curvature bounds (lanes,) and surrogate gradients (lanes, 2). One row of
+    path responses per lane makes the anchor prv * h round alike anywhere."""
+    b = prv_rows * h[:, None]
+    mag = np.abs(b)
+    s = np.sin(TWO_PI * rho - np.arctan2(b.imag, b.real))
+    grad = -TWO_PI * np.add.reduce(mag[:, None, :] * dirs * s[:, None, :], axis=2)
+    return _CURVATURE * np.add.reduce(mag, axis=1), grad
+
+
+def _newton_step(z: np.ndarray, delta: np.ndarray, grad: np.ndarray, half: float) -> np.ndarray:
+    """Each lane's Newton point z + grad/delta, clamped to the box; a lane with
+    zero curvature (zero anchor) stays put, divided by 1 to keep out 0/0."""
+    flat = delta == 0.0
+    any_flat = np.count_nonzero(flat)
+    if any_flat:
+        delta = np.where(flat, 1.0, delta)
+    z_new = (z + grad / delta[:, None]).clip(-half, half)
+    if any_flat:
+        z_new[flat] = z[flat]
+    return z_new
+
+
+def _require_energy(ch: UserChannel) -> None:
+    if ch.power == 0.0:
+        raise DegenerateChannelError("all-zero path responses: gain is identically zero")
+
+
+def _minorant_at(z_ref: Position, ch: UserChannel) -> tuple[np.ndarray, np.ndarray]:
+    rho = lane_phases(z_ref.as_array()[None], *ch.directions)
+    return _minorant(rho, lane_coefficients(rho, ch.prv), ch.prv[None], ch.directions)
 
 
 def surrogate_gradient(z_ref: Position, ch: UserChannel) -> np.ndarray:
     """Gradient of the linearized surrogate at its own expansion point."""
-    b = anchor_vector(z_ref, ch)
-    mag = np.abs(b)
-    s = np.sin(_kappa(z_ref, b, ch))
-    gx = -TWO_PI * float(np.sum(mag * ch.direction_x * s))
-    gy = -TWO_PI * float(np.sum(mag * ch.direction_y * s))
-    return np.array([gx, gy])
+    return _minorant_at(z_ref, ch)[1][0]
 
 
 def lipschitz_delta(z_ref: Position, ch: UserChannel) -> float:
@@ -124,10 +146,8 @@ def lipschitz_delta(z_ref: Position, ch: UserChannel) -> float:
     exact gain null; an all-zero path response has no optimization problem at
     all and is rejected.
     """
-    if ch.power == 0.0:
-        raise DegenerateChannelError("all-zero path responses: gain is identically zero")
-    b = anchor_vector(z_ref, ch)
-    return _CURVATURE * float(np.sum(np.abs(b)))
+    _require_energy(ch)
+    return float(_minorant_at(z_ref, ch)[0][0])
 
 
 def quadratic_surrogate(z: Position, z_ref: Position, ch: UserChannel) -> float:
@@ -148,22 +168,9 @@ def sca_step(z_ref: Position, ch: UserChannel, region: MoveRegion) -> Position:
     bound means the anchor is zero (gain null with a flat surrogate); the
     point is stationary and is returned unchanged.
     """
-    delta = lipschitz_delta(z_ref, ch)
-    if delta == 0.0:
-        return z_ref
-    grad = surrogate_gradient(z_ref, ch)
-    target = region.clamp(z_ref.as_array() + grad / delta)
-    return Position(float(target[0]), float(target[1]))
-
-
-def _coefficients(rho: np.ndarray, prv: np.ndarray) -> np.ndarray:
-    """Channel coefficient of every lane from its (lanes, paths) phases.
-
-    np.vecdot takes one conjugated dot product per row, the same reduction
-    as np.vdot in channel_coefficient, so it matches that bit for bit; a
-    (lanes x paths) @ (paths,) product sums in a different order and does not.
-    """
-    return np.vecdot(prv, np.exp(_J_TWO_PI * rho))
+    _require_energy(ch)
+    z = _newton_step(z_ref.as_array()[None], *_minorant_at(z_ref, ch), region.half)
+    return Position(float(z[0, 0]), float(z[0, 1]))
 
 
 def ascend(
@@ -176,25 +183,22 @@ def ascend(
     """Run the ascent from every start at once, one lane per start.
 
     starts has shape (lanes, 2); callers check that they lie in the region.
-    Every lane takes exactly the steps that sca_step and channel_gain would
-    take from its start, bit for bit: the channel coefficient is evaluated
-    once per iterate and yields the gain, the anchor vector and the path
-    phases of the next step. A lane stops once its gain improves by less
-    than the threshold (the accepted step is kept), when a step would lower
-    its gain (the step is dropped; this guards floating-point edge cases), or
-    at the iteration cap. A stopped lane is written out and removed from the
-    working arrays, so no lane depends on which others run beside it.
+    Every lane takes the steps sca_step takes from its start, and each
+    iterate's coefficient gives its gain and its next step. A lane stops once
+    its gain improves by less than the threshold (the accepted step is kept),
+    when a step would lower its gain (the step is dropped; this guards
+    floating-point edge cases), or at the iteration cap. A stopped lane is
+    written out and removed from the working arrays, so no lane depends on
+    which others run beside it.
 
     Returns the final positions (lanes, 2), gains (lanes,) and iteration
     counts (lanes,). When history is a list, one (iteration, lanes,
     positions, gains) entry is appended per step, holding the lanes whose
     step was accepted; iteration 0 holds the starts.
     """
-    if ch.power == 0.0:
-        raise DegenerateChannelError("all-zero path responses: gain is identically zero")
-    dir_x = ch.direction_x
-    dir_y = ch.direction_y
-    dir_xy = np.stack((dir_x, dir_y))
+    _require_energy(ch)
+    prv, dirs = ch.prv, ch.directions
+    dir_x, dir_y = dirs
     half = region.half
     threshold = params.threshold
     last = params.max_iterations
@@ -205,43 +209,28 @@ def ascend(
     final_gain = np.empty(num_lanes)
     final_iteration = np.empty(num_lanes, dtype=int)
     live = np.arange(num_lanes)
-    # One contiguous copy of the path responses per lane: multiplying the
-    # rows by each lane's coefficient then rounds like prv * h in
-    # anchor_vector for every path count, including a single path.
-    prv_rows = np.tile(ch.prv, (num_lanes, 1))
+    prv_rows = np.tile(prv, (num_lanes, 1))
 
-    rho = z[:, :1] * dir_x + z[:, 1:] * dir_y
-    h = _coefficients(rho, ch.prv)
-    gain = h.real * h.real + h.imag * h.imag
+    rho = lane_phases(z, dir_x, dir_y)
+    h = lane_coefficients(rho, prv)
+    gain = lane_gains(h)
     if history is not None:
         history.append((0, live, z, gain))
     for i in range(1, last + 1):
-        # Surrogate maximizer (sca_step) from the anchor b = prv * h.
-        b = prv_rows[: len(live)] * h[:, None]
-        mag = np.abs(b)
-        delta = _CURVATURE * np.add.reduce(mag, axis=1)
-        s = np.sin(TWO_PI * rho - np.arctan2(b.imag, b.real))
-        grad = -TWO_PI * np.add.reduce(mag[:, None, :] * dir_xy * s[:, None, :], axis=2)
-        # A zero anchor (exact gain null) has zero curvature and gradient:
-        # sca_step leaves the lane where it is, and the zero gain increase
-        # then stops it. Dividing by 1 instead keeps 0/0 out of the step.
-        flat = delta == 0.0
-        any_flat = np.count_nonzero(flat)
-        if any_flat:
-            delta[flat] = 1.0
-        z_new = (z + grad / delta[:, None]).clip(-half, half)
-        if any_flat:
-            z_new[flat] = z[flat]
-
-        rho_new = z_new[:, :1] * dir_x + z_new[:, 1:] * dir_y
-        h_new = _coefficients(rho_new, ch.prv)
-        gain_new = h_new.real * h_new.real + h_new.imag * h_new.imag
+        # sca_step and channel_gain of every live lane.
+        z_new = _newton_step(z, *_minorant(rho, h, prv_rows[: len(live)], dirs), half)
+        rho_new = lane_phases(z_new, dir_x, dir_y)
+        h_new = lane_coefficients(rho_new, prv)
+        gain_new = lane_gains(h_new)
         increase = gain_new - gain
         if history is not None:
             kept = ~(increase < 0.0)
             history.append((i, live[kept], z_new[kept], gain_new[kept]))
-        # threshold >= 0, so a step that lowers the gain also stops its lane.
-        done = (increase < threshold) | (increase == 0.0) | (i == last)
+        # threshold >= 0, so a step that lowers the gain also stops its lane,
+        # and so does a zero increase, which threshold 0 needs tested apart.
+        done = increase < threshold if threshold else increase <= 0.0
+        if i == last:
+            done[:] = True
         if np.count_nonzero(done):
             out = live[done]
             dropped = increase[done] < 0.0
@@ -334,9 +323,7 @@ def grid_oracle(
             ticks = np.concatenate(([-half], ticks))
         if ticks[-1] < half - 1e-12 * max(half, 1.0):
             ticks = np.concatenate((ticks, [half]))
-    xs, ys = np.meshgrid(ticks, ticks, indexing="ij")
-    phase = xs[..., None] * ch.direction_x + ys[..., None] * ch.direction_y
-    coeff = np.exp(1j * TWO_PI * phase) @ np.conj(ch.prv)
-    gains = coeff.real**2 + coeff.imag**2
-    i, j = np.unravel_index(int(np.argmax(gains)), gains.shape)
-    return Position(float(xs[i, j]), float(ys[i, j])), float(gains[i, j])
+    points = np.stack([axis.ravel() for axis in np.meshgrid(ticks, ticks, indexing="ij")], 1)
+    gains = lane_gains(lane_coefficients(lane_phases(points, *ch.directions), ch.prv))
+    best = int(np.argmax(gains))
+    return Position(float(points[best, 0]), float(points[best, 1])), float(gains[best])

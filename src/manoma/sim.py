@@ -83,6 +83,14 @@ class ScenarioConfig:
             raise ValueError(f"realizations must be at least 1, got {self.realizations}")
         if not 0 <= self.seed < _MAX_SEED:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        if not 0.0 < dbm_to_mw(self.noise_dbm) < math.inf:
+            raise ValueError(f"noise_dbm must be positive and finite in mW, got {self.noise_dbm}")
+        if dbm_to_mw(self.p_max_dbm) == math.inf:
+            raise ValueError(f"p_max_dbm must be finite in mW, got {self.p_max_dbm}")
+        for d in self.distance_range:
+            if not 0.0 < _pow(d, -self.pathloss_exponent) < math.inf:
+                rule = "must give a finite, nonzero path gain distance**-pathloss_exponent"
+                raise ValueError(f"distance_range and pathloss_exponent {rule}, got {d!r} m")
 
 
 @dataclass(frozen=True)
@@ -102,9 +110,17 @@ class SweepRow:
         return self.infeasible_count / self.realizations
 
 
+def _pow(base: float, exponent: float) -> float:
+    """base**exponent, or inf where that is too large for a float."""
+    try:
+        return base**exponent
+    except OverflowError:
+        return math.inf
+
+
 def dbm_to_mw(dbm: float) -> float:
-    """Decibel-milliwatts to milliwatts."""
-    return 10.0 ** (dbm / 10.0)
+    """Decibel-milliwatts to milliwatts; inf where too large for a float."""
+    return _pow(10.0, dbm / 10.0)
 
 
 @dataclass(frozen=True)

@@ -383,6 +383,55 @@ def test_sweep_rejects_overflowing_r_min_before_compute(tmp_path, capsys, monkey
     assert not out_csv.exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "sweep", "optimize"])
+@pytest.mark.parametrize(
+    "line, prefix",
+    [
+        ('noise = "-4000 dBm"', "noise must be positive and finite in mW"),  # 0 mW
+        ('noise = "4000 dBm"', "noise must be positive and finite in mW"),  # overflows
+        ('p_max = "3090 dBm"', "p_max must be finite in mW"),
+        # The path gain distance**-pathloss_exponent overflows, then underflows twice.
+        ('distance_range = "[1e-100, 1e-100] m"', "distance_range and pathloss_exponent"),
+        ('distance_range = "[1e100, 1e100] m"', "distance_range and pathloss_exponent"),
+        ("pathloss_exponent = 400", "distance_range and pathloss_exponent"),
+    ],
+)
+def test_unrepresentable_values_fail_at_config_time(
+    tmp_path, capsys, monkeypatch, command, line, prefix
+):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("the command computed despite an unrepresentable config value")
+
+    monkeypatch.setattr(cli, "sweep_power", no_compute)
+    monkeypatch.setattr(cli, "draw_users", no_compute)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\nrealizations = 1\n")
+    out_csv = tmp_path / "never.csv"
+    argv = [command, "--config", str(cfg)] + (["--out", str(out_csv)] if command == "sweep" else [])
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"config error: {prefix}")
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("points", ["3090", "10,3090"])
+def test_sweep_rejects_power_points_too_large_for_a_float(
+    fast_config, tmp_path, capsys, monkeypatch, points
+):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("the sweep ran despite a power point too large for a float")
+
+    monkeypatch.setattr(cli, "sweep_power", no_compute)
+    out_csv = tmp_path / "never.csv"
+    code, _, err = run_cli(
+        ["sweep", "--config", fast_config, "--points", points, "--out", str(out_csv)], capsys
+    )
+    assert code == 2
+    assert err.startswith("config error: --points: power points must be finite in mW, got '3090'")
+    assert not out_csv.exists()
+
+
 def test_sweep_unwritable_output_is_io_error(fast_config, capsys):
     code, _, err = run_cli(
         ["sweep", "--config", fast_config, "--points", "10", "--out", "/no/such/dir/out.csv"],

@@ -796,3 +796,23 @@ def test_property_monotone_in_power_cap(instance, factor):
     if low.feasible:
         assert high.feasible
         assert high.sum_rate >= low.sum_rate - 1e-9
+
+
+@pytest.mark.parametrize(
+    "p_max, user, quantity",
+    [
+        # User 1 is decoded last and sees noise only: 1e305 / 1e-300.
+        (1e5, 1, "received-power ratio g * p / (interference + noise) is not finite"),
+        # User 2 is decoded first: 2e300 * 1e10 overflows before any rate.
+        (1e10, 2, "headroom g * p_max / alpha is not finite"),
+    ],
+)
+def test_overflow_on_finite_inputs_is_infeasible_without_warnings(p_max, user, quantity):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve([1e300, 2e300], [RateRequirement(0.5)] * 2, p_max, 1e-300)
+    assert not sol.feasible
+    assert sol.diagnostic == f"user {user} {quantity}"
+    assert sol.order == (2, 1)
+    assert np.all(np.isnan(sol.powers)) and np.all(np.isnan(sol.rates))
+    assert math.isnan(sol.sum_rate)

@@ -436,6 +436,36 @@ def test_engine_matches_sequential_loop_bit_for_bit():
     assert capped >= 10  # the iteration cap is exercised, not just early stops
 
 
+@pytest.mark.parametrize("multistart", [0, 10])
+def test_engine_matches_sequential_loop_at_zero_threshold(multistart):
+    # At threshold 0 a lane stops only on a zero gain increase (the step is
+    # kept), a gain decrease (the step is dropped) or the iteration cap.
+    cfg = ScenarioConfig()
+    region = MoveRegion(cfg.region_side)
+    params = ScaParams(threshold=0.0, multistart=multistart)
+    rng = np.random.default_rng(2025)
+    zero_increase_stops = 0
+    for k in range(20):
+        ch = sample_user_channel(cfg, rng).normalized()
+        draws = np.random.default_rng(k)
+        starts = [Position(0.0, 0.0)] + [
+            Position(*(float(v) for v in draws.uniform(-region.half, region.half, 2)))
+            for _ in range(multistart)
+        ]
+        z, gains, iterations = ascend(ch, region, params, np.array([s.as_array() for s in starts]))
+        for lane, start in enumerate(starts):
+            states = _reference_lane(ch, region, params, start)
+            assert _bits(Position(*z[lane]), gains[lane], iterations[lane]) == _bits(*states[-1])
+            last, before = states[-1], states[-2] if len(states) > 1 else None
+            if last[2] < params.max_iterations and before and last[1] == before[1]:
+                zero_increase_stops += 1
+        trajectory = sca_trajectory(ch, region, params, starts[0])
+        assert [_bits(s.current, s.gain, s.iteration) for s in trajectory] == [
+            _bits(*state) for state in _reference_lane(ch, region, params, starts[0])
+        ]
+    assert zero_increase_stops >= 1
+
+
 @pytest.mark.parametrize("num_paths", [1, 2, 3, 8, 9, 17])
 def test_engine_matches_sequential_loop_for_any_path_count(num_paths):
     # Path counts on both sides of numpy's 8-wide summation blocks, and the
@@ -534,6 +564,18 @@ def test_grid_oracle_step_validation():
     ch = _random_channel(rng)
     with pytest.raises(ValueError):
         grid_oracle(ch, MoveRegion(1.0), step=0.0)
+
+
+def test_grid_oracle_gain_is_channel_gain_at_its_point():
+    # The oracle evaluates its grid through the same phase and coefficient
+    # kernels as channel_gain, so its reported gain is that gain, bit for bit.
+    cfg = ScenarioConfig()
+    region = MoveRegion(cfg.region_side)
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        ch = sample_user_channel(cfg, rng).normalized()
+        pos, gain = grid_oracle(ch, region, step=0.05)
+        assert float(gain).hex() == float(channel_gain(pos, ch)).hex()
 
 
 def test_multistart_tracks_grid_oracle():

@@ -59,6 +59,13 @@ def test_dbm_to_mw(dbm, mw):
         dict(seed=-1),
         dict(pathloss_exponent=0.0),
         dict(r_min=1100.0),
+        # Finite values whose mW power or path gain a float cannot hold.
+        dict(noise_dbm=-4000.0),
+        dict(noise_dbm=4000.0),
+        dict(p_max_dbm=3090.0),
+        dict(distance_range=(1e-100, 1e-100)),
+        dict(distance_range=(1e100, 1e100)),
+        dict(pathloss_exponent=400.0),
     ],
 )
 def test_config_validation(bad):
