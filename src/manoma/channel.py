@@ -74,10 +74,6 @@ class MoveRegion:
     def contains(self, z: Position, tol: float = 1e-12) -> bool:
         return abs(z.x) <= self.half + tol and abs(z.y) <= self.half + tol
 
-    def clamp(self, xy: np.ndarray) -> np.ndarray:
-        """Coordinate-wise projection onto the square."""
-        return np.clip(xy, -self.half, self.half)
-
 
 @dataclass(frozen=True)
 class UserChannel:

@@ -182,31 +182,26 @@ class LoadedConfig:
 def load_config(path: str | None) -> LoadedConfig:
     """Read a config file or a sweep manifest; None means all defaults.
 
-    A JSON object with a "config" member is treated as a manifest and also
-    carries the sweep axis and points that produced it.
+    JSON is read as a manifest: an object whose "config" member is an object.
+    A manifest also carries the sweep axis and points that produced it.
     """
     if path is None:
         return LoadedConfig(raw={})
     try:
-        text = open(path, encoding="utf-8").read()
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc.strerror or exc}") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError:
         return LoadedConfig(raw=parse_config_text(text))
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: JSON config must be an object")
-    if "config" in doc:
-        raw = doc["config"]
-        if not isinstance(raw, dict):
-            raise ConfigError(f"{path}: manifest 'config' must be an object")
-        return LoadedConfig(
-            raw={k: str(v) for k, v in raw.items()},
-            sweep=doc.get("sweep"),
-            points=doc.get("points"),
-        )
-    return LoadedConfig(raw={k: str(v) for k, v in doc.items()})
+    raw = doc.get("config") if isinstance(doc, dict) else None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: a JSON config must be a sweep manifest with a 'config' object")
+    return LoadedConfig(
+        raw={k: str(v) for k, v in raw.items()}, sweep=doc.get("sweep"), points=doc.get("points")
+    )
 
 
 def _apply_flag_overrides(raw: dict[str, str], args) -> dict[str, str]:
@@ -262,6 +257,8 @@ def _parse_points(key: str, items: list[str], sweep: str) -> list:
                 raise ConfigError(
                     f"{key}: user counts must be integers, got {item!r}"
                 ) from None
+            if points[-1] < 1:
+                raise ConfigError(f"{key}: user counts must be at least 1, got {item!r}")
         return points
     points = [_parse_float(key, item) for item in items]
     for item, point in zip(items, points):
@@ -354,13 +351,8 @@ def cmd_sweep(args) -> int:
         file=sys.stderr,
     )
     start = time.monotonic()
-    if sweep == "power":
-        rows = sweep_power(cfg, points, workers=args.workers)
-    else:
-        try:
-            rows = sweep_users(cfg, points, workers=args.workers)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+    run = sweep_users if sweep == "users" else sweep_power
+    rows = run(cfg, points, workers=args.workers)
     duration = time.monotonic() - start
     for i, point in enumerate(points):
         chunk = rows[i * len(SCHEMES) : (i + 1) * len(SCHEMES)]

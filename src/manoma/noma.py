@@ -258,19 +258,11 @@ def _window_sums(g: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return sums, np.concatenate(([0.0], sums[:, 0]))
 
 
-def _headroom(g: np.ndarray, a: np.ndarray, p_max: float) -> np.ndarray:
-    """g_i p_max / a_i of every constrained user i but the last, at index
-    num-1+i; NaN pads the rest (users that constrain no one, and i < 0)."""
-    num = len(g)
-    headroom = np.full(2 * num - 2, np.nan)
-    constrained = np.flatnonzero(a[:-1] > 0.0)
-    headroom[num - 1 + constrained] = g[constrained] * p_max / a[constrained]
-    return headroom
-
-
-def _saturating_powers(g, c, headroom, sums, later, p_max: float, noise: float) -> np.ndarray:
-    """power_allocation on validated inputs, their minimum-rate powers c,
-    _headroom and _window_sums.
+def _saturating_powers(g, a, c, sums, later, p_max: float, noise: float):
+    """power_allocation on validated inputs, their minimum-rate powers c and
+    _window_sums, as (headroom, powers). headroom[num-1+i] = g_i p_max / a_i
+    for every constrained user i but the last; NaN pads the rest. Overflow is
+    left as inf or NaN for the caller to judge, never warned about.
 
     User k may send at most (g_i p_max / a_i - sum(g[i+1:k]) p_max - later_k
     - noise) / g_k while each constrained user i < k keeps its rate, where
@@ -280,19 +272,23 @@ def _saturating_powers(g, c, headroom, sums, later, p_max: float, noise: float) 
     """
     num = len(g)
     p = np.full(num, p_max, dtype=float)
+    headroom = np.full(2 * num - 2, np.nan)
     if num == 1:
-        return p
-    caps = _windows(headroom, num) - sums * p_max
-    caps -= later
-    caps -= noise
-    caps /= g
-    cap = np.fmin.reduce(caps, axis=0)  # NaN where no user constrains k
+        return headroom, p
+    constrained = np.flatnonzero(a[:-1] > 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        headroom[num - 1 + constrained] = g[constrained] * p_max / a[constrained]
+        caps = _windows(headroom, num) - sums * p_max
+        caps -= later
+        caps -= noise
+        caps /= g
+        cap = np.fmin.reduce(caps, axis=0)  # NaN where no user constrains k
     backs_off = np.flatnonzero(cap[1:] < p_max)
     if len(backs_off):
         k = int(backs_off[0]) + 1
         p[k] = cap[k]
         p[k + 1 :] = c[k + 1 :]
-    return p
+    return headroom, p
 
 
 def power_allocation(gains_in_order, alphas_in_order, p_max: float, noise: float) -> np.ndarray:
@@ -307,7 +303,7 @@ def power_allocation(gains_in_order, alphas_in_order, p_max: float, noise: float
     """
     g, a = _allocation_inputs(gains_in_order, alphas_in_order, p_max, noise)
     c = _minimum_rate_powers(g, a, noise)
-    return _saturating_powers(g, c, _headroom(g, a, p_max), *_window_sums(g, c), p_max, noise)
+    return _saturating_powers(g, a, c, *_window_sums(g, c), p_max, noise)[1]
 
 
 def check_feasibility(powers, rates, reqs, p_max: float) -> tuple[bool, str | None]:
@@ -379,13 +375,12 @@ def solve(gains, reqs, p_max: float, noise: float) -> NomaSolution:
     if sums is None:
         why = "the product of (1 + alpha) over the users decoded after it overflows"
         return _not_finite(ranks, seq[overflow], f"minimum-rate power is not finite: {why}")
-    # Overflow in the finish is reported below instead of warned about.
-    with np.errstate(over="ignore", invalid="ignore"):
-        headroom = _headroom(g_seq, a_seq, p_max)
-        p_seq = _saturating_powers(g_seq, c_seq, headroom, sums, later, p_max, noise)
-        rates = np.full(len(g), np.nan)
-        computed = bool(np.all(p_seq >= 0.0))
-        if computed:
+    headroom, p_seq = _saturating_powers(g_seq, a_seq, c_seq, sums, later, p_max, noise)
+    rates = np.full(len(g), np.nan)
+    computed = bool(np.all(p_seq >= 0.0))
+    if computed:
+        # An overflowing ratio is reported below instead of warned about.
+        with np.errstate(over="ignore", invalid="ignore"):
             rates[seq] = _sequence_rates(g_seq, p_seq, noise)
     too_large = np.isinf(headroom)
     if too_large.any():

@@ -9,11 +9,13 @@ every user could be phase-aligned simultaneously (UPPER-BOUND).
 One pipeline serves every entry point, in stages. `draw_users` spawns one
 child stream per user, samples every user's channel, positions every
 antenna on the unit-power channels, and evaluates the gains there and at
-the region center. The five scheme rates are then computed on those draws
-for every sweep point, and `sweep_power` / `sweep_users` aggregate the
-realizations into `SweepRow`s. A one-point `sweep_power` at the config's
-power is the plain Monte Carlo estimate; `run_realization` gives one
-realization's rates, as row 0 of that one-point table.
+the region center. `_realization_table` computes the five scheme rates on
+one draw of the largest user count for every (user count, power cap) pair,
+a smaller count on a prefix of the users, and knows no sweep axis.
+`sweep_power` and `sweep_users` check their points before any draw and
+aggregate the realizations into `SweepRow`s. A one-point `sweep_power` at
+the config's power is the plain Monte Carlo estimate; `run_realization`
+gives one realization's rates, as row 0 of that one-point table.
 
 Position optimization happens once per channel draw: transmit power never
 enters the gain objective, so a power sweep reuses the same positions, and
@@ -85,8 +87,7 @@ class ScenarioConfig:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if not 0.0 < dbm_to_mw(self.noise_dbm) < math.inf:
             raise ValueError(f"noise_dbm must be positive and finite in mW, got {self.noise_dbm}")
-        if dbm_to_mw(self.p_max_dbm) == math.inf:
-            raise ValueError(f"p_max_dbm must be finite in mW, got {self.p_max_dbm}")
+        _check_finite_mw("p_max_dbm", self.p_max_dbm)
         for d in self.distance_range:
             if not 0.0 < _pow(d, -self.pathloss_exponent) < math.inf:
                 rule = "must give a finite, nonzero path gain distance**-pathloss_exponent"
@@ -121,6 +122,12 @@ def _pow(base: float, exponent: float) -> float:
 def dbm_to_mw(dbm: float) -> float:
     """Decibel-milliwatts to milliwatts; inf where too large for a float."""
     return _pow(10.0, dbm / 10.0)
+
+
+def _check_finite_mw(name: str, dbm: float) -> None:
+    """The rule for a transmit power in dBm: finite once converted to mW."""
+    if not dbm_to_mw(dbm) < math.inf:
+        raise ValueError(f"{name} must be finite in mW, got {dbm}")
 
 
 @dataclass(frozen=True)
@@ -198,25 +205,25 @@ def run_realization(cfg: ScenarioConfig, index: int) -> dict[str, float]:
     Returns scheme label to sum rate in bps/Hz; NaN flags an infeasible NOMA
     draw (the minimum rates cannot all be met).
     """
-    return dict(zip(SCHEMES, _realization_table(cfg, "power", [cfg.p_max_dbm], index)[0]))
+    table = _realization_table(cfg, (cfg.num_users,), (cfg.p_max_dbm,), index)
+    return dict(zip(SCHEMES, table[0]))
 
 
-def _realization_table(cfg: ScenarioConfig, sweep: str, values, index: int) -> np.ndarray:
-    """Rates for one realization at every sweep point, shape (points, schemes)."""
+def _realization_table(
+    cfg: ScenarioConfig, user_counts, p_max_dbm_values, index: int
+) -> np.ndarray:
+    """Rates for one realization at every (user count, power cap) pair,
+    count-major, shape (counts * caps, schemes). The largest count is drawn
+    once and a smaller count evaluates a prefix of its users."""
+    draws = draw_users(cfg, index, max(user_counts))
+    p_max = [dbm_to_mw(p_dbm) for p_dbm in p_max_dbm_values]
     noise = dbm_to_mw(cfg.noise_dbm)
-    if sweep == "power":
-        draws = draw_users(cfg, index, cfg.num_users)
-        return _scheme_rates(draws, cfg.r_min, [dbm_to_mw(p_dbm) for p_dbm in values], noise)
-    if sweep == "users":
-        draws = draw_users(cfg, index, max(values))
-        p_max = [dbm_to_mw(cfg.p_max_dbm)]
-        return np.concatenate([_scheme_rates(draws[:k], cfg.r_min, p_max, noise) for k in values])
-    raise ValueError(f"unknown sweep axis {sweep!r}")
+    return np.concatenate([_scheme_rates(draws[:k], cfg.r_min, p_max, noise) for k in user_counts])
 
 
-def _collect(cfg: ScenarioConfig, sweep: str, values, workers: int) -> np.ndarray:
+def _collect(cfg: ScenarioConfig, user_counts, p_max_dbm_values, workers: int) -> np.ndarray:
     """All realizations' rate tables, shape (realizations, points, schemes)."""
-    job = partial(_realization_table, cfg, sweep, tuple(values))
+    job = partial(_realization_table, cfg, tuple(user_counts), tuple(p_max_dbm_values))
     indices = range(cfg.realizations)
     if workers <= 1:
         tables = [job(i) for i in indices]
@@ -260,19 +267,24 @@ def sweep_power(cfg: ScenarioConfig, p_max_dbm_values, workers: int = 1) -> list
     exact same channel draws and antenna positions (positions do not depend
     on power, so pairing is free variance reduction). A one-point sweep at
     cfg.p_max_dbm is the Monte Carlo estimate at the config's operating
-    point."""
+    point. Every point must be finite in mW, as cfg.p_max_dbm must."""
     values = [float(v) for v in p_max_dbm_values]
     if not values:
         raise ValueError("at least one power value is required")
-    return _aggregate(_collect(cfg, "power", values, workers), values)
+    for value in values:
+        _check_finite_mw("power point", value)
+    return _aggregate(_collect(cfg, (cfg.num_users,), values, workers), values)
 
 
 def sweep_users(cfg: ScenarioConfig, k_values, workers: int = 1) -> list[SweepRow]:
     """Sum rates versus user count at the config's power cap; smaller user
-    counts evaluate a prefix of the larger counts' draws."""
-    values = [int(k) for k in k_values]
+    counts evaluate a prefix of the larger counts' draws. Counts must be
+    integers of at least 1; 2.5 is rejected, not truncated."""
+    values = [float(k) for k in k_values]
     if not values:
         raise ValueError("at least one user count is required")
-    if min(values) < 1:
-        raise ValueError(f"user counts must be at least 1, got {min(values)}")
-    return _aggregate(_collect(cfg, "users", values, workers), values)
+    for k in values:
+        if not (k.is_integer() and k >= 1):
+            raise ValueError(f"user counts must be integers of at least 1, got {k:g}")
+    counts = [int(k) for k in values]
+    return _aggregate(_collect(cfg, counts, (cfg.p_max_dbm,), workers), counts)

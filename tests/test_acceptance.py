@@ -263,7 +263,7 @@ def test_criterion_08_power_sweep_reproduction():
     cfg = ScenarioConfig(seed=20260817, realizations=200)
     points = (0.0, 5.0, 10.0, 15.0, 20.0)
     tables = np.array(
-        [_realization_table(cfg, "power", points, r) for r in range(cfg.realizations)]
+        [_realization_table(cfg, (cfg.num_users,), points, r) for r in range(cfg.realizations)]
     )
     # per-realization: every scheme is capped by the aligned-phase bound
     diff = tables[:, :, :4] - tables[:, :, 4:]
@@ -290,7 +290,7 @@ def test_criterion_09_user_sweep_reproduction():
     cfg = ScenarioConfig(seed=20260818, realizations=200, p_max_dbm=10.0)
     ks = (2, 4, 6, 8)
     tables = np.array(
-        [_realization_table(cfg, "users", ks, r) for r in range(cfg.realizations)]
+        [_realization_table(cfg, ks, (cfg.p_max_dbm,), r) for r in range(cfg.realizations)]
     )
     means = np.nanmean(tables, axis=0)  # (ks, schemes)
     noma_ma = means[:, SCHEMES.index("NOMA-MA")]

@@ -158,19 +158,16 @@ def test_prv_is_read_only():
         ch.prv[0] = 0.0
 
 
-def test_region_contains_and_clamp():
+def test_region_contains_and_validates_side():
     region = MoveRegion(side=2.0)
     assert region.contains(Position(1.0, -1.0))
     assert not region.contains(Position(1.1, 0.0))
-    assert_allclose(region.clamp(np.array([3.0, -0.4])), [1.0, -0.4])
     with pytest.raises(ValueError):
         MoveRegion(side=-1.0)
     # A NaN side used to fail only at the first containment test.
     for side in (math.nan, math.inf):
         with pytest.raises(ValueError, match="side must be finite"):
             MoveRegion(side=side)
-    # Zero-area region pins the antenna to the origin.
-    assert_allclose(MoveRegion(side=0.0).clamp(np.array([0.3, -0.7])), [0.0, 0.0])
 
 
 def test_normalized_has_unit_power():

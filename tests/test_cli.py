@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import manoma.cli as cli
+import manoma.sim as sim
 
 from manoma.cli import CSV_HEADER, main, serialize_config
 from manoma.sim import SCHEMES, ScenarioConfig
@@ -243,7 +244,7 @@ def test_manifest_replay_reproduces_csv(fast_config, tmp_path, capsys):
     )
     assert code == 0
     manifest_path = str(first) + ".manifest.json"
-    manifest = json.loads(open(manifest_path).read())
+    manifest = json.loads(Path(manifest_path).read_text())
     assert manifest["sweep"] == "users"
     assert manifest["points"] == [1, 2]
     assert manifest["config"]["seed"] == "11"
@@ -292,6 +293,38 @@ def test_sweep_users_points_must_be_integers(fast_config, tmp_path, capsys):
     )
     assert code == 2
     assert "integers" in err
+
+
+def test_sweep_users_points_must_be_positive(fast_config, tmp_path, capsys, monkeypatch):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("the sweep ran despite a user count below 1")
+
+    monkeypatch.setattr(cli, "sweep_users", no_compute)
+    out_csv = tmp_path / "never.csv"
+    argv = ["sweep", "--config", fast_config, "--sweep", "users", "--points", "0,2"]
+    code, _, err = run_cli([*argv, "--out", str(out_csv)], capsys)
+    assert code == 2
+    assert "config error: --points:" in err
+    assert not out_csv.exists()
+
+
+def test_users_sweep_compute_errors_are_not_config_errors(fast_config, tmp_path, monkeypatch):
+    # Only bad input exits 2; a failure inside the compute propagates as it is.
+    def failing_solve(*args, **kwargs):
+        raise ValueError("failure inside the compute")
+
+    monkeypatch.setattr(sim, "solve", failing_solve)
+    argv = ["sweep", "--config", fast_config, "--sweep", "users", "--points", "2"]
+    with pytest.raises(ValueError, match="failure inside the compute"):
+        main([*argv, "--out", str(tmp_path / "x.csv")])
+
+
+def test_flat_json_config_is_rejected(tmp_path, capsys):
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps({"num_users": "2"}))
+    code, _, err = run_cli(["validate", "--config", str(path)], capsys)
+    assert code == 2
+    assert f"config error: {path}: a JSON config must be a sweep manifest" in err
 
 
 def test_sweep_rejects_non_finite_power_points(fast_config, tmp_path, capsys, monkeypatch):

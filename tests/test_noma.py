@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 import manoma.noma as noma
 from manoma.channel import DegenerateChannelError
@@ -816,3 +816,12 @@ def test_overflow_on_finite_inputs_is_infeasible_without_warnings(p_max, user, q
     assert sol.order == (2, 1)
     assert np.all(np.isnan(sol.powers)) and np.all(np.isnan(sol.rates))
     assert math.isnan(sol.sum_rate)
+
+
+def test_power_allocation_overflow_needs_no_warning():
+    # The headroom 2e300 * 1e10 / 0.414 overflows to inf, which caps nobody:
+    # power_allocation finishes under the same errstate as solve.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        powers = power_allocation([2e300, 1e300], [0.414, 0.414], 1e10, 1e-300)
+    assert_array_equal(powers, [1e10, 1e10])

@@ -355,5 +355,22 @@ def test_sweep_input_validation():
         sweep_power(cfg, [])
     with pytest.raises(ValueError):
         sweep_users(cfg, [])
-    with pytest.raises(ValueError):
-        sweep_users(cfg, [0, 2])
+    # A count of 2.5 is rejected, not truncated to 2.
+    for counts in ([0, 2], [2.5], [math.nan], [math.inf]):
+        with pytest.raises(ValueError, match="user counts must be integers of at least 1"):
+            sweep_users(cfg, counts)
+
+
+@pytest.mark.parametrize("point", [math.nan, 3090.0])
+def test_sweep_power_rejects_points_before_any_draw(monkeypatch, point):
+    # 3090 dBm is finite but overflows in mW; p_max_dbm obeys the same rule.
+    positions = []
+
+    def position_spy(*args, _fn=sim.optimize_position, **kwargs):
+        positions.append(args)
+        return _fn(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "optimize_position", position_spy)
+    with pytest.raises(ValueError, match="power point must be finite in mW"):
+        sweep_power(_small_cfg(), [point])
+    assert positions == []
