@@ -15,13 +15,11 @@ from manoma.channel import (
     channel_coefficient,
     channel_gain,
     field_response_vector,
-    propagation_delta,
     sample_user_channel,
 )
 from manoma.noma import (
     NomaSolution,
     RateRequirement,
-    brute_force_allocation,
     check_feasibility,
     decoding_order,
     oma_sum_rate,
@@ -29,10 +27,10 @@ from manoma.noma import (
     sinr_and_rates,
     solve,
 )
+from manoma.oracles import brute_force_allocation, grid_oracle, propagation_delta
 from manoma.positioner import (
     ScaParams,
     ScaState,
-    grid_oracle,
     optimize_position,
     sca_step,
     sca_trajectory,

@@ -134,12 +134,6 @@ class UserChannel:
         return UserChannel(self.angles, self.prv / math.sqrt(p), self.distance)
 
 
-def propagation_delta(z: Position, p: PathAngles) -> float:
-    """Extra travel distance of one path at position z versus the origin,
-    in wavelengths: x*sin(theta)*cos(phi) + y*cos(theta)."""
-    return z.x * math.sin(p.theta) * math.cos(p.phi) + z.y * math.cos(p.theta)
-
-
 def lane_phases(xy: np.ndarray, dir_x: np.ndarray, dir_y: np.ndarray) -> np.ndarray:
     """Per-path travel distances rho (lanes, paths) of (lanes, 2) positions."""
     return xy[:, :1] * dir_x + xy[:, 1:] * dir_y

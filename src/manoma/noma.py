@@ -40,7 +40,6 @@ quantity, and a ValueError names the quantity that breaks it:
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -103,15 +102,16 @@ def sinr_and_rates(gains, order, powers, noise: float) -> np.ndarray:
         raise ValueError(f"order {order!r} is not a permutation of 1..{len(g)}")
     seq = np.argsort(ranks)
     rates = np.empty(len(g))
-    rates[seq] = _sequence_rates(g[seq], p[seq], noise)
+    rates[seq] = _sequence_rates(g[seq], p[seq], noise)[0]
     return rates
 
 
-def _sequence_rates(g_seq: np.ndarray, p_seq: np.ndarray, noise: float) -> np.ndarray:
-    """sinr_and_rates on gains and powers already in decoding sequence."""
+def _sequence_rates(g_seq: np.ndarray, p_seq: np.ndarray, noise: float):
+    """sinr_and_rates on gains and powers already in decoding sequence, and
+    each user's interference, which never increases along the sequence."""
     received = g_seq * p_seq
     tail = np.concatenate((np.cumsum(received[::-1])[::-1][1:], [0.0]))
-    return np.log2(1.0 + received / (tail + noise))
+    return np.log2(1.0 + received / (tail + noise)), tail
 
 
 def sum_rate_collapsed(gains, powers, noise: float) -> float:
@@ -170,8 +170,16 @@ def _check_p_max(p_max: float) -> None:
 def _decoding_sequence(g: np.ndarray, a: np.ndarray) -> np.ndarray:
     """User indices in decoding order, on checked inputs; see decoding_order."""
     constrained = a > 0.0
+    g_c = g[constrained]
     key = -g
-    key[constrained] = -g[constrained] * (1.0 + 1.0 / a[constrained])
+    with np.errstate(over="ignore"):
+        weight = 1.0 + 1.0 / a[constrained]
+        key[constrained] = -g_c * weight
+        if np.isinf(key).any():
+            # Scaling the gains by a power of two scales every key exactly, so
+            # keys brought under 2**1023 sort as the exact products would.
+            exponent = int(np.max(np.frexp(g_c)[1] + np.frexp(weight)[1]))
+            key[constrained] = -np.ldexp(g_c, min(0, 1023 - exponent)) * weight
     # lexsort is stable, so equal keys keep the lower user index first.
     return np.lexsort((key, ~constrained))
 
@@ -221,8 +229,9 @@ def _minimum_rate_powers(g: np.ndarray, a: np.ndarray, noise: float) -> np.ndarr
     return c
 
 
-def _allocation_inputs(gains, alphas, p_max: float, noise: float):
-    """Checked gains and alphas; no check depends on the order of the users."""
+def check_allocation_inputs(gains, alphas, p_max: float, noise: float):
+    """Power control's input rule, returning the checked gains and alphas;
+    no check depends on the order of the users."""
     g, a = _per_user(gains, "alphas", alphas, GAIN_FLOOR)
     _check_users(g)
     _check_p_max(p_max)
@@ -250,11 +259,13 @@ def _window_sums(g: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     num = len(g)
     # received[m] = g c of user m+2, followed by the gains: a window of width
     # w starting at index r covers received[r:] exactly when r + w = num-2.
-    windows = _windows(np.concatenate((g[2:] * c[2:], g, np.zeros(num))), num)
     sums = np.empty((num - 1, num))
-    for r in range(num - 1):
-        # Positional (axis, dtype, out): keyword parsing costs more than the sum.
-        np.add.reduce(windows[r : r + num, : num - 2 - r], 1, None, sums[r])
+    # A sum too large for a float is inf; solve reports the cap that reads it.
+    with np.errstate(over="ignore"):
+        windows = _windows(np.concatenate((g[2:] * c[2:], g, np.zeros(num))), num)
+        for r in range(num - 1):
+            # Positional (axis, dtype, out): keyword parsing costs more than the sum.
+            np.add.reduce(windows[r : r + num, : num - 2 - r], 1, None, sums[r])
     return sums, np.concatenate(([0.0], sums[:, 0]))
 
 
@@ -301,7 +312,7 @@ def power_allocation(gains_in_order, alphas_in_order, p_max: float, noise: float
     come out negative or above p_max on infeasible instances; callers decide
     feasibility, nothing is clipped here.
     """
-    g, a = _allocation_inputs(gains_in_order, alphas_in_order, p_max, noise)
+    g, a = check_allocation_inputs(gains_in_order, alphas_in_order, p_max, noise)
     c = _minimum_rate_powers(g, a, noise)
     return _saturating_powers(g, a, c, *_window_sums(g, c), p_max, noise)[1]
 
@@ -364,11 +375,12 @@ def solve(gains, reqs, p_max: float, noise: float) -> NomaSolution:
     scatters powers and rates back to user order. The order, minimum-rate
     powers and window sums come from the plan cache, so repeated gains at
     new power caps only redo the caps. Infeasible draws are flagged, never
-    clipped. An overflowing minimum-rate power, headroom or received-power
-    ratio leaves powers and rates NaN, naming it and its lowest-indexed user.
+    clipped. An overflowing minimum-rate power, headroom, power cap,
+    interference or received-power ratio leaves powers and rates NaN, naming
+    it and its lowest-indexed user.
     """
     reqs = list(reqs)
-    g, alphas = _allocation_inputs(gains, [r.alpha for r in reqs], p_max, noise)
+    g, alphas = check_allocation_inputs(gains, [r.alpha for r in reqs], p_max, noise)
     seq, ranks, g_seq, a_seq, c_seq, overflow, sums, later = _plan(
         g.shape, g.tobytes(), alphas.tobytes(), float(noise)
     )
@@ -381,15 +393,25 @@ def solve(gains, reqs, p_max: float, noise: float) -> NomaSolution:
     if computed:
         # An overflowing ratio is reported below instead of warned about.
         with np.errstate(over="ignore", invalid="ignore"):
-            rates[seq] = _sequence_rates(g_seq, p_seq, noise)
+            rates[seq], interference = _sequence_rates(g_seq, p_seq, noise)
     too_large = np.isinf(headroom)
     if too_large.any():
         users = seq[np.flatnonzero(too_large) - (len(g) - 1)]
         return _not_finite(ranks, users, "headroom g * p_max / alpha is not finite")
+    if not computed:
+        # A cap that reads an overflowed sum is -inf, so it backs off; only the
+        # first user to back off takes its cap, and every later one its c.
+        blind = np.isneginf(p_seq)
+        if blind.any():
+            cap = "power cap (headroom - interference - noise) / g"
+            return _not_finite(ranks, seq[blind], f"{cap} is not finite")
     sum_rate = float(np.sum(rates))
     if computed and not math.isfinite(sum_rate):
         ratio = "received-power ratio g * p / (interference + noise)"
         return _not_finite(ranks, np.flatnonzero(~np.isfinite(rates)), f"{ratio} is not finite")
+    if computed and math.isinf(interference[0]):
+        users = seq[np.isinf(interference)]
+        return _not_finite(ranks, users, "interference g * p from later users is not finite")
     powers = np.empty(len(g))
     powers[seq] = p_seq
     feasible, diagnostic = check_feasibility(powers, rates, reqs, p_max)
@@ -400,83 +422,3 @@ def _not_finite(ranks: tuple[int, ...], users: np.ndarray, what: str) -> NomaSol
     """solve's infeasible verdict when `what` overflows a float for `users`."""
     nan = np.full(len(ranks), np.nan)
     return NomaSolution(ranks, nan, nan.copy(), math.nan, False, f"user {users.min() + 1} {what}")
-
-
-MAX_BRUTE_FORCE_USERS = 4
-
-
-def fixed_order_lp_powers(gains_in_order, alphas_in_order, p_max: float, noise: float):
-    """Powers maximizing the total received power g.p with the decoding
-    order held fixed, by an exact linear program (HiGHS); None when this
-    order cannot meet every minimum rate within the power cap.
-
-    For a fixed order the minimum-rate constraints are linear in the powers
-    and the objective (total received power, monotone in the sum rate) is
-    linear, so the power problem is an LP of any size.
-    """
-    # Imported here: scipy is a test-only dependency, and loading
-    # scipy.optimize would dominate the package's import time.
-    from scipy.optimize import linprog
-
-    gs = np.asarray(gains_in_order, dtype=float)
-    als = np.asarray(alphas_in_order, dtype=float)
-    # Row m: user at sequence position m needs SINR >= alpha against
-    # everyone decoded later.
-    a_ub = np.triu(np.outer(als, gs), 1) - np.diag(gs)
-    res = linprog(
-        c=-gs,
-        A_ub=a_ub,
-        b_ub=-als * noise,
-        bounds=[(0.0, p_max)] * len(gs),
-        method="highs",
-    )
-    return res.x if res.success else None
-
-
-def brute_force_allocation(gains, alphas, p_max: float, noise: float) -> NomaSolution:
-    """Optimality oracle: enumerate every decoding order and solve each
-    order's power problem with fixed_order_lp_powers. Factorial enumeration
-    caps the user count.
-    """
-    g, a = _allocation_inputs(gains, alphas, p_max, noise)
-    num = len(g)
-    if num > MAX_BRUTE_FORCE_USERS:
-        raise ValueError(
-            f"brute force supports at most {MAX_BRUTE_FORCE_USERS} users, got {num}"
-        )
-
-    best_powers = None
-    best_objective = -math.inf
-    best_seq = None
-    for seq in map(list, itertools.permutations(range(num))):
-        gs = g[seq]
-        x = fixed_order_lp_powers(gs, a[seq], p_max, noise)
-        if x is None:
-            continue
-        objective = float(gs @ x)
-        if objective > best_objective:
-            best_objective = objective
-            best_seq = seq
-            best_powers = x
-
-    if best_powers is None:
-        return NomaSolution(
-            order=tuple(range(1, num + 1)),
-            powers=np.zeros(num),
-            rates=np.full(num, np.nan),
-            sum_rate=float("nan"),
-            feasible=False,
-            diagnostic="infeasible under every decoding order",
-        )
-    powers = np.empty(num)
-    powers[best_seq] = best_powers
-    rates = np.empty(num)
-    rates[best_seq] = _sequence_rates(g[best_seq], best_powers, noise)
-    return NomaSolution(
-        order=_ranks(best_seq),
-        powers=powers,
-        rates=rates,
-        sum_rate=float(np.sum(rates)),
-        feasible=True,
-        diagnostic=None,
-    )

@@ -1,0 +1,194 @@
+"""Reference implementations that the tests check the pipeline against.
+
+No sweep runs anything here. Each name is an independent route to a
+quantity the pipeline computes faster:
+- propagation_delta is one path's phase term in scalar form, against the
+  channel kernels;
+- coupling_matrix, anchor_vector, surrogate_value and quadratic_surrogate
+  are the paper-form surrogates, against the ascent's minorant kernel;
+- grid_oracle is an exhaustive position search, against the ascent;
+- fixed_order_lp_powers and brute_force_allocation solve the power problem
+  as linear programs, per decoding order and over all orders, against the
+  closed-form power control.
+
+Only the LP oracles use scipy, and they import it on call, so importing
+this module (and the package) never loads scipy.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+
+import numpy as np
+
+from manoma.channel import (
+    MoveRegion,
+    PathAngles,
+    Position,
+    UserChannel,
+    channel_coefficient,
+    field_response_vector,
+    lane_coefficients,
+    lane_gains,
+    lane_phases,
+)
+from manoma.noma import NomaSolution, check_allocation_inputs, sinr_and_rates
+from manoma.positioner import lipschitz_delta, surrogate_gradient
+
+__all__ = [
+    "propagation_delta", "coupling_matrix", "anchor_vector", "surrogate_value",
+    "quadratic_surrogate", "grid_oracle", "MAX_BRUTE_FORCE_USERS",
+    "fixed_order_lp_powers", "brute_force_allocation",
+]
+
+
+def propagation_delta(z: Position, p: PathAngles) -> float:
+    """Extra travel distance of one path at position z versus the origin,
+    in wavelengths: x*sin(theta)*cos(phi) + y*cos(theta)."""
+    return z.x * math.sin(p.theta) * math.cos(p.phi) + z.y * math.cos(p.theta)
+
+
+def coupling_matrix(ch: UserChannel) -> np.ndarray:
+    """Rank-one outer product of the path-response vector with itself.
+
+    Hermitian and positive semidefinite; the gain is the quadratic form of
+    this matrix in the field-response vector.
+    """
+    return np.outer(ch.prv, np.conj(ch.prv))
+
+
+def anchor_vector(z_ref: Position, ch: UserChannel) -> np.ndarray:
+    """Coupling matrix applied to the field response at the expansion point.
+
+    The rank-one structure collapses the matrix-vector product to the path
+    responses scaled by the channel coefficient, so this is O(paths).
+    """
+    return ch.prv * channel_coefficient(z_ref, ch)
+
+
+def surrogate_value(z: Position, z_ref: Position, ch: UserChannel) -> float:
+    """Linearized gain surrogate anchored at z_ref, evaluated at z.
+
+    Equals Re{b^H g(z)} with b the anchor vector; at z = z_ref it recovers
+    the true gain.
+    """
+    b = anchor_vector(z_ref, ch)
+    return float(np.real(np.vdot(b, field_response_vector(z, ch))))
+
+
+def quadratic_surrogate(z: Position, z_ref: Position, ch: UserChannel) -> float:
+    """Concave quadratic minorant of the linearized surrogate, constant terms
+    dropped: -(delta/2)||z||^2 + (grad + delta*z_ref)^T z."""
+    grad = surrogate_gradient(z_ref, ch)
+    delta = lipschitz_delta(z_ref, ch)
+    zv = z.as_array()
+    ref = z_ref.as_array()
+    return float(-0.5 * delta * zv @ zv + (grad + delta * ref) @ zv)
+
+
+def grid_oracle(
+    ch: UserChannel, region: MoveRegion, step: float
+) -> tuple[Position, float]:
+    """Exhaustive gain search on an origin-anchored grid over the box.
+
+    Grid ticks are integer multiples of `step` that fit in the box, with the
+    two boundary coordinates always included; the origin is always a grid
+    point. Ties go to the first point in row-major scan order.
+    """
+    if step <= 0.0:
+        raise ValueError(f"grid step must be positive, got {step}")
+    half = region.half
+    if half == 0.0:
+        ticks = np.array([0.0])
+    else:
+        n = int(math.floor(half / step + 1e-9))
+        ticks = np.arange(-n, n + 1, dtype=float) * step
+        if ticks[0] > -half + 1e-12 * max(half, 1.0):
+            ticks = np.concatenate(([-half], ticks))
+        if ticks[-1] < half - 1e-12 * max(half, 1.0):
+            ticks = np.concatenate((ticks, [half]))
+    points = np.stack([axis.ravel() for axis in np.meshgrid(ticks, ticks, indexing="ij")], 1)
+    gains = lane_gains(lane_coefficients(lane_phases(points, *ch.directions), ch.prv))
+    best = int(np.argmax(gains))
+    return Position(float(points[best, 0]), float(points[best, 1])), float(gains[best])
+
+
+MAX_BRUTE_FORCE_USERS = 4
+
+
+def fixed_order_lp_powers(gains_in_order, alphas_in_order, p_max: float, noise: float):
+    """Powers maximizing the total received power g.p with the decoding
+    order held fixed, by an exact linear program (HiGHS); None when this
+    order cannot meet every minimum rate within the power cap.
+
+    For a fixed order the minimum-rate constraints are linear in the powers
+    and the objective (total received power, monotone in the sum rate) is
+    linear, so the power problem is an LP of any size.
+    """
+    # Imported here: scipy is a test-only dependency, and loading
+    # scipy.optimize would dominate the package's import time.
+    from scipy.optimize import linprog
+
+    gs = np.asarray(gains_in_order, dtype=float)
+    als = np.asarray(alphas_in_order, dtype=float)
+    # Row m: user at sequence position m needs SINR >= alpha against
+    # everyone decoded later.
+    a_ub = np.triu(np.outer(als, gs), 1) - np.diag(gs)
+    res = linprog(
+        c=-gs,
+        A_ub=a_ub,
+        b_ub=-als * noise,
+        bounds=[(0.0, p_max)] * len(gs),
+        method="highs",
+    )
+    return res.x if res.success else None
+
+
+def brute_force_allocation(gains, alphas, p_max: float, noise: float) -> NomaSolution:
+    """Optimality oracle: enumerate every decoding order and solve each
+    order's power problem with fixed_order_lp_powers. Factorial enumeration
+    caps the user count.
+    """
+    g, a = check_allocation_inputs(gains, alphas, p_max, noise)
+    num = len(g)
+    if num > MAX_BRUTE_FORCE_USERS:
+        raise ValueError(
+            f"brute force supports at most {MAX_BRUTE_FORCE_USERS} users, got {num}"
+        )
+
+    best_powers = None
+    best_objective = -math.inf
+    best_seq = None
+    for seq in map(list, itertools.permutations(range(num))):
+        gs = g[seq]
+        x = fixed_order_lp_powers(gs, a[seq], p_max, noise)
+        if x is None:
+            continue
+        objective = float(gs @ x)
+        if objective > best_objective:
+            best_objective = objective
+            best_seq = seq
+            best_powers = x
+
+    if best_powers is None:
+        return NomaSolution(
+            order=tuple(range(1, num + 1)),
+            powers=np.zeros(num),
+            rates=np.full(num, np.nan),
+            sum_rate=float("nan"),
+            feasible=False,
+            diagnostic="infeasible under every decoding order",
+        )
+    powers = np.empty(num)
+    powers[best_seq] = best_powers
+    ranks = tuple((np.argsort(best_seq) + 1).tolist())
+    rates = sinr_and_rates(g, ranks, powers, noise)
+    return NomaSolution(
+        order=ranks,
+        powers=powers,
+        rates=rates,
+        sum_rate=float(np.sum(rates)),
+        feasible=True,
+        diagnostic=None,
+    )

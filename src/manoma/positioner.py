@@ -15,7 +15,7 @@ stop rule. A multistart search therefore costs a fraction of running its
 starts one after another (ten extra starts take about 1.5 to 2 times as long
 as one start, not eleven times). Each step runs _minorant and _newton_step
 over lanes; lipschitz_delta, surrogate_gradient and sca_step are their
-one-lane calls, and the paper-form helpers are independent oracles.
+one-lane calls.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ from manoma.channel import (
     MoveRegion,
     Position,
     UserChannel,
-    channel_coefficient,
-    field_response_vector,
     lane_coefficients,
     lane_gains,
     lane_phases,
@@ -70,34 +68,6 @@ class ScaState:
     current: Position
     gain: float
     iteration: int
-
-
-def coupling_matrix(ch: UserChannel) -> np.ndarray:
-    """Rank-one outer product of the path-response vector with itself.
-
-    Hermitian and positive semidefinite; the gain is the quadratic form of
-    this matrix in the field-response vector.
-    """
-    return np.outer(ch.prv, np.conj(ch.prv))
-
-
-def anchor_vector(z_ref: Position, ch: UserChannel) -> np.ndarray:
-    """Coupling matrix applied to the field response at the expansion point.
-
-    The rank-one structure collapses the matrix-vector product to the path
-    responses scaled by the channel coefficient, so this is O(paths).
-    """
-    return ch.prv * channel_coefficient(z_ref, ch)
-
-
-def surrogate_value(z: Position, z_ref: Position, ch: UserChannel) -> float:
-    """Linearized gain surrogate anchored at z_ref, evaluated at z.
-
-    Equals Re{b^H g(z)} with b the anchor vector; at z = z_ref it recovers
-    the true gain.
-    """
-    b = anchor_vector(z_ref, ch)
-    return float(np.real(np.vdot(b, field_response_vector(z, ch))))
 
 
 def _minorant(rho, h, prv_rows, dirs) -> tuple[np.ndarray, np.ndarray]:
@@ -148,16 +118,6 @@ def lipschitz_delta(z_ref: Position, ch: UserChannel) -> float:
     """
     _require_energy(ch)
     return float(_minorant_at(z_ref, ch)[0][0])
-
-
-def quadratic_surrogate(z: Position, z_ref: Position, ch: UserChannel) -> float:
-    """Concave quadratic minorant of the linearized surrogate, constant terms
-    dropped: -(delta/2)||z||^2 + (grad + delta*z_ref)^T z."""
-    grad = surrogate_gradient(z_ref, ch)
-    delta = lipschitz_delta(z_ref, ch)
-    zv = z.as_array()
-    ref = z_ref.as_array()
-    return float(-0.5 * delta * zv @ zv + (grad + delta * ref) @ zv)
 
 
 def sca_step(z_ref: Position, ch: UserChannel, region: MoveRegion) -> Position:
@@ -300,30 +260,3 @@ def optimize_position(
     best = int(np.argmax(gains))
     position = Position(float(z[best, 0]), float(z[best, 1]))
     return position, float(gains[best]), int(iterations[best])
-
-
-def grid_oracle(
-    ch: UserChannel, region: MoveRegion, step: float
-) -> tuple[Position, float]:
-    """Exhaustive gain search on an origin-anchored grid over the box.
-
-    Grid ticks are integer multiples of `step` that fit in the box, with the
-    two boundary coordinates always included; the origin is always a grid
-    point. Ties go to the first point in row-major scan order.
-    """
-    if step <= 0.0:
-        raise ValueError(f"grid step must be positive, got {step}")
-    half = region.half
-    if half == 0.0:
-        ticks = np.array([0.0])
-    else:
-        n = int(math.floor(half / step + 1e-9))
-        ticks = np.arange(-n, n + 1, dtype=float) * step
-        if ticks[0] > -half + 1e-12 * max(half, 1.0):
-            ticks = np.concatenate(([-half], ticks))
-        if ticks[-1] < half - 1e-12 * max(half, 1.0):
-            ticks = np.concatenate((ticks, [half]))
-    points = np.stack([axis.ravel() for axis in np.meshgrid(ticks, ticks, indexing="ij")], 1)
-    gains = lane_gains(lane_coefficients(lane_phases(points, *ch.directions), ch.prv))
-    best = int(np.argmax(gains))
-    return Position(float(points[best, 0]), float(points[best, 1])), float(gains[best])

@@ -15,19 +15,17 @@ from manoma.channel import MoveRegion, PathAngles, Position, UserChannel, channe
 from manoma.cli import main
 from manoma.noma import (
     RateRequirement,
-    brute_force_allocation,
     sinr_and_rates,
     solve,
     sum_rate_collapsed,
 )
+from manoma.oracles import brute_force_allocation, grid_oracle, surrogate_value
 from manoma.positioner import (
     ScaParams,
-    grid_oracle,
     lipschitz_delta,
     optimize_position,
     sca_trajectory,
     surrogate_gradient,
-    surrogate_value,
 )
 from manoma.sim import SCHEMES, ScenarioConfig, _realization_table
 

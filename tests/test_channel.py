@@ -14,9 +14,9 @@ from manoma.channel import (
     channel_coefficient,
     channel_gain,
     field_response_vector,
-    propagation_delta,
     sample_user_channel,
 )
+from manoma.oracles import propagation_delta
 
 
 @dataclass

@@ -387,11 +387,11 @@ def test_sweep_runs_without_scipy(fast_config, tmp_path, capsys):
     probe = """
 import sys
 sys.modules["scipy"] = sys.modules["scipy.optimize"] = None
-import manoma.cli, manoma.noma
+import manoma.cli, manoma.oracles
 assert manoma.cli.main(sys.argv[1:]) == 0
 print("concurrent.futures.process" in sys.modules)
 try:
-    manoma.noma.brute_force_allocation([1.0], [0.5], 1.0, 1.0)
+    manoma.oracles.brute_force_allocation([1.0], [0.5], 1.0, 1.0)
 except ImportError:
     print("ImportError")
 """

@@ -13,10 +13,8 @@ from manoma.noma import (
     RATE_SLACK,
     NomaSolution,
     RateRequirement,
-    brute_force_allocation,
     check_feasibility,
     decoding_order,
-    fixed_order_lp_powers,
     minimum_rate_powers,
     oma_sum_rate,
     power_allocation,
@@ -24,6 +22,7 @@ from manoma.noma import (
     solve,
     sum_rate_collapsed,
 )
+from manoma.oracles import brute_force_allocation, fixed_order_lp_powers
 
 
 def _random_instance(rng, num_users, p_max_span=(1.0, 50.0), r_span=(0.05, 0.8)):
@@ -799,23 +798,67 @@ def test_property_monotone_in_power_cap(instance, factor):
 
 
 @pytest.mark.parametrize(
-    "p_max, user, quantity",
+    "gains, r_min, p_max, noise, order, user, quantity",
     [
         # User 1 is decoded last and sees noise only: 1e305 / 1e-300.
-        (1e5, 1, "received-power ratio g * p / (interference + noise) is not finite"),
+        (
+            [1e300, 2e300], [0.5] * 2, 1e5, 1e-300, (2, 1), 1,
+            "received-power ratio g * p / (interference + noise) is not finite",
+        ),
         # User 2 is decoded first: 2e300 * 1e10 overflows before any rate.
-        (1e10, 2, "headroom g * p_max / alpha is not finite"),
+        (
+            [1e300, 2e300], [0.5] * 2, 1e10, 1e-300, (2, 1), 2,
+            "headroom g * p_max / alpha is not finite",
+        ),
+        # The interference of the first user decoded overflows; the window
+        # sums of 1.7e308 (never read: nobody has a minimum rate) did too.
+        (
+            [1.7e308] * 4, [0.0] * 4, 1.0, 1.0, (1, 2, 3, 4), 1,
+            "interference g * p from later users is not finite",
+        ),
+        # It used to give user 1 rate 0 in place of log2(1.5), feasible.
+        (
+            [1e308] * 3, [0.0] * 3, 1.0, 1.0, (1, 2, 3), 1,
+            "interference g * p from later users is not finite",
+        ),
+        # User 4's cap reads (1e308 + 1e308) * 0.25; the overflowed sum made
+        # it -inf, though the instance scaled by 1/4 is feasible.
+        (
+            [1.6e308, 1e308, 1e308, 1.0], [math.log2(1.5), 0.0, 0.0, 0.0], 0.25, 1.0,
+            (1, 2, 3, 4), 4, "power cap (headroom - interference - noise) / g is not finite",
+        ),
     ],
+    ids=["ratio", "headroom", "interference-unread-windows", "interference", "cap"],
 )
-def test_overflow_on_finite_inputs_is_infeasible_without_warnings(p_max, user, quantity):
+def test_overflow_on_finite_inputs_is_infeasible_without_warnings(
+    gains, r_min, p_max, noise, order, user, quantity
+):
+    reqs = [RateRequirement(r) for r in r_min]
+    seq = np.argsort(order)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        sol = solve([1e300, 2e300], [RateRequirement(0.5)] * 2, p_max, 1e-300)
+        sol = solve(gains, reqs, p_max, noise)
+        alphas = [reqs[k].alpha for k in seq]
+        power_allocation(np.asarray(gains)[seq], alphas, p_max, noise)
     assert not sol.feasible
     assert sol.diagnostic == f"user {user} {quantity}"
-    assert sol.order == (2, 1)
+    assert sol.order == order
     assert np.all(np.isnan(sol.powers)) and np.all(np.isnan(sol.rates))
     assert math.isnan(sol.sum_rate)
+
+
+def test_overflowing_decoding_keys_keep_the_order_of_the_scaled_instance():
+    # Both keys g * (1 + 1/alpha) overflowed to -inf and tied, so user 1 went
+    # first; the instance scaled by 2**-20 (p_max by 2**20) decodes user 2
+    # first and has the larger sum rate.
+    reqs = [RateRequirement(1.0), RateRequirement(math.log2(1.5))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve([1e308, 1.5e308], reqs, 1e-10, 1.0)
+        scaled = solve([1e308 * 2**-20, 1.5e308 * 2**-20], reqs, 1e-10 * 2**20, 1.0)
+    assert sol.order == scaled.order == (2, 1)
+    assert sol.sum_rate == scaled.sum_rate
+    assert_array_equal(sol.rates, scaled.rates)
 
 
 def test_power_allocation_overflow_needs_no_warning():

@@ -13,20 +13,22 @@ from manoma.channel import (
     channel_gain,
     sample_user_channel,
 )
+from manoma.oracles import (
+    anchor_vector,
+    coupling_matrix,
+    grid_oracle,
+    quadratic_surrogate,
+    surrogate_value,
+)
 from manoma.positioner import (
     ScaParams,
     ScaState,
-    anchor_vector,
     ascend,
-    coupling_matrix,
-    grid_oracle,
     lipschitz_delta,
     optimize_position,
-    quadratic_surrogate,
     sca_step,
     sca_trajectory,
     surrogate_gradient,
-    surrogate_value,
 )
 from manoma.sim import ScenarioConfig
 
