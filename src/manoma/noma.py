@@ -50,6 +50,16 @@ from manoma.channel import DegenerateChannelError
 GAIN_FLOOR = 1e-30
 RATE_SLACK = 1e-9
 
+# What overflows a float, in the order solve judges it; a verdict names the
+# first that is not finite and prefixes its lowest-indexed user.
+_MIN_RATE_POWER = (
+    "minimum-rate power is not finite: "
+    "the product of (1 + alpha) over the users decoded after it overflows"
+)
+_POWER_CAP = "power cap (headroom - interference - noise) / g is not finite"
+_RATIO = "received-power ratio g * p / (interference + noise) is not finite"
+_INTERFERENCE = "interference g * p from later users is not finite"
+
 
 @dataclass(frozen=True)
 class RateRequirement:
@@ -101,34 +111,64 @@ def sinr_and_rates(gains, order, powers, noise: float) -> np.ndarray:
     if ranks.shape != (len(g),) or not np.array_equal(np.sort(ranks), np.arange(1, len(g) + 1)):
         raise ValueError(f"order {order!r} is not a permutation of 1..{len(g)}")
     seq = np.argsort(ranks)
+    rate_seq, interference = _sequence_rates(g[seq], p[seq], noise)
+    _raise_not_finite(seq, ((rate_seq, _RATIO), (interference, _INTERFERENCE)))
     rates = np.empty(len(g))
-    rates[seq] = _sequence_rates(g[seq], p[seq], noise)[0]
+    rates[seq] = rate_seq
     return rates
 
 
 def _sequence_rates(g_seq: np.ndarray, p_seq: np.ndarray, noise: float):
     """sinr_and_rates on gains and powers already in decoding sequence, and
-    each user's interference, which never increases along the sequence."""
-    received = g_seq * p_seq
-    tail = np.concatenate((np.cumsum(received[::-1])[::-1][1:], [0.0]))
-    return np.log2(1.0 + received / (tail + noise)), tail
+    each user's interference, which never increases; overflow stays inf or NaN."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        received = g_seq * p_seq
+        tail = np.concatenate((np.cumsum(received[::-1])[::-1][1:], [0.0]))
+        return np.log2(1.0 + received / (tail + noise)), tail
 
 
 def sum_rate_collapsed(gains, powers, noise: float) -> float:
-    """Order-independent form of the sum rate: the per-user logs telescope."""
+    """Order-independent form of the sum rate: the per-user logs telescope.
+    Raises OverflowError if the total received power over noise overflows."""
     g, p = _per_user(gains, "powers", powers)
     _check_noise(noise)
-    return float(np.log2(1.0 + np.sum(g * p) / noise))
+    with np.errstate(over="ignore"):
+        rate = float(np.log2(1.0 + np.sum(g * p) / noise))
+    if not math.isfinite(rate):
+        raise OverflowError(_RATIO)
+    return rate
 
 
 def oma_sum_rate(gains, p_max: float, noise: float) -> float:
-    """Orthogonal time sharing: each user sends at full power in its 1/K slot."""
+    """Orthogonal time sharing: each user sends at full power in its 1/K slot.
+    Raises OverflowError naming the first user whose g p_max / noise overflows."""
     g = np.asarray(gains, dtype=float)
     _check_nonnegative("gains", g)
     _check_users(g)
     _check_p_max(p_max)
     _check_noise(noise)
-    return float(np.mean(np.log2(1.0 + g * p_max / noise)))
+    with np.errstate(over="ignore"):
+        ratio = g * p_max / noise
+        rate = float(np.mean(np.log2(1.0 + ratio)))
+    if not math.isfinite(rate):
+        _raise_not_finite(np.arange(len(g)), ((ratio, _RATIO),))
+    return rate
+
+
+def _first_not_finite(seq: np.ndarray, checks) -> str | None:
+    """`user k <quantity>` for the first (values, quantity) pair in checks with
+    a non-finite value, values in decoding sequence seq; else None."""
+    for values, quantity in checks:
+        bad = ~np.isfinite(values)
+        if bad.any():
+            return f"user {seq[bad].min() + 1} {quantity}"
+    return None
+
+
+def _raise_not_finite(seq: np.ndarray, checks) -> None:
+    verdict = _first_not_finite(seq, checks)
+    if verdict:
+        raise OverflowError(verdict)
 
 
 def _check_nonnegative(label: str, arr: np.ndarray, floor: float = 0.0) -> None:
@@ -172,7 +212,9 @@ def _decoding_sequence(g: np.ndarray, a: np.ndarray) -> np.ndarray:
     constrained = a > 0.0
     g_c = g[constrained]
     key = -g
-    with np.errstate(over="ignore"):
+    # A zero gain times an infinite weight (alpha below about 5.6e-309) is
+    # NaN, which lexsort puts after every other constrained key.
+    with np.errstate(over="ignore", invalid="ignore"):
         weight = 1.0 + 1.0 / a[constrained]
         key[constrained] = -g_c * weight
         if np.isinf(key).any():
@@ -269,23 +311,22 @@ def _window_sums(g: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return sums, np.concatenate(([0.0], sums[:, 0]))
 
 
-def _saturating_powers(g, a, c, sums, later, p_max: float, noise: float):
+def _saturating_powers(g, a, c, sums, later, p_max: float, noise: float) -> np.ndarray:
     """power_allocation on validated inputs, their minimum-rate powers c and
-    _window_sums, as (headroom, powers). headroom[num-1+i] = g_i p_max / a_i
-    for every constrained user i but the last; NaN pads the rest. Overflow is
-    left as inf or NaN for the caller to judge, never warned about.
+    _window_sums: the one place that decides a power cap.
 
     User k may send at most (g_i p_max / a_i - sum(g[i+1:k]) p_max - later_k
     - noise) / g_k while each constrained user i < k keeps its rate, where
     later_k = sum(g c) over the users after k. caps[r, k] pairs user k with
     i = k+r-(num-1); NaN marks pairs that do not constrain k, and fmin skips
-    NaN as Python's min did.
+    NaN as Python's min did. Nothing warns: an infinite headroom caps nobody,
+    a cap of inf - inf is NaN and skipped, one reading an overflowed sum -inf.
     """
     num = len(g)
     p = np.full(num, p_max, dtype=float)
     headroom = np.full(2 * num - 2, np.nan)
     if num == 1:
-        return headroom, p
+        return p
     constrained = np.flatnonzero(a[:-1] > 0.0)
     with np.errstate(over="ignore", invalid="ignore"):
         headroom[num - 1 + constrained] = g[constrained] * p_max / a[constrained]
@@ -299,7 +340,7 @@ def _saturating_powers(g, a, c, sums, later, p_max: float, noise: float):
         k = int(backs_off[0]) + 1
         p[k] = cap[k]
         p[k + 1 :] = c[k + 1 :]
-    return headroom, p
+    return p
 
 
 def power_allocation(gains_in_order, alphas_in_order, p_max: float, noise: float) -> np.ndarray:
@@ -314,7 +355,7 @@ def power_allocation(gains_in_order, alphas_in_order, p_max: float, noise: float
     """
     g, a = check_allocation_inputs(gains_in_order, alphas_in_order, p_max, noise)
     c = _minimum_rate_powers(g, a, noise)
-    return _saturating_powers(g, a, c, *_window_sums(g, c), p_max, noise)[1]
+    return _saturating_powers(g, a, c, *_window_sums(g, c), p_max, noise)
 
 
 def check_feasibility(powers, rates, reqs, p_max: float) -> tuple[bool, str | None]:
@@ -350,22 +391,17 @@ def _plan(shape: tuple[int, ...], gain_bytes: bytes, alpha_bytes: bytes, noise: 
 
     Returns (seq, ranks, g, a, c, overflow, sums, later): the decoding
     sequence and ranks, then gains, alphas and minimum-rate powers in
-    decoding sequence, the users whose c overflows, and _window_sums(g, c),
-    which is (None, None) when any does. The arrays are read-only, since
-    every call that hits the cache shares them.
+    decoding sequence, whether any c overflows, and _window_sums(g, c). The
+    arrays are read-only, since every call that hits the cache shares them.
     """
     g, a = np.frombuffer(gain_bytes).reshape(shape), np.frombuffer(alpha_bytes).reshape(shape)
     seq = _decoding_sequence(g, a)
     g_seq, a_seq = g[seq], a[seq]
     c_seq = _minimum_rate_powers(g_seq, a_seq, noise)
-    overflow = ~np.isfinite(c_seq)
-    sums = later = None
-    if not overflow.any():
-        sums, later = _window_sums(g_seq, c_seq)
-    for arr in (seq, g_seq, a_seq, c_seq, overflow, sums, later):
-        if arr is not None:
-            arr.flags.writeable = False
-    return seq, _ranks(seq), g_seq, a_seq, c_seq, overflow, sums, later
+    sums, later = _window_sums(g_seq, c_seq)
+    for arr in (seq, g_seq, a_seq, c_seq, sums, later):
+        arr.flags.writeable = False
+    return seq, _ranks(seq), g_seq, a_seq, c_seq, bool(np.isinf(c_seq).any()), sums, later
 
 
 def solve(gains, reqs, p_max: float, noise: float) -> NomaSolution:
@@ -375,50 +411,34 @@ def solve(gains, reqs, p_max: float, noise: float) -> NomaSolution:
     scatters powers and rates back to user order. The order, minimum-rate
     powers and window sums come from the plan cache, so repeated gains at
     new power caps only redo the caps. Infeasible draws are flagged, never
-    clipped. An overflowing minimum-rate power, headroom, power cap,
-    interference or received-power ratio leaves powers and rates NaN, naming
-    it and its lowest-indexed user.
+    clipped. On overflow, powers and rates are NaN and the diagnostic names
+    the first quantity that is not finite, and its lowest-indexed user, in
+    this order: the minimum-rate power; then the power cap if some power is
+    negative, or else the received-power ratio and then the interference.
     """
     reqs = list(reqs)
     g, alphas = check_allocation_inputs(gains, [r.alpha for r in reqs], p_max, noise)
     seq, ranks, g_seq, a_seq, c_seq, overflow, sums, later = _plan(
         g.shape, g.tobytes(), alphas.tobytes(), float(noise)
     )
-    if sums is None:
-        why = "the product of (1 + alpha) over the users decoded after it overflows"
-        return _not_finite(ranks, seq[overflow], f"minimum-rate power is not finite: {why}")
-    headroom, p_seq = _saturating_powers(g_seq, a_seq, c_seq, sums, later, p_max, noise)
-    rates = np.full(len(g), np.nan)
-    computed = bool(np.all(p_seq >= 0.0))
-    if computed:
-        # An overflowing ratio is reported below instead of warned about.
-        with np.errstate(over="ignore", invalid="ignore"):
-            rates[seq], interference = _sequence_rates(g_seq, p_seq, noise)
-    too_large = np.isinf(headroom)
-    if too_large.any():
-        users = seq[np.flatnonzero(too_large) - (len(g) - 1)]
-        return _not_finite(ranks, users, "headroom g * p_max / alpha is not finite")
-    if not computed:
-        # A cap that reads an overflowed sum is -inf, so it backs off; only the
-        # first user to back off takes its cap, and every later one its c.
-        blind = np.isneginf(p_seq)
-        if blind.any():
-            cap = "power cap (headroom - interference - noise) / g"
-            return _not_finite(ranks, seq[blind], f"{cap} is not finite")
-    sum_rate = float(np.sum(rates))
-    if computed and not math.isfinite(sum_rate):
-        ratio = "received-power ratio g * p / (interference + noise)"
-        return _not_finite(ranks, np.flatnonzero(~np.isfinite(rates)), f"{ratio} is not finite")
-    if computed and math.isinf(interference[0]):
-        users = seq[np.isinf(interference)]
-        return _not_finite(ranks, users, "interference g * p from later users is not finite")
+    p_seq = _saturating_powers(g_seq, a_seq, c_seq, sums, later, p_max, noise)
+    rates, sum_rate, low = np.full(len(g), np.nan), math.nan, p_seq.min()
+    checks = [(c_seq, _MIN_RATE_POWER)]
+    if low >= 0.0:
+        rate_seq, interference = _sequence_rates(g_seq, p_seq, noise)
+        rates[seq] = rate_seq
+        sum_rate = float(np.sum(rates))
+        checks += [(rate_seq, _RATIO), (interference, _INTERFERENCE)]
+        overflow |= not (math.isfinite(sum_rate) and math.isfinite(interference[0]))
+    else:
+        # Only the first user to back off takes its cap, and every later one
+        # its c, so a cap that reads an overflowed sum is the one -inf power.
+        checks.append((p_seq, _POWER_CAP))
+        overflow |= low == -math.inf
+    if overflow:
+        nan = np.full(len(g), np.nan)
+        return NomaSolution(ranks, nan, nan.copy(), math.nan, False, _first_not_finite(seq, checks))
     powers = np.empty(len(g))
     powers[seq] = p_seq
     feasible, diagnostic = check_feasibility(powers, rates, reqs, p_max)
     return NomaSolution(ranks, powers, rates, sum_rate, feasible, diagnostic)
-
-
-def _not_finite(ranks: tuple[int, ...], users: np.ndarray, what: str) -> NomaSolution:
-    """solve's infeasible verdict when `what` overflows a float for `users`."""
-    nan = np.full(len(ranks), np.nan)
-    return NomaSolution(ranks, nan, nan.copy(), math.nan, False, f"user {users.min() + 1} {what}")

@@ -33,13 +33,18 @@ from functools import partial
 import numpy as np
 
 from manoma.channel import MoveRegion, Position, UserChannel, channel_gain, sample_user_channel
-from manoma.noma import RateRequirement, oma_sum_rate, solve
+from manoma.noma import GAIN_FLOOR, RateRequirement, oma_sum_rate, solve
 from manoma.positioner import ScaParams, optimize_position
 
 SCHEMES = ("NOMA-MA", "NOMA-FPA", "OMA-MA", "OMA-FPA", "UPPER-BOUND")
 
 _MAX_SEED = 2**64
-_FINITE_FIELDS = ("p_max_dbm", "noise_dbm", "pathloss_exponent", "distance_range", "region_side")
+_FINITE_FIELDS = ("noise_dbm", "pathloss_exponent", "distance_range", "region_side")
+# A fixed-antenna gain is exponential with the path gain as its mean, so this
+# margin puts about one user in 1e10 below GAIN_FLOOR. The movable-antenna
+# gain is never lower: positioning starts at the region center and never
+# lowers the gain.
+_MIN_PATH_GAIN = GAIN_FLOOR * 1e10
 
 
 @dataclass(frozen=True)
@@ -89,9 +94,11 @@ class ScenarioConfig:
             raise ValueError(f"noise_dbm must be positive and finite in mW, got {self.noise_dbm}")
         _check_finite_mw("p_max_dbm", self.p_max_dbm)
         for d in self.distance_range:
-            if not 0.0 < _pow(d, -self.pathloss_exponent) < math.inf:
-                rule = "must give a finite, nonzero path gain distance**-pathloss_exponent"
-                raise ValueError(f"distance_range and pathloss_exponent {rule}, got {d!r} m")
+            if not _MIN_PATH_GAIN <= _pow(d, -self.pathloss_exponent) < math.inf:
+                rule = "must give a finite path gain distance**-pathloss_exponent of at least"
+                raise ValueError(
+                    f"distance_range and pathloss_exponent {rule} {_MIN_PATH_GAIN:g}, got {d!r} m"
+                )
 
 
 @dataclass(frozen=True)
@@ -125,9 +132,11 @@ def dbm_to_mw(dbm: float) -> float:
 
 
 def _check_finite_mw(name: str, dbm: float) -> None:
-    """The rule for a transmit power in dBm: finite once converted to mW."""
+    """The rule for a transmit power in dBm: finite in mW and in dBm."""
     if not dbm_to_mw(dbm) < math.inf:
         raise ValueError(f"{name} must be finite in mW, got {dbm}")
+    if not math.isfinite(dbm):
+        raise ValueError(f"{name} must be finite, got {dbm}")
 
 
 @dataclass(frozen=True)
@@ -223,9 +232,11 @@ def _realization_table(
 
 def _collect(cfg: ScenarioConfig, user_counts, p_max_dbm_values, workers: int) -> np.ndarray:
     """All realizations' rate tables, shape (realizations, points, schemes)."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     job = partial(_realization_table, cfg, tuple(user_counts), tuple(p_max_dbm_values))
     indices = range(cfg.realizations)
-    if workers <= 1:
+    if workers == 1:
         tables = [job(i) for i in indices]
     else:
         # Imported here: one-worker runs then never load the process pool.
@@ -267,7 +278,8 @@ def sweep_power(cfg: ScenarioConfig, p_max_dbm_values, workers: int = 1) -> list
     exact same channel draws and antenna positions (positions do not depend
     on power, so pairing is free variance reduction). A one-point sweep at
     cfg.p_max_dbm is the Monte Carlo estimate at the config's operating
-    point. Every point must be finite in mW, as cfg.p_max_dbm must."""
+    point. Every point must be finite in dBm and in mW, as cfg.p_max_dbm
+    must, and workers at least 1."""
     values = [float(v) for v in p_max_dbm_values]
     if not values:
         raise ValueError("at least one power value is required")
@@ -279,7 +291,8 @@ def sweep_power(cfg: ScenarioConfig, p_max_dbm_values, workers: int = 1) -> list
 def sweep_users(cfg: ScenarioConfig, k_values, workers: int = 1) -> list[SweepRow]:
     """Sum rates versus user count at the config's power cap; smaller user
     counts evaluate a prefix of the larger counts' draws. Counts must be
-    integers of at least 1; 2.5 is rejected, not truncated."""
+    integers of at least 1, and so must workers; 2.5 is rejected, not
+    truncated."""
     values = [float(k) for k in k_values]
     if not values:
         raise ValueError("at least one user count is required")

@@ -358,8 +358,9 @@ def test_sweep_rejects_nonpositive_workers(fast_config, tmp_path, capsys, monkey
     assert not (tmp_path / "never.csv.manifest.json").exists()
 
 
-def _run_python(*args):
-    """Run a fresh interpreter that imports manoma from this checkout."""
+def _run_python(*args, env=()):
+    """Run a fresh interpreter that imports manoma from this checkout, with
+    the variables in env added to the environment."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
@@ -368,7 +369,7 @@ def _run_python(*args):
         text=True,
         timeout=60,
         check=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, **dict(env), "PYTHONPATH": path},
     )
 
 
@@ -427,6 +428,8 @@ def test_sweep_rejects_overflowing_r_min_before_compute(tmp_path, capsys, monkey
         ('distance_range = "[1e-100, 1e-100] m"', "distance_range and pathloss_exponent"),
         ('distance_range = "[1e100, 1e100] m"', "distance_range and pathloss_exponent"),
         ("pathloss_exponent = 400", "distance_range and pathloss_exponent"),
+        # A path gain of 6.3e-32: every gain would fall under noma.GAIN_FLOOR.
+        ('distance_range = "[1e8, 1e8] m"', "distance_range and pathloss_exponent"),
     ],
 )
 def test_unrepresentable_values_fail_at_config_time(
@@ -519,23 +522,25 @@ def test_failed_manifest_write_leaves_outputs_untouched(
     assert {path.name for path in tmp_path.iterdir()} == expected
 
 
-@pytest.mark.parametrize(
-    "reference, config, flags",
-    [
-        ("power_sweep-n2-seed0.csv", "", ["--realizations", "2"]),
-        (
-            "dense_power_k32-n1-seed0.csv",
-            'num_users = 32\nr_min = "0.1 bps/Hz"\n',
-            ["--realizations", "1", "--points", ",".join(f"{0.25 * i:g}" for i in range(81))],
-        ),
-        (
-            "multistart_w2-n2-seed0.csv",
-            "multistart = 10\n",
-            ["--workers", "2", "--realizations", "2"],
-        ),
-    ],
-    ids=["power_sweep", "dense_power_k32", "multistart_w2"],
-)
+REFERENCE_SWEEPS = [
+    pytest.param("power_sweep-n2-seed0.csv", "", ["--realizations", "2"], id="power_sweep"),
+    pytest.param(
+        "dense_power_k32-n1-seed0.csv",
+        'num_users = 32\nr_min = "0.1 bps/Hz"\n',
+        ["--realizations", "1", "--points", ",".join(f"{0.25 * i:g}" for i in range(81))],
+        id="dense_power_k32",
+    ),
+    pytest.param(
+        "multistart_w2-n2-seed0.csv",
+        "multistart = 10\n",
+        ["--workers", "2", "--realizations", "2"],
+        id="multistart_w2",
+    ),
+]
+USERS_SWEEP = ["sweep", "--sweep", "users", "--points", "1,3,6", "--realizations", "4"]
+
+
+@pytest.mark.parametrize("reference, config, flags", REFERENCE_SWEEPS)
 def test_sweep_reproduces_reference_csv(tmp_path, capsys, reference, config, flags):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config)
@@ -549,8 +554,7 @@ def test_sweep_reproduces_reference_csv(tmp_path, capsys, reference, config, fla
 
 def test_users_sweep_reproduces_pinned_csv(tmp_path, capsys):
     out_csv = tmp_path / "out.csv"
-    argv = ["sweep", "--sweep", "users", "--points", "1,3,6", "--realizations", "4"]
-    code, _, _ = run_cli([*argv, "--out", str(out_csv)], capsys)
+    code, _, _ = run_cli([*USERS_SWEEP, "--out", str(out_csv)], capsys)
     assert code == 0
     assert filecmp.cmp(out_csv, PINNED_DIR / "users_sweep-n4-seed0.csv", shallow=False)
 
@@ -559,6 +563,39 @@ def test_optimize_reproduces_pinned_output(capsys):
     code, out, _ = run_cli(["optimize"], capsys)
     assert code == 0
     assert out.encode() == (PINNED_DIR / "optimize-default.txt").read_bytes()
+
+
+def test_pinned_outputs_under_baseline_cpu_dispatch(tmp_path):
+    # The raw bits of a sweep may change with numpy's CPU dispatch, but the
+    # pinned bytes must not: every dispatch target of the running numpy is
+    # turned off, as on a host with only the baseline features. The names
+    # come from that numpy, which rejects names it does not know.
+    from numpy._core._multiarray_umath import __cpu_dispatch__
+
+    runs, pinned = [], []
+    for i, param in enumerate(REFERENCE_SWEEPS):
+        reference, config, flags = param.values
+        cfg = tmp_path / f"{i}.cfg"
+        cfg.write_text(config)
+        out_csv = tmp_path / f"{i}.csv"
+        runs.append(["sweep", "--config", str(cfg), "--seed", "0", "--out", str(out_csv), *flags])
+        pinned.append((out_csv, REFERENCE_DIR / reference))
+    out_csv = tmp_path / "users.csv"
+    runs.append([*USERS_SWEEP, "--out", str(out_csv)])
+    pinned.append((out_csv, PINNED_DIR / "users_sweep-n4-seed0.csv"))
+    runs.append(["optimize"])
+    pinned.append((tmp_path / f"{len(runs) - 1}.out", PINNED_DIR / "optimize-default.txt"))
+    probe = """
+import contextlib, json, sys
+from manoma.cli import main
+for i, argv in enumerate(json.loads(sys.argv[1])):
+    with open(f"{sys.argv[2]}/{i}.out", "w") as out, contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+"""
+    env = {"NPY_DISABLE_CPU_FEATURES": " ".join(__cpu_dispatch__)}
+    _run_python("-W", "error", "-c", probe, json.dumps(runs), str(tmp_path), env=env)
+    for got, want in pinned:
+        assert filecmp.cmp(got, want, shallow=False), want.name
 
 
 def test_seed_flag_overrides_config(fast_config, tmp_path, capsys):

@@ -528,7 +528,7 @@ def test_plan_cache_is_not_changed_through_inputs_or_results():
     assert got.order != want.order
     plan = noma._plan(gains.shape, gains.tobytes(), gains.tobytes(), 1.0)
     arrays = [x for x in plan if isinstance(x, np.ndarray)]
-    assert len(arrays) == 7
+    assert len(arrays) == 6
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):
             arr[...] = 0
@@ -805,10 +805,11 @@ def test_property_monotone_in_power_cap(instance, factor):
             [1e300, 2e300], [0.5] * 2, 1e5, 1e-300, (2, 1), 1,
             "received-power ratio g * p / (interference + noise) is not finite",
         ),
-        # User 2 is decoded first: 2e300 * 1e10 overflows before any rate.
+        # User 2's headroom 2e300 * 1e10 / alpha overflows and caps nobody;
+        # user 1 then receives 1e300 * 1e10, which overflows too.
         (
-            [1e300, 2e300], [0.5] * 2, 1e10, 1e-300, (2, 1), 2,
-            "headroom g * p_max / alpha is not finite",
+            [1e300, 2e300], [0.5] * 2, 1e10, 1e-300, (2, 1), 1,
+            "received-power ratio g * p / (interference + noise) is not finite",
         ),
         # The interference of the first user decoded overflows; the window
         # sums of 1.7e308 (never read: nobody has a minimum rate) did too.
@@ -827,8 +828,17 @@ def test_property_monotone_in_power_cap(instance, factor):
             [1.6e308, 1e308, 1e308, 1.0], [math.log2(1.5), 0.0, 0.0, 0.0], 0.25, 1.0,
             (1, 2, 3, 4), 4, "power cap (headroom - interference - noise) / g is not finite",
         ),
+        # Every headroom overflows and every cap is inf - inf, which fmin
+        # skips; the overflow shows in user 1's interference, not the headroom.
+        (
+            [1e298] * 4, [1e-15] * 4, 1e10, 1.0, (1, 2, 3, 4), 1,
+            "interference g * p from later users is not finite",
+        ),
     ],
-    ids=["ratio", "headroom", "interference-unread-windows", "interference", "cap"],
+    ids=[
+        "ratio", "headroom", "interference-unread-windows", "interference", "cap",
+        "interference-skipped-caps",
+    ],
 )
 def test_overflow_on_finite_inputs_is_infeasible_without_warnings(
     gains, r_min, p_max, noise, order, user, quantity
@@ -868,3 +878,53 @@ def test_power_allocation_overflow_needs_no_warning():
         warnings.simplefilter("error")
         powers = power_allocation([2e300, 1e300], [0.414, 0.414], 1e10, 1e-300)
     assert_array_equal(powers, [1e10, 1e10])
+
+
+def test_infinite_headroom_caps_nobody():
+    # User 1's headroom 1e290 * 1e10 / alpha overflows. solve used to call
+    # the instance infeasible, blaming it, though both users get full power
+    # and finite rates far above r_min.
+    reqs = [RateRequirement(1e-15)] * 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve([1e290, 1.0], reqs, 1e10, 1.0)
+        rates = sinr_and_rates([1e290, 1.0], (1, 2), [1e10, 1e10], 1.0)
+        powers = power_allocation([1e290, 1.0], [r.alpha for r in reqs], 1e10, 1.0)
+    assert (sol.feasible, sol.diagnostic, sol.order) == (True, None, (1, 2))
+    assert_array_equal(sol.rates, rates)
+    assert_array_equal(sol.powers, powers)
+
+
+@pytest.mark.parametrize(
+    "call, args, message",
+    [
+        # User 1's interference 2e308 overflows; its rate came out 0, not log2(1.5).
+        (
+            sinr_and_rates, ([1e308] * 3, (1, 2, 3), [1.0] * 3, 1.0),
+            "user 1 interference g * p from later users is not finite",
+        ),
+        (
+            oma_sum_rate, ([1.0, 1e308], 1e10, 1.0),
+            "user 2 received-power ratio g * p / (interference + noise) is not finite",
+        ),
+        # The collapsed form has one ratio, of the total received power.
+        (
+            sum_rate_collapsed, ([1e308] * 2, [1.0, 1.0], 1.0),
+            "received-power ratio g * p / (interference + noise) is not finite",
+        ),
+    ],
+    ids=["sinr_and_rates", "oma_sum_rate", "sum_rate_collapsed"],
+)
+def test_rate_functions_raise_on_overflow_without_warnings(call, args, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError) as raised:
+            call(*args)
+    assert str(raised.value) == message
+
+
+def test_decoding_order_with_an_infinite_weight_needs_no_warning():
+    # 1 + 1/5e-324 is inf, so user 1's key is 0 * inf, which is NaN.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert decoding_order([0.0, 1.0], [5e-324, 0.5]) == (2, 1)

@@ -66,6 +66,8 @@ def test_dbm_to_mw(dbm, mw):
         dict(distance_range=(1e-100, 1e-100)),
         dict(distance_range=(1e100, 1e100)),
         dict(pathloss_exponent=400.0),
+        # A path gain of 6.3e-32 puts every gain under noma.GAIN_FLOOR.
+        dict(distance_range=(1e8, 1e8)),
     ],
 )
 def test_config_validation(bad):
@@ -361,16 +363,41 @@ def test_sweep_input_validation():
             sweep_users(cfg, counts)
 
 
-@pytest.mark.parametrize("point", [math.nan, 3090.0])
-def test_sweep_power_rejects_points_before_any_draw(monkeypatch, point):
-    # 3090 dBm is finite but overflows in mW; p_max_dbm obeys the same rule.
-    positions = []
+@pytest.fixture
+def positioned(monkeypatch):
+    """The arguments of every optimize_position call the test makes."""
+    calls = []
 
     def position_spy(*args, _fn=sim.optimize_position, **kwargs):
-        positions.append(args)
+        calls.append(args)
         return _fn(*args, **kwargs)
 
     monkeypatch.setattr(sim, "optimize_position", position_spy)
-    with pytest.raises(ValueError, match="power point must be finite in mW"):
+    return calls
+
+
+@pytest.mark.parametrize(
+    "point, message",
+    [
+        (math.nan, "power point must be finite in mW"),
+        (3090.0, "power point must be finite in mW"),
+        (-math.inf, "power point must be finite, got -inf"),
+    ],
+    ids=["nan", "3090.0", "-inf"],
+)
+def test_sweep_power_rejects_points_before_any_draw(positioned, point, message):
+    # 3090 dBm is finite but overflows in mW, and -inf dBm is 0 mW but not
+    # finite in dBm; p_max_dbm obeys the same rule.
+    with pytest.raises(ValueError, match=message):
         sweep_power(_small_cfg(), [point])
-    assert positions == []
+    assert positioned == []
+
+
+@pytest.mark.parametrize("workers", [0, -4])
+def test_sweeps_reject_workers_below_one_before_any_draw(positioned, workers):
+    cfg = _small_cfg()
+    with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+        sweep_power(cfg, [0.0], workers=workers)
+    with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+        sweep_users(cfg, [1], workers=workers)
+    assert positioned == []
