@@ -20,6 +20,7 @@ from manoma.channel import (
 from manoma.noma import (
     NomaSolution,
     RateRequirement,
+    aligned_sum_rate,
     check_feasibility,
     decoding_order,
     oma_sum_rate,
@@ -62,6 +63,7 @@ __all__ = [
     "sample_user_channel",
     "NomaSolution",
     "RateRequirement",
+    "aligned_sum_rate",
     "brute_force_allocation",
     "check_feasibility",
     "decoding_order",

@@ -28,7 +28,6 @@ from manoma import __version__
 from manoma.noma import RateRequirement, solve
 from manoma.positioner import ScaParams
 from manoma.sim import (
-    SCHEMES,
     ScenarioConfig,
     SweepRow,
     dbm_to_mw,
@@ -354,14 +353,12 @@ def cmd_sweep(args) -> int:
     run = sweep_users if sweep == "users" else sweep_power
     rows = run(cfg, points, workers=args.workers)
     duration = time.monotonic() - start
-    for i, point in enumerate(points):
-        chunk = rows[i * len(SCHEMES) : (i + 1) * len(SCHEMES)]
-        worst = max(row.infeasible_fraction for row in chunk)
-        print(
-            f"point {i + 1}/{len(points)}: {sweep}={_format_float(float(point))} "
-            f"done (max infeasible fraction {_format_float(worst)})",
-            file=sys.stderr,
-        )
+    worst = max(rows, key=attrgetter("infeasible_fraction"))
+    print(
+        f"largest infeasible fraction {_format_float(worst.infeasible_fraction)}: "
+        f"{worst.scheme} at {sweep}={_format_float(worst.sweep_value)}",
+        file=sys.stderr,
+    )
 
     manifest_path = args.out + ".manifest.json"
     manifest = {
@@ -374,13 +371,6 @@ def cmd_sweep(args) -> int:
         "duration_seconds": round(duration, 3),
         "csv": args.out,
         "config": serialize_config(cfg),
-        "infeasible_fractions": {
-            _format_float(float(point)): {
-                row.scheme: row.infeasible_fraction
-                for row in rows[i * len(SCHEMES) : (i + 1) * len(SCHEMES)]
-            }
-            for i, point in enumerate(points)
-        },
     }
     # Both files are written beside their targets first and then moved into
     # place, so a failed write leaves no partial file and no clobbered output.

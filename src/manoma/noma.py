@@ -33,7 +33,7 @@ The rate, order and power functions check their inputs by one rule per
 quantity, and a ValueError names the quantity that breaks it:
 - gains, alphas, powers: finite and >= 0, one alpha or power per gain, and
   gains >= GAIN_FLOOR where the power formulas divide (DegenerateChannelError);
-- noise: positive and finite; p_max: finite and >= 0;
+- noise: positive and finite; p_max and amplitude_total: finite and >= 0;
 - r_min: in [0, 1024), so a RateRequirement's alpha = 2**r_min - 1 is finite.
 """
 
@@ -129,13 +129,21 @@ def _sequence_rates(g_seq: np.ndarray, p_seq: np.ndarray, noise: float):
 
 def sum_rate_collapsed(gains, powers, noise: float) -> float:
     """Order-independent form of the sum rate: the per-user logs telescope.
-    Raises OverflowError if the total received power over noise overflows."""
+
+    A total received power over noise too large for a float is summed with
+    the gains scaled by an exact power of two 2**-s, so the rate is
+    s + log2(2**-s + sum(g 2**-s p) / noise); totals that fit are not scaled.
+    """
     g, p = _per_user(gains, "powers", powers)
     _check_noise(noise)
     with np.errstate(over="ignore"):
         rate = float(np.log2(1.0 + np.sum(g * p) / noise))
-    if not math.isfinite(rate):
-        raise OverflowError(_RATIO)
+    if rate == math.inf:
+        # g < 2**eg, p < 2**ep and 1 / noise <= 2**(1 - en), so with this s
+        # every product, the sum and the ratio stay under 2**1022.
+        eg, ep, en = (int(np.frexp(x)[1]) for x in (g.max(), p.max(), noise))
+        s = eg + ep + len(g).bit_length() + max(1 - en, 0) - 1022
+        rate = s + float(np.log2(np.ldexp(1.0, -s) + np.sum(np.ldexp(g, -s) * p) / noise))
     return rate
 
 
@@ -153,6 +161,20 @@ def oma_sum_rate(gains, p_max: float, noise: float) -> float:
     if not math.isfinite(rate):
         _raise_not_finite(np.arange(len(g)), ((ratio, _RATIO),))
     return rate
+
+
+def aligned_sum_rate(amplitude_total: float, p_max: float, noise: float) -> float:
+    """Sum rate with every path of every user phase-aligned at full power:
+    log2(1 + amplitude_total p_max / noise), amplitude_total the users' sum
+    of squared path-amplitude sums. Raises OverflowError if the ratio does."""
+    if not 0.0 <= amplitude_total < math.inf:
+        raise ValueError(f"amplitude_total must be finite and nonnegative, got {amplitude_total}")
+    _check_p_max(p_max)
+    _check_noise(noise)
+    ratio = amplitude_total * p_max / noise
+    if ratio == math.inf:
+        raise OverflowError(_RATIO)
+    return math.log2(1.0 + ratio)
 
 
 def _first_not_finite(seq: np.ndarray, checks) -> str | None:
@@ -212,16 +234,17 @@ def _decoding_sequence(g: np.ndarray, a: np.ndarray) -> np.ndarray:
     constrained = a > 0.0
     g_c = g[constrained]
     key = -g
-    # A zero gain times an infinite weight (alpha below about 5.6e-309) is
-    # NaN, which lexsort puts after every other constrained key.
     with np.errstate(over="ignore", invalid="ignore"):
         weight = 1.0 + 1.0 / a[constrained]
-        key[constrained] = -g_c * weight
-        if np.isinf(key).any():
+        key_c = -g_c * weight
+        if np.isinf(key_c).any():
             # Scaling the gains by a power of two scales every key exactly, so
             # keys brought under 2**1023 sort as the exact products would.
             exponent = int(np.max(np.frexp(g_c)[1] + np.frexp(weight)[1]))
-            key[constrained] = -np.ldexp(g_c, min(0, 1023 - exponent)) * weight
+            key_c = -np.ldexp(g_c, min(0, 1023 - exponent)) * weight
+    # A zero gain's key is -0 whatever its weight: times an infinite weight
+    # (alpha below about 5.6e-309) it would be NaN, sorted after every key.
+    key[constrained] = np.where(g_c == 0.0, -0.0, key_c)
     # lexsort is stable, so equal keys keep the lower user index first.
     return np.lexsort((key, ~constrained))
 

@@ -33,7 +33,7 @@ from functools import partial
 import numpy as np
 
 from manoma.channel import MoveRegion, Position, UserChannel, channel_gain, sample_user_channel
-from manoma.noma import GAIN_FLOOR, RateRequirement, oma_sum_rate, solve
+from manoma.noma import GAIN_FLOOR, RateRequirement, aligned_sum_rate, oma_sum_rate, solve
 from manoma.positioner import ScaParams, optimize_position
 
 SCHEMES = ("NOMA-MA", "NOMA-FPA", "OMA-MA", "OMA-FPA", "UPPER-BOUND")
@@ -181,12 +181,7 @@ def draw_users(cfg: ScenarioConfig, index: int, count: int) -> list[UserDraw]:
 def upper_bound(channels, p_max: float, noise: float) -> float:
     """Sum-rate cap with every user at the per-user maximum gain (all path
     amplitudes aligned) and full power; independent of antenna positions."""
-    return _aligned_rate(sum(ch.amplitude_sum**2 for ch in channels), p_max, noise)
-
-
-def _aligned_rate(amplitude_total: float, p_max: float, noise: float) -> float:
-    """upper_bound given the channels' sum of squared amplitude sums."""
-    return math.log2(1.0 + amplitude_total * p_max / noise)
+    return aligned_sum_rate(sum(ch.amplitude_sum**2 for ch in channels), p_max, noise)
 
 
 def _scheme_rates(draws: list[UserDraw], r_min: float, p_max_values, noise: float) -> np.ndarray:
@@ -204,7 +199,7 @@ def _scheme_rates(draws: list[UserDraw], r_min: float, p_max_values, noise: floa
             sol = solve(gains, reqs, p_max, noise)
             row[slot] = sol.sum_rate if sol.feasible else math.nan
             row[slot + 2] = oma_sum_rate(gains, p_max, noise)
-        row[4] = _aligned_rate(amplitude_total, p_max, noise)
+        row[4] = aligned_sum_rate(amplitude_total, p_max, noise)
     return out
 
 

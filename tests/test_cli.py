@@ -203,8 +203,32 @@ def test_sweep_row_count_and_schema(fast_config, tmp_path, capsys):
         # precision loss in the writer)
         for value in (fields[2], fields[3], fields[4]):
             assert f"{float(value):.12g}" == value
-    assert "point 1/1" in err
+    # One summary line after the sweep: the largest infeasible fraction, the
+    # first row in CSV order on a tie.
+    worst = max((line.split(",") for line in lines[1:]), key=lambda f: float(f[4]))
+    assert err.splitlines()[-1] == (
+        f"largest infeasible fraction {worst[4]}: {worst[1]} at power={worst[0]}"
+    )
     assert str(out_csv) in out
+
+
+def test_sweep_goes_through_the_wrapped_cli_names(fast_config, tmp_path, capsys, monkeypatch):
+    # The benchmark times a sweep by wrapping these three cli names, so
+    # cmd_sweep must call each of them, once, through the module.
+    calls = {}
+    for name in ("resolve_config", "sweep_power", "write_sweep_csv"):
+        def spy(*args, _name=name, _real=getattr(cli, name), **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, spy)
+    out_csv = tmp_path / "spied.csv"
+    code, _, _ = run_cli(
+        ["sweep", "--config", fast_config, "--points", "10", "--out", str(out_csv)],
+        capsys,
+    )
+    assert code == 0
+    assert calls == {"resolve_config": 1, "sweep_power": 1, "write_sweep_csv": 1}
 
 
 def test_sweep_same_config_is_byte_identical(fast_config, tmp_path, capsys):
@@ -248,6 +272,12 @@ def test_manifest_replay_reproduces_csv(fast_config, tmp_path, capsys):
     assert manifest["sweep"] == "users"
     assert manifest["points"] == [1, 2]
     assert manifest["config"]["seed"] == "11"
+    # The CSV is the one results table: the manifest holds the replay recipe
+    # and the run's metadata only.
+    assert list(manifest) == [
+        "artifact", "version", "command", "sweep", "points", "workers",
+        "duration_seconds", "csv", "config",
+    ]
 
     replay = tmp_path / "replay.csv"
     code, _, _ = run_cli(["sweep", "--config", manifest_path, "--out", str(replay)], capsys)

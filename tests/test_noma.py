@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import manoma.noma as noma
-from manoma.channel import DegenerateChannelError
+from manoma.channel import DegenerateChannelError, sample_user_channel
 from manoma.noma import (
     RATE_SLACK,
     NomaSolution,
     RateRequirement,
+    aligned_sum_rate,
     check_feasibility,
     decoding_order,
     minimum_rate_powers,
@@ -23,6 +24,10 @@ from manoma.noma import (
     sum_rate_collapsed,
 )
 from manoma.oracles import brute_force_allocation, fixed_order_lp_powers
+from manoma.sim import ScenarioConfig, upper_bound
+
+# One default channel, for the upper bound's input rule.
+_CHANNELS = [sample_user_channel(ScenarioConfig(), np.random.default_rng(0))]
 
 
 def _random_instance(rng, num_users, p_max_span=(1.0, 50.0), r_span=(0.05, 0.8)):
@@ -599,6 +604,7 @@ _VALID = {
     "r_min": 0.5,
     "p_max": 4.0,
     "noise": 1.0,
+    "amplitude_total": 2.0,
 }
 _ENTRY_POINTS = {
     "sinr_and_rates": lambda v: sinr_and_rates(v["gains"], (1, 2), v["powers"], v["noise"]),
@@ -615,6 +621,8 @@ _ENTRY_POINTS = {
         v["gains"], v["alphas"], v["p_max"], v["noise"]
     ),
     "oma_sum_rate": lambda v: oma_sum_rate(v["gains"], v["p_max"], v["noise"]),
+    "aligned_sum_rate": lambda v: aligned_sum_rate(v["amplitude_total"], v["p_max"], v["noise"]),
+    "upper_bound": lambda v: upper_bound(_CHANNELS, v["p_max"], v["noise"]),
 }
 _QUANTITIES = {
     "sinr_and_rates": ("gains", "powers", "noise"),
@@ -625,6 +633,8 @@ _QUANTITIES = {
     "solve": ("gains", "r_min", "p_max", "noise"),
     "brute_force_allocation": ("gains", "alphas", "p_max", "noise"),
     "oma_sum_rate": ("gains", "p_max", "noise"),
+    "aligned_sum_rate": ("amplitude_total", "p_max", "noise"),
+    "upper_bound": ("p_max", "noise"),
 }
 
 
@@ -641,12 +651,15 @@ def _invalid_input_cases():
     # every user, and oma_sum_rate kept its own gains sign test, so a NaN
     # gain or noise gave NaN and an infinite p_max an infinite rate; with no
     # gains it took the mean of an empty array, NaN and a RuntimeWarning.
+    # upper_bound had no rule: a zero noise raised ZeroDivisionError, a NaN
+    # p_max gave NaN and a negative one "math domain error".
     found = [
         ("sinr_and_rates", {"powers": [1.0, math.inf]}, "powers"),
         ("decoding_order", {"gains": [math.nan, 1.0]}, "gains"),
         ("solve", {"r_min": 1100.0}, "r_min"),
         ("oma_sum_rate", {"noise": 0.0}, "noise"),
         ("oma_sum_rate", {"gains": []}, "user"),
+        ("upper_bound", {"noise": 0.0}, "noise"),
     ]
     for entry, overrides, quantity in found:
         yield pytest.param(entry, overrides, quantity, id=f"found-{entry}-{quantity}")
@@ -907,13 +920,14 @@ def test_infinite_headroom_caps_nobody():
             oma_sum_rate, ([1.0, 1e308], 1e10, 1.0),
             "user 2 received-power ratio g * p / (interference + noise) is not finite",
         ),
-        # The collapsed form has one ratio, of the total received power.
+        # The aligned rate has one ratio, of the total received power; it
+        # came out inf.
         (
-            sum_rate_collapsed, ([1e308] * 2, [1.0, 1.0], 1.0),
+            upper_bound, (_CHANNELS, 1e308, 1e-300),
             "received-power ratio g * p / (interference + noise) is not finite",
         ),
     ],
-    ids=["sinr_and_rates", "oma_sum_rate", "sum_rate_collapsed"],
+    ids=["sinr_and_rates", "oma_sum_rate", "upper_bound"],
 )
 def test_rate_functions_raise_on_overflow_without_warnings(call, args, message):
     with warnings.catch_warnings():
@@ -923,8 +937,25 @@ def test_rate_functions_raise_on_overflow_without_warnings(call, args, message):
     assert str(raised.value) == message
 
 
+@pytest.mark.parametrize(
+    "gains, powers, noise",
+    [([1e308, 1e308], [1.0, 1.0], 1.0), ([1e308, 1e300], [1.0, 1.0], 1e-7)],
+)
+def test_collapsed_sum_rate_survives_an_overflowing_total(gains, powers, noise):
+    # The total received power over noise overflows while every per-user
+    # rate is finite; the collapsed form used to raise OverflowError.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rates = sinr_and_rates(gains, (1, 2), powers, noise)
+        collapsed = sum_rate_collapsed(gains, powers, noise)
+    assert_allclose(collapsed, np.sum(rates), rtol=1e-12)
+
+
 def test_decoding_order_with_an_infinite_weight_needs_no_warning():
-    # 1 + 1/5e-324 is inf, so user 1's key is 0 * inf, which is NaN.
+    # 1 + 1/5e-324 is inf, and a zero gain's key is -0 whatever its weight,
+    # not the NaN that 0 * inf gives. So zero gains tie by index: a NaN key
+    # put user 1 after user 3, giving (3, 1, 2).
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert decoding_order([0.0, 1.0], [5e-324, 0.5]) == (2, 1)
+        assert decoding_order([0.0, 1.0, 0.0], [5e-324, 0.5, 0.3]) == (2, 1, 3)
