@@ -32,8 +32,10 @@ from manoma.sim import (
     SweepRow,
     dbm_to_mw,
     draw_users,
+    power_points,
     sweep_power,
     sweep_users,
+    user_counts,
 )
 
 CSV_HEADER = "sweep_value,scheme,mean_sum_rate_bps_hz,std_sum_rate,infeasible_fraction,realizations,seed"
@@ -244,26 +246,13 @@ def _write_manifest(path: str, manifest: dict) -> None:
 
 
 def _parse_points(key: str, items: list[str], sweep: str) -> list:
-    """Sweep points from their text, for --points and a manifest's points."""
-    if not items:
-        raise ConfigError(f"{key}: expected at least one value")
-    if sweep == "users":
-        points = []
-        for item in items:
-            try:
-                points.append(int(item))
-            except ValueError:
-                raise ConfigError(
-                    f"{key}: user counts must be integers, got {item!r}"
-                ) from None
-            if points[-1] < 1:
-                raise ConfigError(f"{key}: user counts must be at least 1, got {item!r}")
-        return points
+    """Sweep points from their text, for --points and a manifest's points,
+    judged by the sweep axis's own rule in sim."""
     points = [_parse_float(key, item) for item in items]
-    for item, point in zip(items, points):
-        if dbm_to_mw(point) == math.inf:
-            raise ConfigError(f"{key}: power points must be finite in mW, got {item!r} dBm")
-    return points
+    try:
+        return (user_counts if sweep == "users" else power_points)(points)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
 
 
 def _output_problem(path: str) -> str | None:

@@ -31,9 +31,10 @@ power_allocation runs the same two halves without the cache.
 
 The rate, order and power functions check their inputs by one rule per
 quantity, and a ValueError names the quantity that breaks it:
-- gains, alphas, powers: finite and >= 0, one alpha or power per gain, and
-  gains >= GAIN_FLOOR where the power formulas divide (DegenerateChannelError);
-- noise: positive and finite; p_max and amplitude_total: finite and >= 0;
+- gains, alphas, powers and amplitude_sums: one-dimensional, one entry per
+  user, finite and >= 0, one alpha or power per gain, and gains >=
+  GAIN_FLOOR where the power formulas divide (DegenerateChannelError);
+- noise: positive and finite; p_max: finite and >= 0;
 - r_min: in [0, 1024), so a RateRequirement's alpha = 2**r_min - 1 is finite.
 """
 
@@ -150,8 +151,7 @@ def sum_rate_collapsed(gains, powers, noise: float) -> float:
 def oma_sum_rate(gains, p_max: float, noise: float) -> float:
     """Orthogonal time sharing: each user sends at full power in its 1/K slot.
     Raises OverflowError naming the first user whose g p_max / noise overflows."""
-    g = np.asarray(gains, dtype=float)
-    _check_nonnegative("gains", g)
+    g = _check_per_user("gains", gains)
     _check_users(g)
     _check_p_max(p_max)
     _check_noise(noise)
@@ -163,16 +163,22 @@ def oma_sum_rate(gains, p_max: float, noise: float) -> float:
     return rate
 
 
-def aligned_sum_rate(amplitude_total: float, p_max: float, noise: float) -> float:
+def aligned_sum_rate(amplitude_sums, p_max: float, noise: float) -> float:
     """Sum rate with every path of every user phase-aligned at full power:
-    log2(1 + amplitude_total p_max / noise), amplitude_total the users' sum
-    of squared path-amplitude sums. Raises OverflowError if the ratio does."""
-    if not 0.0 <= amplitude_total < math.inf:
-        raise ValueError(f"amplitude_total must be finite and nonnegative, got {amplitude_total}")
+    log2(1 + sum(a_k**2) p_max / noise) over the users' path-amplitude sums
+    a_k. Raises OverflowError if that total or the ratio does."""
+    a = _check_per_user("amplitude_sums", amplitude_sums)
+    _check_users(a)
     _check_p_max(p_max)
     _check_noise(noise)
-    ratio = amplitude_total * p_max / noise
-    if ratio == math.inf:
+    try:
+        # Python's ** in user order, summed left to right: a * a or np.square
+        # would differ from a**2 in the last bit on some floats.
+        total = sum(x**2 for x in a.tolist())
+    except OverflowError:
+        total = math.inf
+    ratio = total * p_max / noise
+    if math.inf in (total, ratio):
         raise OverflowError(_RATIO)
     return math.log2(1.0 + ratio)
 
@@ -193,8 +199,12 @@ def _raise_not_finite(seq: np.ndarray, checks) -> None:
         raise OverflowError(verdict)
 
 
-def _check_nonnegative(label: str, arr: np.ndarray, floor: float = 0.0) -> None:
-    """The rule for gains, alphas and powers, on a float array."""
+def _check_per_user(label: str, values, floor: float = 0.0) -> np.ndarray:
+    """The rule for gains, alphas, powers and amplitude sums, returning the
+    checked float array."""
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim != 1:
+        raise ValueError(f"{label} must be one-dimensional, one entry per user, got {arr.shape}")
     if arr.size:
         low, high = arr.min(), arr.max()  # NaN if any entry is, failing both tests
         if not (0.0 <= low and high < math.inf):
@@ -202,15 +212,14 @@ def _check_nonnegative(label: str, arr: np.ndarray, floor: float = 0.0) -> None:
         if low < floor:
             msg = f"gains below {floor} would make the power formulas divide by zero"
             raise DegenerateChannelError(msg)
+    return arr
 
 
 def _per_user(gains, name: str, values, floor: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Checked float arrays of the gains and of one alpha or power per gain."""
-    g, x = np.asarray(gains, dtype=float), np.asarray(values, dtype=float)
+    g, x = _check_per_user("gains", gains, floor), _check_per_user(name, values)
     if g.shape != x.shape:
         raise ValueError(f"{name} must have one entry per gain, got {x.shape} for {g.shape}")
-    _check_nonnegative("gains", g, floor)
-    _check_nonnegative(name, x)
     return g, x
 
 

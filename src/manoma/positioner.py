@@ -21,6 +21,7 @@ one-lane calls.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,10 +56,10 @@ class ScaParams:
     def __post_init__(self) -> None:
         if not 0.0 <= self.threshold < math.inf:
             raise ValueError(f"threshold must be finite and nonnegative, got {self.threshold}")
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
-        if self.multistart < 0:
-            raise ValueError(f"multistart must be nonnegative, got {self.multistart}")
+        for name, low in (("max_iterations", 1), ("multistart", 0)):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= low):
+                raise ValueError(f"{name} must be an integer of at least {low}, got {value}")
 
 
 @dataclass(frozen=True)

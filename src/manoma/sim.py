@@ -12,10 +12,11 @@ antenna on the unit-power channels, and evaluates the gains there and at
 the region center. `_realization_table` computes the five scheme rates on
 one draw of the largest user count for every (user count, power cap) pair,
 a smaller count on a prefix of the users, and knows no sweep axis.
-`sweep_power` and `sweep_users` check their points before any draw and
-aggregate the realizations into `SweepRow`s. A one-point `sweep_power` at
-the config's power is the plain Monte Carlo estimate; `run_realization`
-gives one realization's rates, as row 0 of that one-point table.
+`sweep_power` and `sweep_users` check their points before any draw, by
+the one rule per axis (`power_points`, `user_counts`), and aggregate the
+realizations into `SweepRow`s. A one-point `sweep_power` at the config's
+power is the plain Monte Carlo estimate; `run_realization` gives one
+realization's rates, as row 0 of that one-point table.
 
 Position optimization happens once per channel draw: transmit power never
 enters the gain objective, so a power sweep reuses the same positions, and
@@ -27,6 +28,7 @@ worker count or sweep shape.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -71,10 +73,10 @@ class ScenarioConfig:
             value = getattr(self, name)
             if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if self.num_users < 1:
-            raise ValueError(f"num_users must be at least 1, got {self.num_users}")
-        if self.paths_per_user < 1:
-            raise ValueError(f"paths_per_user must be at least 1, got {self.paths_per_user}")
+        for name in ("num_users", "paths_per_user", "realizations"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= 1):
+                raise ValueError(f"{name} must be an integer of at least 1, got {value}")
         if not 0.0 < self.distance_range[0] <= self.distance_range[1]:
             raise ValueError(
                 f"distance_range must satisfy 0 < min <= max, got {self.distance_range}"
@@ -86,9 +88,7 @@ class ScenarioConfig:
             raise ValueError(
                 f"pathloss_exponent must be positive, got {self.pathloss_exponent}"
             )
-        if self.realizations < 1:
-            raise ValueError(f"realizations must be at least 1, got {self.realizations}")
-        if not 0 <= self.seed < _MAX_SEED:
+        if not (isinstance(self.seed, numbers.Integral) and 0 <= self.seed < _MAX_SEED):
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if not 0.0 < dbm_to_mw(self.noise_dbm) < math.inf:
             raise ValueError(f"noise_dbm must be positive and finite in mW, got {self.noise_dbm}")
@@ -181,25 +181,25 @@ def draw_users(cfg: ScenarioConfig, index: int, count: int) -> list[UserDraw]:
 def upper_bound(channels, p_max: float, noise: float) -> float:
     """Sum-rate cap with every user at the per-user maximum gain (all path
     amplitudes aligned) and full power; independent of antenna positions."""
-    return aligned_sum_rate(sum(ch.amplitude_sum**2 for ch in channels), p_max, noise)
+    return aligned_sum_rate([ch.amplitude_sum for ch in channels], p_max, noise)
 
 
 def _scheme_rates(draws: list[UserDraw], r_min: float, p_max_values, noise: float) -> np.ndarray:
     """Five scheme sum rates for one draw set at each power cap, shape
     (points, schemes); NaN marks an infeasible NOMA instance. What does not
-    depend on the power (gains, requirements, the amplitude total) is
-    gathered once."""
+    depend on the power (gains, requirements, amplitude sums) is gathered
+    once."""
     reqs = [RateRequirement(r_min)] * len(draws)
     ma_gains = np.array([d.ma_gain for d in draws])
     fpa_gains = np.array([d.fpa_gain for d in draws])
-    amplitude_total = sum(d.channel.amplitude_sum**2 for d in draws)
+    amplitude_sums = np.array([d.channel.amplitude_sum for d in draws])
     out = np.empty((len(p_max_values), len(SCHEMES)))
     for row, p_max in zip(out, p_max_values):
         for slot, gains in enumerate((ma_gains, fpa_gains)):
             sol = solve(gains, reqs, p_max, noise)
             row[slot] = sol.sum_rate if sol.feasible else math.nan
             row[slot + 2] = oma_sum_rate(gains, p_max, noise)
-        row[4] = aligned_sum_rate(amplitude_total, p_max, noise)
+        row[4] = aligned_sum_rate(amplitude_sums, p_max, noise)
     return out
 
 
@@ -213,23 +213,21 @@ def run_realization(cfg: ScenarioConfig, index: int) -> dict[str, float]:
     return dict(zip(SCHEMES, table[0]))
 
 
-def _realization_table(
-    cfg: ScenarioConfig, user_counts, p_max_dbm_values, index: int
-) -> np.ndarray:
+def _realization_table(cfg: ScenarioConfig, counts, p_max_dbm_values, index: int) -> np.ndarray:
     """Rates for one realization at every (user count, power cap) pair,
     count-major, shape (counts * caps, schemes). The largest count is drawn
     once and a smaller count evaluates a prefix of its users."""
-    draws = draw_users(cfg, index, max(user_counts))
+    draws = draw_users(cfg, index, max(counts))
     p_max = [dbm_to_mw(p_dbm) for p_dbm in p_max_dbm_values]
     noise = dbm_to_mw(cfg.noise_dbm)
-    return np.concatenate([_scheme_rates(draws[:k], cfg.r_min, p_max, noise) for k in user_counts])
+    return np.concatenate([_scheme_rates(draws[:k], cfg.r_min, p_max, noise) for k in counts])
 
 
-def _collect(cfg: ScenarioConfig, user_counts, p_max_dbm_values, workers: int) -> np.ndarray:
+def _collect(cfg: ScenarioConfig, counts, p_max_dbm_values, workers: int) -> np.ndarray:
     """All realizations' rate tables, shape (realizations, points, schemes)."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    job = partial(_realization_table, cfg, tuple(user_counts), tuple(p_max_dbm_values))
+    job = partial(_realization_table, cfg, tuple(counts), tuple(p_max_dbm_values))
     indices = range(cfg.realizations)
     if workers == 1:
         tables = [job(i) for i in indices]
@@ -268,31 +266,42 @@ def _aggregate(tables: np.ndarray, values) -> list[SweepRow]:
     return rows
 
 
+def power_points(values) -> list[float]:
+    """The power axis's rule: at least one point, each finite in dBm and in
+    mW, as cfg.p_max_dbm must be."""
+    points = [float(v) for v in values]
+    if not points:
+        raise ValueError("at least one power value is required")
+    for point in points:
+        _check_finite_mw("power point", point)
+    return points
+
+
+def user_counts(values) -> list[int]:
+    """The user axis's rule: at least one count, each an integer of at least
+    1; 4.0 is the count 4, and 2.5 is rejected, not truncated."""
+    counts = [float(k) for k in values]
+    if not counts:
+        raise ValueError("at least one user count is required")
+    for k in counts:
+        if not (k.is_integer() and k >= 1):
+            raise ValueError(f"user counts must be integers of at least 1, got {k:g}")
+    return [int(k) for k in counts]
+
+
 def sweep_power(cfg: ScenarioConfig, p_max_dbm_values, workers: int = 1) -> list[SweepRow]:
     """Sum rates versus transmit power cap, all sweep points sharing the
     exact same channel draws and antenna positions (positions do not depend
     on power, so pairing is free variance reduction). A one-point sweep at
     cfg.p_max_dbm is the Monte Carlo estimate at the config's operating
-    point. Every point must be finite in dBm and in mW, as cfg.p_max_dbm
-    must, and workers at least 1."""
-    values = [float(v) for v in p_max_dbm_values]
-    if not values:
-        raise ValueError("at least one power value is required")
-    for value in values:
-        _check_finite_mw("power point", value)
+    point. Points obey power_points, and workers must be at least 1."""
+    values = power_points(p_max_dbm_values)
     return _aggregate(_collect(cfg, (cfg.num_users,), values, workers), values)
 
 
 def sweep_users(cfg: ScenarioConfig, k_values, workers: int = 1) -> list[SweepRow]:
     """Sum rates versus user count at the config's power cap; smaller user
-    counts evaluate a prefix of the larger counts' draws. Counts must be
-    integers of at least 1, and so must workers; 2.5 is rejected, not
-    truncated."""
-    values = [float(k) for k in k_values]
-    if not values:
-        raise ValueError("at least one user count is required")
-    for k in values:
-        if not (k.is_integer() and k >= 1):
-            raise ValueError(f"user counts must be integers of at least 1, got {k:g}")
-    counts = [int(k) for k in values]
+    counts evaluate a prefix of the larger counts' draws. Counts obey
+    user_counts, and workers must be at least 1."""
+    counts = user_counts(k_values)
     return _aggregate(_collect(cfg, counts, (cfg.p_max_dbm,), workers), counts)

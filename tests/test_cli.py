@@ -494,8 +494,60 @@ def test_sweep_rejects_power_points_too_large_for_a_float(
         ["sweep", "--config", fast_config, "--points", points, "--out", str(out_csv)], capsys
     )
     assert code == 2
-    assert err.startswith("config error: --points: power points must be finite in mW, got '3090'")
+    assert err.startswith("config error: --points: power point must be finite in mW, got 3090.0")
     assert not out_csv.exists()
+
+
+class _Ran(Exception):
+    """Raised in place of a sweep's compute, carrying the points it got."""
+
+
+@pytest.mark.parametrize(
+    "sweep, text",
+    [
+        ("users", "4.0"),
+        ("users", "1e1"),
+        ("users", "2.5"),
+        ("users", "0"),
+        ("power", "20"),
+        ("power", "3090"),
+        ("power", "1e300"),
+    ],
+)
+def test_sweep_points_are_judged_by_the_library_rule(
+    fast_config, tmp_path, capsys, monkeypatch, sweep, text
+):
+    # The library's verdict on [float(text)], with its compute replaced.
+    def no_compute(cfg, counts, p_max_dbm_values, workers):
+        raise _Ran(list(counts if sweep == "users" else p_max_dbm_values))
+
+    monkeypatch.setattr(sim, "_collect", no_compute)
+    library = sim.sweep_users if sweep == "users" else sim.sweep_power
+    cfg = cli.resolve_config(cli.load_config(fast_config).raw)
+    try:
+        library(cfg, [float(text)])
+    except _Ran as ran:
+        accepted, message = ran.args[0], None
+    except ValueError as exc:
+        accepted, message = None, str(exc)
+
+    def spy(cfg, points, workers):
+        raise _Ran(points)
+
+    monkeypatch.setattr(cli, "sweep_users", spy)
+    monkeypatch.setattr(cli, "sweep_power", spy)
+    argv = ["sweep", "--config", fast_config, "--sweep", sweep, "--points", text]
+    argv += ["--out", str(tmp_path / "x.csv")]
+    if message is not None:
+        # A call to the spy would raise _Ran out of main.
+        code, _, err = run_cli(argv, capsys)
+        assert (code, err) == (2, f"config error: --points: {message}\n")
+    else:
+        with pytest.raises(_Ran) as ran:
+            main(argv)
+        points = ran.value.args[0]
+        assert points == accepted
+        assert [type(p) for p in points] == [type(p) for p in accepted]
 
 
 def test_sweep_unwritable_output_is_io_error(fast_config, capsys):

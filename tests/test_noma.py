@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import manoma.noma as noma
-from manoma.channel import DegenerateChannelError, sample_user_channel
+from manoma.channel import DegenerateChannelError, PathAngles, UserChannel, sample_user_channel
 from manoma.noma import (
     RATE_SLACK,
     NomaSolution,
@@ -604,7 +604,7 @@ _VALID = {
     "r_min": 0.5,
     "p_max": 4.0,
     "noise": 1.0,
-    "amplitude_total": 2.0,
+    "amplitude_sums": [1.0, 2.0],
 }
 _ENTRY_POINTS = {
     "sinr_and_rates": lambda v: sinr_and_rates(v["gains"], (1, 2), v["powers"], v["noise"]),
@@ -621,7 +621,7 @@ _ENTRY_POINTS = {
         v["gains"], v["alphas"], v["p_max"], v["noise"]
     ),
     "oma_sum_rate": lambda v: oma_sum_rate(v["gains"], v["p_max"], v["noise"]),
-    "aligned_sum_rate": lambda v: aligned_sum_rate(v["amplitude_total"], v["p_max"], v["noise"]),
+    "aligned_sum_rate": lambda v: aligned_sum_rate(v["amplitude_sums"], v["p_max"], v["noise"]),
     "upper_bound": lambda v: upper_bound(_CHANNELS, v["p_max"], v["noise"]),
 }
 _QUANTITIES = {
@@ -633,7 +633,7 @@ _QUANTITIES = {
     "solve": ("gains", "r_min", "p_max", "noise"),
     "brute_force_allocation": ("gains", "alphas", "p_max", "noise"),
     "oma_sum_rate": ("gains", "p_max", "noise"),
-    "aligned_sum_rate": ("amplitude_total", "p_max", "noise"),
+    "aligned_sum_rate": ("amplitude_sums", "p_max", "noise"),
     "upper_bound": ("p_max", "noise"),
 }
 
@@ -663,6 +663,18 @@ def _invalid_input_cases():
     ]
     for entry, overrides, quantity in found:
         yield pytest.param(entry, overrides, quantity, id=f"found-{entry}-{quantity}")
+    # Per-user arrays must be one-dimensional. A 2x2 array with a matching
+    # 2x2 partner used to be four users to decoding_order and oma_sum_rate
+    # and an IndexError in the power functions; a scalar was one user to
+    # oma_sum_rate and a TypeError to decoding_order.
+    for entry, quantities in _QUANTITIES.items():
+        arrays = [q for q in quantities if isinstance(_VALID[q], list)]
+        if not arrays:
+            continue
+        rule = f"{arrays[0]} must be one-dimensional"
+        for shape, reshape in (("2d", lambda x: [x, x]), ("0d", lambda x: x[0])):
+            overrides = {q: reshape(_VALID[q]) for q in arrays}
+            yield pytest.param(entry, overrides, rule, id=f"{entry}-{shape}")
 
 
 @pytest.mark.parametrize("entry, overrides, quantity", _invalid_input_cases())
@@ -926,8 +938,21 @@ def test_infinite_headroom_caps_nobody():
             upper_bound, (_CHANNELS, 1e308, 1e-300),
             "received-power ratio g * p / (interference + noise) is not finite",
         ),
+        # An amplitude sum of 1e200 squares past the float range: Python's **
+        # raised OverflowError(34, 'Numerical result out of range').
+        (
+            upper_bound,
+            ([UserChannel((PathAngles(1.0, 1.0),), np.array([1e200 + 0j]))], 1.0, 1.0),
+            "received-power ratio g * p / (interference + noise) is not finite",
+        ),
+        # Each square fits and their total does not; at a zero cap the ratio
+        # would be inf * 0 = NaN, so the total is judged on its own.
+        (
+            aligned_sum_rate, ([1.3e154, 1.3e154], 0.0, 1.0),
+            "received-power ratio g * p / (interference + noise) is not finite",
+        ),
     ],
-    ids=["sinr_and_rates", "oma_sum_rate", "upper_bound"],
+    ids=["sinr_and_rates", "oma_sum_rate", "upper_bound", "found-upper_bound-square", "total"],
 )
 def test_rate_functions_raise_on_overflow_without_warnings(call, args, message):
     with warnings.catch_warnings():

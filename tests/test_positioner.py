@@ -376,6 +376,15 @@ def test_param_validation():
         ScaParams(multistart=-1)
 
 
+@pytest.mark.parametrize("field", ["max_iterations", "multistart"])
+def test_param_counts_are_integers(field):
+    # 2.5 iterations and 1.5 extra starts used to construct and then fail
+    # mid-run with a TypeError; numpy integers are integers.
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        ScaParams(**{field: 2.5})
+    assert getattr(ScaParams(**{field: np.int64(3)}), field) == 3
+
+
 # --- lockstep ascent engine ---
 
 

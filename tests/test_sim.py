@@ -68,11 +68,27 @@ def test_dbm_to_mw(dbm, mw):
         dict(pathloss_exponent=400.0),
         # A path gain of 6.3e-32 puts every gain under noma.GAIN_FLOOR.
         dict(distance_range=(1e8, 1e8)),
+        # Counts that used to construct and then fail mid-run with a
+        # TypeError (slice indices, spawn, range).
+        dict(num_users=2.5),
+        dict(num_users=4.0),
+        dict(paths_per_user=2.5),
+        dict(realizations=1.5),
+        dict(seed=1.5),
     ],
 )
 def test_config_validation(bad):
     with pytest.raises(ValueError):
         ScenarioConfig(**bad)
+
+
+@pytest.mark.parametrize("field", ["num_users", "paths_per_user", "realizations", "seed"])
+def test_config_counts_are_integers_named_by_field(field):
+    # The message starts with the field, so resolve_config names the key;
+    # numpy integers are integers.
+    with pytest.raises(ValueError, match=f"^{field} must be a"):
+        ScenarioConfig(**{field: 2.5})
+    assert getattr(ScenarioConfig(**{field: np.int64(3)}), field) == 3
 
 
 @pytest.mark.parametrize(
@@ -118,6 +134,21 @@ def test_oma_zero_gains_zero_rate():
 def test_upper_bound_hand_value():
     ch = UserChannel(angles=(PathAngles(1.0, 1.0),), prv=np.array([1.0 + 0j]))
     assert_allclose(upper_bound([ch], p_max=1.0, noise=1.0), 1.0, rtol=1e-12)
+
+
+def test_sweep_upper_bound_column_is_upper_bound_bit_for_bit():
+    # The UPPER-BOUND column goes through upper_bound's own computation,
+    # prefixes of a draw set included.
+    cfg = _small_cfg()
+    caps = (0.0, 7.5, 20.0)
+    noise = dbm_to_mw(cfg.noise_dbm)
+    for index in range(3):
+        table = sim._realization_table(cfg, (2, 3), caps, index)
+        channels = [d.channel for d in draw_users(cfg, index, 3)]
+        expected = [
+            upper_bound(channels[:k], dbm_to_mw(p_dbm), noise) for k in (2, 3) for p_dbm in caps
+        ]
+        assert table[:, SCHEMES.index("UPPER-BOUND")].tolist() == expected
 
 
 def test_upper_bound_tight_for_single_path_channels():
