@@ -317,7 +317,8 @@ def cmd_sweep(args) -> int:
     cfg = resolve_config(_apply_flag_overrides(loaded.raw, args))
     sweep = args.sweep or loaded.sweep or "power"
     if sweep not in ("power", "users"):
-        raise ConfigError(f"--sweep must be 'power' or 'users', got {sweep!r}")
+        # argparse's choices guard --sweep, so only a manifest's value gets here.
+        raise ConfigError(f"sweep: expected 'power' or 'users', got {sweep!r}")
     if args.points is not None:
         items = [item.strip() for item in args.points.split(",") if item.strip()]
         points = _parse_points("--points", items, sweep)

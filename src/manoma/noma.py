@@ -14,14 +14,16 @@ Internally an order is the sequence of user indices, first decoded first;
 ranks appear only in NomaSolution.order, decoding_order and the order
 argument of sinr_and_rates.
 
-Power control runs as array operations with no Python loop over pairs of
-users: one np.add.reduce per window width gives every window sum the caps
-need, and the per-user caps, products and verdicts are elementwise. Each
-result is bit for bit what the per-pair formulas give, because every sum and
-product is taken in the order np.sum and np.prod take it on the slice alone.
+Power control has no Python loop over pairs of users. The caps are one
+matrix caps[i, k] over the constrained users i decoded before user k; one
+np.add.reduce per width w gives the gains between every pair w users apart,
+one reduce or product per user the terms of the users after it, and the
+caps and verdicts are elementwise. Each result is bit for bit what the
+per-pair formulas give, because every sum and product is taken in the order
+np.sum and np.prod take it on the slice alone.
 
 Power control splits in two. The plan (decoding sequence, minimum-rate
-powers, window sums) depends on the gains, alphas and noise but not on the
+powers, pair sums) depends on the gains, alphas and noise but not on the
 power cap; the finish (caps, back-off, rates, feasibility) is per cap. solve
 keeps the plans of its last two distinct (gains, alphas, noise) inputs in a
 bounded cache, keyed by their bytes, so a power sweep that alternates two
@@ -35,7 +37,9 @@ quantity, and a ValueError names the quantity that breaks it:
   user, finite and >= 0, one alpha or power per gain, and gains >=
   GAIN_FLOOR where the power formulas divide (DegenerateChannelError);
 - noise: positive and finite; p_max: finite and >= 0;
-- r_min: in [0, 1024), so a RateRequirement's alpha = 2**r_min - 1 is finite.
+- r_min: in [0, 1024), so a RateRequirement's alpha = 2**r_min - 1 is finite;
+- the powers and rates check_feasibility judges: one-dimensional, one entry
+  per requirement, and powers finite (a negative one is a verdict).
 """
 
 from __future__ import annotations
@@ -289,17 +293,11 @@ def minimum_rate_powers(gains, alphas, noise: float) -> np.ndarray:
 
 
 def _minimum_rate_powers(g: np.ndarray, a: np.ndarray, noise: float) -> np.ndarray:
-    num = len(g)
-    # Segment k of the reduceat is factors[k+1:num], multiplied left to right
-    # as np.prod does; the odd segments pick the padding 1.0 and are dropped.
-    factors = np.append(a + 1.0, 1.0)
-    bounds = np.full(2 * num, num)
-    bounds[0::2] = np.arange(1, num + 1)
-    need = a > 0.0
-    c = np.zeros(num)
+    c = np.zeros(len(g))
     # Many large factors overflow to inf; solve reports that user infeasible.
     with np.errstate(over="ignore"):
-        c[need] = noise * a[need] / g[need] * np.multiply.reduceat(factors, bounds)[0::2][need]
+        for k in np.flatnonzero(a > 0.0):
+            c[k] = noise * a[k] / g[k] * np.prod(a[k + 1 :] + 1.0)
     return c
 
 
@@ -321,51 +319,44 @@ def _windows(x: np.ndarray, width: int) -> np.ndarray:
     return view
 
 
-def _window_sums(g: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The window sums _saturating_powers needs, which no power cap enters.
+def _pair_sums(g: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sums _saturating_powers needs, which no power cap enters:
+    between[i, k] = sum(g[i+1:k]) for i < k (NaN for i >= k) and later[k] =
+    sum(g c) over the users after k.
 
-    Every window sum is taken by np.add.reduce on a row of a strided view,
-    which sums it exactly as np.sum sums that slice on its own: row r of
-    `sums` holds the windows of width num-2-r, later_{r+1} in column 0 and
-    sum(g[k-w:k]) in column k >= w+1 (columns 1..w straddle the two arrays
-    and are never used). `later` holds later_k for every k.
+    Every sum is taken by np.add.reduce on one slice or one row of a strided
+    view, which sums it exactly as np.sum sums that slice on its own. The
+    pairs with w users between them are the rows of _windows(g[1:-1], w).
     """
     num = len(g)
-    # received[m] = g c of user m+2, followed by the gains: a window of width
-    # w starting at index r covers received[r:] exactly when r + w = num-2.
-    sums = np.empty((num - 1, num))
+    between = np.full((num, num), np.nan)
+    pairs = between.reshape(-1)  # pair (j, j + w + 1) sits at w + 1 + j (num + 1)
+    inner = np.ascontiguousarray(g[1:-1])
     # A sum too large for a float is inf; solve reports the cap that reads it.
     with np.errstate(over="ignore"):
-        windows = _windows(np.concatenate((g[2:] * c[2:], g, np.zeros(num))), num)
-        for r in range(num - 1):
-            # Positional (axis, dtype, out): keyword parsing costs more than the sum.
-            np.add.reduce(windows[r : r + num, : num - 2 - r], 1, None, sums[r])
-    return sums, np.concatenate(([0.0], sums[:, 0]))
+        for w in range(num - 1):
+            pairs[w + 1 :: num + 1][: num - 1 - w] = np.add.reduce(_windows(inner, w), 1)
+        received = g * c
+        later = np.array([np.add.reduce(received[k + 1 :]) for k in range(num)])
+    return between, later
 
 
-def _saturating_powers(g, a, c, sums, later, p_max: float, noise: float) -> np.ndarray:
+def _saturating_powers(g, a, c, between, later, p_max: float, noise: float) -> np.ndarray:
     """power_allocation on validated inputs, their minimum-rate powers c and
-    _window_sums: the one place that decides a power cap.
+    _pair_sums: the one place that decides a power cap.
 
-    User k may send at most (g_i p_max / a_i - sum(g[i+1:k]) p_max - later_k
-    - noise) / g_k while each constrained user i < k keeps its rate, where
-    later_k = sum(g c) over the users after k. caps[r, k] pairs user k with
-    i = k+r-(num-1); NaN marks pairs that do not constrain k, and fmin skips
-    NaN as Python's min did. Nothing warns: an infinite headroom caps nobody,
-    a cap of inf - inf is NaN and skipped, one reading an overflowed sum -inf.
+    Constrained user i < k keeps its rate while user k sends at most
+    caps[i, k] = (g_i p_max / a_i - between[i, k] p_max - later[k] - noise)
+    / g_k. NaN marks the pairs that do not constrain k, and fmin skips NaN
+    as Python's min did. Nothing warns: an infinite headroom caps nobody, a
+    cap of inf - inf is NaN and skipped, one reading an overflowed sum -inf.
     """
-    num = len(g)
-    p = np.full(num, p_max, dtype=float)
-    headroom = np.full(2 * num - 2, np.nan)
-    if num == 1:
-        return p
-    constrained = np.flatnonzero(a[:-1] > 0.0)
+    p = np.full(len(g), p_max, dtype=float)
+    headroom = np.full(len(g), np.nan)
+    constrained = a > 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        headroom[num - 1 + constrained] = g[constrained] * p_max / a[constrained]
-        caps = _windows(headroom, num) - sums * p_max
-        caps -= later
-        caps -= noise
-        caps /= g
+        headroom[constrained] = g[constrained] * p_max / a[constrained]
+        caps = (((headroom[:, None] - between * p_max) - later) - noise) / g
         cap = np.fmin.reduce(caps, axis=0)  # NaN where no user constrains k
     backs_off = np.flatnonzero(cap[1:] < p_max)
     if len(backs_off):
@@ -387,23 +378,41 @@ def power_allocation(gains_in_order, alphas_in_order, p_max: float, noise: float
     """
     g, a = check_allocation_inputs(gains_in_order, alphas_in_order, p_max, noise)
     c = _minimum_rate_powers(g, a, noise)
-    return _saturating_powers(g, a, c, *_window_sums(g, c), p_max, noise)
+    return _saturating_powers(g, a, c, *_pair_sums(g, c), p_max, noise)
 
 
 def check_feasibility(powers, rates, reqs, p_max: float) -> tuple[bool, str | None]:
     """Verify the power box and per-user minimum rates; powers are checked
     first because invalid powers make the rates meaningless. Returns the
-    verdict and the first violated constraint, or None when clean."""
-    tol = 1e-12 * max(1.0, p_max)
-    p = np.asarray(powers, dtype=float)
-    negative = p < -tol
-    outside = negative | (p > p_max + tol)
+    verdict and the first violated constraint, or None when clean.
+
+    Powers and rates are one-dimensional with one entry per requirement, and
+    powers are finite; a negative power or a NaN rate is a verdict, not an
+    input error."""
+    reqs = list(reqs)
+    _check_p_max(p_max)
+    p, r = (np.asarray(x, dtype=float) for x in (powers, rates))
+    for label, arr in (("powers", p), ("rates", r)):
+        if arr.shape != (len(reqs),):
+            raise ValueError(
+                f"{label} must be one-dimensional, one entry per requirement, "
+                f"got {arr.shape} for {len(reqs)}"
+            )
+    if not np.isfinite(p).all():
+        raise ValueError("powers must be finite")
+    return _feasibility(p, r, reqs, p_max)
+
+
+def _feasibility(p: np.ndarray, rates: np.ndarray, reqs: list, p_max: float):
+    """check_feasibility on checked inputs. A power is negative below 0, the
+    rule by which solve decides whether rates exist."""
+    negative = p < 0.0
+    outside = negative | (p > p_max + 1e-12 * max(1.0, p_max))
     if outside.any():
         k = int(np.argmax(outside))
         if negative[k]:
             return False, f"user {k + 1} power {p[k]:.6g} mW is negative"
         return False, f"user {k + 1} power {p[k]:.6g} mW exceeds the {p_max:.6g} mW cap"
-    rates = np.asarray(rates, dtype=float)
     short = ~(rates >= np.array([req.r_min for req in reqs]) - RATE_SLACK)
     if short.any():
         k = int(np.argmax(short))
@@ -417,23 +426,23 @@ def check_feasibility(powers, rates, reqs, p_max: float) -> tuple[bool, str | No
 # Two entries: a sweep point solves the movable- and the fixed-antenna gains
 # of one draw set in turn, and every point of the set shares both plans.
 @functools.lru_cache(maxsize=2)
-def _plan(shape: tuple[int, ...], gain_bytes: bytes, alpha_bytes: bytes, noise: float) -> tuple:
+def _plan(gain_bytes: bytes, alpha_bytes: bytes, noise: float) -> tuple:
     """The power-cap-independent half of solve, keyed by the bytes of the
     validated float gains and alphas.
 
-    Returns (seq, ranks, g, a, c, overflow, sums, later): the decoding
+    Returns (seq, ranks, g, a, c, overflow, between, later): the decoding
     sequence and ranks, then gains, alphas and minimum-rate powers in
-    decoding sequence, whether any c overflows, and _window_sums(g, c). The
+    decoding sequence, whether any c overflows, and _pair_sums(g, c). The
     arrays are read-only, since every call that hits the cache shares them.
     """
-    g, a = np.frombuffer(gain_bytes).reshape(shape), np.frombuffer(alpha_bytes).reshape(shape)
+    g, a = np.frombuffer(gain_bytes), np.frombuffer(alpha_bytes)
     seq = _decoding_sequence(g, a)
     g_seq, a_seq = g[seq], a[seq]
     c_seq = _minimum_rate_powers(g_seq, a_seq, noise)
-    sums, later = _window_sums(g_seq, c_seq)
-    for arr in (seq, g_seq, a_seq, c_seq, sums, later):
+    between, later = _pair_sums(g_seq, c_seq)
+    for arr in (seq, g_seq, a_seq, c_seq, between, later):
         arr.flags.writeable = False
-    return seq, _ranks(seq), g_seq, a_seq, c_seq, bool(np.isinf(c_seq).any()), sums, later
+    return seq, _ranks(seq), g_seq, a_seq, c_seq, bool(np.isinf(c_seq).any()), between, later
 
 
 def solve(gains, reqs, p_max: float, noise: float) -> NomaSolution:
@@ -441,7 +450,7 @@ def solve(gains, reqs, p_max: float, noise: float) -> NomaSolution:
 
     Validates on every call, then works in decoding sequence until it
     scatters powers and rates back to user order. The order, minimum-rate
-    powers and window sums come from the plan cache, so repeated gains at
+    powers and pair sums come from the plan cache, so repeated gains at
     new power caps only redo the caps. Infeasible draws are flagged, never
     clipped. On overflow, powers and rates are NaN and the diagnostic names
     the first quantity that is not finite, and its lowest-indexed user, in
@@ -450,10 +459,10 @@ def solve(gains, reqs, p_max: float, noise: float) -> NomaSolution:
     """
     reqs = list(reqs)
     g, alphas = check_allocation_inputs(gains, [r.alpha for r in reqs], p_max, noise)
-    seq, ranks, g_seq, a_seq, c_seq, overflow, sums, later = _plan(
-        g.shape, g.tobytes(), alphas.tobytes(), float(noise)
+    seq, ranks, g_seq, a_seq, c_seq, overflow, between, later = _plan(
+        g.tobytes(), alphas.tobytes(), float(noise)
     )
-    p_seq = _saturating_powers(g_seq, a_seq, c_seq, sums, later, p_max, noise)
+    p_seq = _saturating_powers(g_seq, a_seq, c_seq, between, later, p_max, noise)
     rates, sum_rate, low = np.full(len(g), np.nan), math.nan, p_seq.min()
     checks = [(c_seq, _MIN_RATE_POWER)]
     if low >= 0.0:
@@ -472,5 +481,5 @@ def solve(gains, reqs, p_max: float, noise: float) -> NomaSolution:
         return NomaSolution(ranks, nan, nan.copy(), math.nan, False, _first_not_finite(seq, checks))
     powers = np.empty(len(g))
     powers[seq] = p_seq
-    feasible, diagnostic = check_feasibility(powers, rates, reqs, p_max)
+    feasible, diagnostic = _feasibility(powers, rates, reqs, p_max)
     return NomaSolution(ranks, powers, rates, sum_rate, feasible, diagnostic)

@@ -229,12 +229,15 @@ def _collect(cfg: ScenarioConfig, counts, p_max_dbm_values, workers: int) -> np.
         raise ValueError(f"workers must be at least 1, got {workers}")
     job = partial(_realization_table, cfg, tuple(counts), tuple(p_max_dbm_values))
     indices = range(cfg.realizations)
-    if workers == 1:
+    # A pool starts all its processes at the first task, so it gets no more
+    # than there are realizations.
+    processes = min(workers, cfg.realizations)
+    if processes == 1:
         tables = [job(i) for i in indices]
     else:
-        # Imported here: one-worker runs then never load the process pool.
+        # Imported here: one-process runs then never load the process pool.
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             tables = list(pool.map(job, indices))
     return np.array(tables)
 

@@ -125,6 +125,27 @@ def test_validate_rejects_non_finite_numbers(tmp_path, capsys, line):
 
 
 @pytest.mark.parametrize(
+    "text, message",
+    [
+        ("num_users 6", "line 1: expected `key = value`, got 'num_users 6'"),
+        ("= 6", "line 1: missing key before '='"),
+        ("seed = 1\nseed = 2", "line 2: duplicate key 'seed'"),
+        ("num_users = 2.5", "num_users: expected an integer, got '2.5'"),
+        ('distance_range = "80, 100 m"', 'distance_range: expected a range like "[80.0, 100.0] m"'),
+        ('distance_range = "[80, 100] wavelengths"', "distance_range: expected a range like"),
+    ],
+    ids=["no-equals", "no-key", "duplicate-key", "fractional-count", "range-form", "range-unit"],
+)
+def test_validate_rejects_malformed_config_text(tmp_path, capsys, text, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text + "\n")
+    code, out, err = run_cli(["validate", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"config error: {message}")
+
+
+@pytest.mark.parametrize(
     "line", ["sca_threshold = -1", "sca_max_iterations = 0", "multistart = -1"]
 )
 def test_validate_names_the_sca_config_key(tmp_path, capsys, line):
@@ -285,7 +306,7 @@ def test_manifest_replay_reproduces_csv(fast_config, tmp_path, capsys):
     assert replay.read_bytes() == first.read_bytes()
 
 
-@pytest.mark.parametrize("points", [["x"], [10.0, float("nan")]])
+@pytest.mark.parametrize("points", [["x"], [10.0, float("nan")], "0,10"])
 def test_manifest_points_are_validated(fast_config, tmp_path, capsys, monkeypatch, points):
     first = tmp_path / "first.csv"
     argv = ["sweep", "--config", fast_config, "--points", "10", "--out", str(first)]
@@ -303,6 +324,22 @@ def test_manifest_points_are_validated(fast_config, tmp_path, capsys, monkeypatc
     code, _, err = run_cli(["sweep", "--config", str(manifest_path), "--out", str(replay)], capsys)
     assert code == 2
     assert "points: expected a" in err
+    assert not replay.exists()
+
+
+def test_manifest_sweep_axis_is_validated_naming_its_key(fast_config, tmp_path, capsys):
+    # It used to blame --sweep, a flag that argparse's choices already guard.
+    first = tmp_path / "first.csv"
+    argv = ["sweep", "--config", fast_config, "--points", "10", "--out", str(first)]
+    assert run_cli(argv, capsys)[0] == 0
+    manifest_path = tmp_path / "edited.json"
+    manifest = json.loads((tmp_path / "first.csv.manifest.json").read_text())
+    manifest["sweep"] = "bogus"
+    manifest_path.write_text(json.dumps(manifest))
+    replay = tmp_path / "replay.csv"
+    code, _, err = run_cli(["sweep", "--config", str(manifest_path), "--out", str(replay)], capsys)
+    assert code == 2
+    assert err == "config error: sweep: expected 'power' or 'users', got 'bogus'\n"
     assert not replay.exists()
 
 
@@ -557,6 +594,20 @@ def test_sweep_unwritable_output_is_io_error(fast_config, capsys):
     )
     assert code == 4
     assert "/no/such/dir/out.csv" in err
+
+
+def test_sweep_unwritable_directory_is_io_error(fast_config, tmp_path, capsys, monkeypatch):
+    # Root may write anywhere, so the permission answer is faked.
+    def no_compute(*args, **kwargs):
+        raise AssertionError("the sweep ran although its output cannot be written")
+
+    monkeypatch.setattr(cli, "sweep_power", no_compute)
+    monkeypatch.setattr(os, "access", lambda path, mode: False)
+    out_path = tmp_path / "out.csv"
+    code, _, err = run_cli(["sweep", "--config", fast_config, "--out", str(out_path)], capsys)
+    assert code == 4
+    assert err == f"i/o error: cannot write {out_path}: directory {tmp_path} is not writable\n"
+    assert not out_path.exists()
 
 
 @pytest.mark.parametrize("out", ["missing/out.csv", "."])

@@ -258,6 +258,17 @@ def test_negative_power_diagnostic():
     assert not ok and "negative" in diag
 
 
+def test_a_power_just_below_zero_is_named_negative():
+    # solve gives rates only to nonnegative powers. This power used to pass
+    # the power test (it is within 1e-12 p_max of 0), and the verdict blamed
+    # user 1 for its NaN rate.
+    sol = solve([1.0, 0.5], [RateRequirement(1.0)] * 2, 1.0, 1.0 + 2.2e-16)
+    assert -1e-15 < sol.powers[1] < 0.0
+    assert np.isnan(sol.rates).all()
+    assert not sol.feasible
+    assert sol.diagnostic == "user 2 power -4.44089e-16 mW is negative"
+
+
 # --- solution invariants ---
 
 
@@ -400,7 +411,7 @@ def _loop_power_allocation(gains_in_order, alphas_in_order, p_max, noise):
 def _loop_check_feasibility(powers, rates, reqs, p_max):
     tol = 1e-12 * max(1.0, p_max)
     for k, pw in enumerate(powers):
-        if pw < -tol:
+        if pw < 0.0:
             return False, f"user {k + 1} power {pw:.6g} mW is negative"
         if pw > p_max + tol:
             return False, f"user {k + 1} power {pw:.6g} mW exceeds the {p_max:.6g} mW cap"
@@ -531,7 +542,7 @@ def test_plan_cache_is_not_changed_through_inputs_or_results():
     noma._plan.cache_clear()
     _assert_same_solution(got, solve(gains, reqs, 4.0, 1.0))
     assert got.order != want.order
-    plan = noma._plan(gains.shape, gains.tobytes(), gains.tobytes(), 1.0)
+    plan = noma._plan(gains.tobytes(), gains.tobytes(), 1.0)
     arrays = [x for x in plan if isinstance(x, np.ndarray)]
     assert len(arrays) == 6
     for arr in arrays:
@@ -600,6 +611,7 @@ def test_non_finite_noise_rejected(noise):
 _VALID = {
     "gains": [1.0, 2.0],
     "powers": [1.0, 1.0],
+    "rates": [1.0, 1.0],
     "alphas": [0.5, 0.5],
     "r_min": 0.5,
     "p_max": 4.0,
@@ -623,6 +635,9 @@ _ENTRY_POINTS = {
     "oma_sum_rate": lambda v: oma_sum_rate(v["gains"], v["p_max"], v["noise"]),
     "aligned_sum_rate": lambda v: aligned_sum_rate(v["amplitude_sums"], v["p_max"], v["noise"]),
     "upper_bound": lambda v: upper_bound(_CHANNELS, v["p_max"], v["noise"]),
+    "check_feasibility": lambda v: check_feasibility(
+        v["powers"], v["rates"], [RateRequirement(v["r_min"])] * 2, v["p_max"]
+    ),
 }
 _QUANTITIES = {
     "sinr_and_rates": ("gains", "powers", "noise"),
@@ -652,7 +667,9 @@ def _invalid_input_cases():
     # gain or noise gave NaN and an infinite p_max an infinite rate; with no
     # gains it took the mean of an empty array, NaN and a RuntimeWarning.
     # upper_bound had no rule: a zero noise raised ZeroDivisionError, a NaN
-    # p_max gave NaN and a negative one "math domain error".
+    # p_max gave NaN and a negative one "math domain error". check_feasibility
+    # checked nothing: a NaN p_max or a third power gave (True, None), and
+    # a NaN power or a 2x2 rates array went unremarked too.
     found = [
         ("sinr_and_rates", {"powers": [1.0, math.inf]}, "powers"),
         ("decoding_order", {"gains": [math.nan, 1.0]}, "gains"),
@@ -660,6 +677,11 @@ def _invalid_input_cases():
         ("oma_sum_rate", {"noise": 0.0}, "noise"),
         ("oma_sum_rate", {"gains": []}, "user"),
         ("upper_bound", {"noise": 0.0}, "noise"),
+        ("check_feasibility", {"p_max": math.nan}, "p_max"),
+        ("check_feasibility", {"powers": [1.0, 1.0, 1.0], "p_max": 2.0}, "powers"),
+        ("check_feasibility", {"powers": [math.nan, 1.0]}, "powers"),
+        ("check_feasibility", {"rates": [[1.0, 1.0], [1.0, 1.0]]}, "rates"),
+        ("decoding_order", {"alphas": [0.5]}, "alphas"),
     ]
     for entry, overrides, quantity in found:
         yield pytest.param(entry, overrides, quantity, id=f"found-{entry}-{quantity}")

@@ -313,6 +313,8 @@ def test_init_outside_region_rejected():
     ch = _random_channel(rng)
     with pytest.raises(ValueError):
         optimize_position(ch, MoveRegion(1.0), init=Position(2.0, 0.0))
+    with pytest.raises(ValueError, match="outside the region"):
+        sca_trajectory(ch, MoveRegion(1.0), ScaParams(), Position(2.0, 0.0))
 
 
 def test_trajectory_is_feasible_monotone_and_consistent():
@@ -361,6 +363,10 @@ def test_multistart_never_hurts_and_is_reproducible():
         _, multi_b, _ = optimize_position(ch, region, params, rng=np.random.default_rng(99))
         assert multi_a >= single - 1e-12
         assert multi_a == multi_b
+        # Without an rng the extra starts come from a fixed seed.
+        unseeded = optimize_position(ch, region, params)
+        assert optimize_position(ch, region, params) == unseeded
+        assert optimize_position(ch, region, params, rng=np.random.default_rng(0)) == unseeded
 
 
 def test_param_validation():

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 
 import numpy as np
@@ -310,6 +311,38 @@ def test_monte_carlo_worker_count_invariance():
     serial = sweep_power(cfg, [cfg.p_max_dbm], workers=1)
     parallel = sweep_power(cfg, [cfg.p_max_dbm], workers=3)
     assert serial == parallel
+
+
+@pytest.mark.parametrize(
+    "workers, realizations, started",
+    [(8, 2, [2]), (2, 1, [])],
+    ids=["more-workers", "one-realization"],
+)
+def test_pool_never_starts_more_processes_than_realizations(
+    monkeypatch, workers, realizations, started
+):
+    # A pool starts all of max_workers at its first task; this one records
+    # how many it was asked for and maps in this process.
+    asked = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    cfg = _small_cfg(num_users=2, paths_per_user=2, realizations=realizations)
+    rows = sweep_power(cfg, [cfg.p_max_dbm], workers=workers)
+    assert asked == started
+    assert rows == sweep_power(cfg, [cfg.p_max_dbm], workers=1)
 
 
 def test_infeasible_draws_excluded_from_mean():
