@@ -125,12 +125,17 @@ def fixed_order_lp_powers(gains_in_order, alphas_in_order, p_max: float, noise: 
     For a fixed order the minimum-rate constraints are linear in the powers
     and the objective (total received power, monotone in the sum rate) is
     linear, so the power problem is an LP of any size.
+
+    The LP is posed in received power over noise: gains g p_max / noise,
+    powers p / p_max and noise 1. In mW the right-hand sides alpha * noise
+    of a sweep (about 1e-12 at -80 dBm) sit far below HiGHS's feasibility
+    tolerance, and verdicts and powers came out wrong.
     """
     # Imported here: scipy is a test-only dependency, and loading
     # scipy.optimize would dominate the package's import time.
     from scipy.optimize import linprog
 
-    gs = np.asarray(gains_in_order, dtype=float)
+    gs = np.asarray(gains_in_order, dtype=float) * p_max / noise
     als = np.asarray(alphas_in_order, dtype=float)
     # Row m: user at sequence position m needs SINR >= alpha against
     # everyone decoded later.
@@ -138,11 +143,11 @@ def fixed_order_lp_powers(gains_in_order, alphas_in_order, p_max: float, noise: 
     res = linprog(
         c=-gs,
         A_ub=a_ub,
-        b_ub=-als * noise,
-        bounds=[(0.0, p_max)] * len(gs),
+        b_ub=-als,
+        bounds=[(0.0, 1.0)] * len(gs),
         method="highs",
     )
-    return res.x if res.success else None
+    return res.x * p_max if res.success else None
 
 
 def brute_force_allocation(gains, alphas, p_max: float, noise: float) -> NomaSolution:

@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -24,7 +25,7 @@ from manoma.noma import (
     sum_rate_collapsed,
 )
 from manoma.oracles import brute_force_allocation, fixed_order_lp_powers
-from manoma.sim import ScenarioConfig, upper_bound
+from manoma.sim import ScenarioConfig, dbm_to_mw, draw_users, upper_bound
 
 # One default channel, for the upper bound's input rule.
 _CHANNELS = [sample_user_channel(ScenarioConfig(), np.random.default_rng(0))]
@@ -35,6 +36,34 @@ def _random_instance(rng, num_users, p_max_span=(1.0, 50.0), r_span=(0.05, 0.8))
     reqs = [RateRequirement(float(rng.uniform(*r_span))) for _ in range(num_users)]
     p_max = float(rng.uniform(*p_max_span))
     return gains, reqs, p_max, 1.0
+
+
+@functools.lru_cache(maxsize=None)
+def _sweep_gains(num_users, r_min, index):
+    """Movable- and fixed-antenna gains of draw set `index` of a seed-0 sweep."""
+    draws = draw_users(ScenarioConfig(num_users=num_users, r_min=r_min), index, num_users)
+    return np.array([d.ma_gain for d in draws]), np.array([d.fpa_gain for d in draws])
+
+
+# Sweep shapes for the optimality oracles: users, r_min, the cap in dBm at
+# which adjacent swaps are tried, and the number of draw sets.
+_SWEEP_CASES = {
+    "sweep-k6": (6, 0.25, 10.0, 8),
+    "sweep-k32": (32, 0.1, 10.0, 3),
+    "sweep-k64": (64, 0.05, 20.0, 2),
+}
+
+
+def _sweep_instances(case, caps_dbm):
+    """(gains, reqs, p_max, noise) in sweep units: each draw set's movable-
+    and fixed-antenna gains at each cap, against the default -80 dBm noise."""
+    num_users, r_min, _, draw_sets = _SWEEP_CASES[case]
+    reqs = [RateRequirement(r_min)] * num_users
+    noise = dbm_to_mw(ScenarioConfig().noise_dbm)
+    for index in range(draw_sets):
+        for gains in _sweep_gains(num_users, r_min, index):
+            for p_dbm in caps_dbm:
+                yield gains, reqs, dbm_to_mw(p_dbm), noise
 
 
 # --- rate requirement ---
@@ -492,13 +521,9 @@ def test_array_code_matches_loops_bitwise_on_fuzz_set():
 
 @pytest.mark.parametrize("num_users,r_min", [(6, 0.25), (32, 0.1), (64, 0.05)])
 def test_array_code_matches_loops_bitwise_on_sweep_draws(num_users, r_min):
-    from manoma.sim import ScenarioConfig, dbm_to_mw, draw_users
-
-    cfg = ScenarioConfig(num_users=num_users, r_min=r_min)
-    draws = draw_users(cfg, 0, num_users)
     reqs = [RateRequirement(r_min)] * num_users
-    noise = dbm_to_mw(cfg.noise_dbm)
-    for gains in ([d.ma_gain for d in draws], [d.fpa_gain for d in draws]):
+    noise = dbm_to_mw(ScenarioConfig().noise_dbm)
+    for gains in _sweep_gains(num_users, r_min, 0):
         for i in range(81):  # the 0-20 dBm axis in 0.25 dB steps
             _assert_matches_loops(gains, reqs, dbm_to_mw(0.25 * i), noise)
 
@@ -511,8 +536,6 @@ def test_cached_plan_gives_the_uncached_result(num_users, r_min):
     # The benchmark's default and dense_power_k32 shapes: the movable- and
     # fixed-antenna gains of one draw set alternate at every point of the
     # 0-20 dBm axis in 0.25 dB steps, as sim's sweep calls them.
-    from manoma.sim import ScenarioConfig, dbm_to_mw, draw_users
-
     cfg = ScenarioConfig(num_users=num_users, r_min=r_min)
     reqs = [RateRequirement(r_min)] * num_users
     noise = dbm_to_mw(cfg.noise_dbm)
@@ -732,16 +755,20 @@ def test_minimum_rate_power_overflow_is_infeasible_without_warnings():
     assert np.all(np.isnan(sol.powers)) and math.isnan(sol.sum_rate)
 
 
-@pytest.mark.parametrize("num_users", [8, 16, 32, 64])
-def test_closed_form_matches_fixed_order_lp(num_users):
+@pytest.mark.parametrize("case", [8, 16, 32, 64, *_SWEEP_CASES])
+def test_closed_form_matches_fixed_order_lp(case):
     # The decoding order solve picks, held fixed, with its power problem
     # solved as an LP: same verdict, and the same total received power.
-    rng = np.random.default_rng(61 + num_users)
+    # Random instances have unit noise and mix the verdicts; sweep draws
+    # carry the path loss and are taken at 0, 10 and 20 dBm.
+    if case in _SWEEP_CASES:
+        instances = list(_sweep_instances(case, (0.0, 10.0, 20.0)))
+    else:
+        rng = np.random.default_rng(61 + case)
+        span = (0.02, 4.0 / case)
+        instances = [_random_instance(rng, case, r_span=span) for _ in range(12)]
     verdicts = []
-    for _ in range(12):
-        gains, reqs, p_max, noise = _random_instance(
-            rng, num_users, p_max_span=(1.0, 50.0), r_span=(0.02, 4.0 / num_users)
-        )
+    for gains, reqs, p_max, noise in instances:
         sol = solve(gains, reqs, p_max, noise)
         seq = np.argsort(np.asarray(sol.order))
         alphas = np.array([r.alpha for r in reqs])
@@ -750,33 +777,68 @@ def test_closed_form_matches_fixed_order_lp(num_users):
         verdicts.append(sol.feasible)
         if sol.feasible:
             assert_allclose(gains @ sol.powers, gains[seq] @ lp, rtol=1e-9)
-    assert any(verdicts) and not all(verdicts)
+    assert any(verdicts)
+    if case not in _SWEEP_CASES:
+        assert not all(verdicts)
 
 
-@pytest.mark.parametrize("num_users", [8, 16, 32])
-def test_no_adjacent_swap_beats_the_chosen_order(num_users):
-    # Exchanging two neighbours of the decoding sequence solve picks, with
-    # the new order's power problem solved exactly as an LP, never gives a
-    # larger total received power g.p. Only instances where some user backs
-    # off are kept: when everyone transmits at full power, every order ties.
-    rng = np.random.default_rng(70 + num_users)
+def test_lp_oracles_hold_in_sweep_units():
+    # Draw set 18 of the default sweep at 10 dBm, fixed-antenna gains, which
+    # no power meets. Posed in mW, the LP's right-hand sides alpha * noise
+    # (about 1e-12) sat below HiGHS's feasibility tolerance, and both the
+    # fixed-order LP (all 6 users) and the brute force (the first 4) called
+    # the instance feasible.
+    cfg = ScenarioConfig()
+    gains = _sweep_gains(cfg.num_users, cfg.r_min, 18)[1]
+    reqs = [RateRequirement(cfg.r_min)] * cfg.num_users
+    alphas = np.array([r.alpha for r in reqs])
+    p_max, noise = dbm_to_mw(cfg.p_max_dbm), dbm_to_mw(cfg.noise_dbm)
+    sol = solve(gains, reqs, p_max, noise)
+    seq = np.argsort(np.asarray(sol.order))
+    assert not sol.feasible
+    assert fixed_order_lp_powers(gains[seq], alphas[seq], p_max, noise) is None
+    assert not solve(gains[:4], reqs[:4], p_max, noise).feasible
+    assert not brute_force_allocation(gains[:4], alphas[:4], p_max, noise).feasible
+
+
+def _assert_no_adjacent_swap_does_better(gains, reqs, p_max, noise, sol):
+    """Exchanging two neighbours of solve's decoding sequence, with the new
+    order's power problem solved exactly as an LP, never gives a larger
+    total received power g.p."""
+    best = gains @ sol.powers
+    seq = np.argsort(np.asarray(sol.order))
+    alphas = np.array([r.alpha for r in reqs])
+    for m in range(len(gains) - 1):
+        swapped = seq.copy()
+        swapped[[m, m + 1]] = seq[[m + 1, m]]
+        lp = fixed_order_lp_powers(gains[swapped], alphas[swapped], p_max, noise)
+        if lp is not None:
+            assert gains[swapped] @ lp <= best * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("case", [8, 16, 32, *_SWEEP_CASES])
+def test_no_adjacent_swap_beats_the_chosen_order(case):
+    if case in _SWEEP_CASES:
+        # Every feasible draw at the case's cap. With K=6 nobody backs off
+        # on these draws, so there every feasible order ties.
+        checked = 0
+        for instance in _sweep_instances(case, (_SWEEP_CASES[case][2],)):
+            sol = solve(*instance)
+            if sol.feasible:
+                _assert_no_adjacent_swap_does_better(*instance, sol)
+                checked += 1
+        assert checked
+        return
+    # Only random instances where some user backs off are kept: when
+    # everyone transmits at full power, every order ties.
+    rng = np.random.default_rng(70 + case)
     kept = 0
     for _ in range(100):
-        gains, reqs, p_max, noise = _random_instance(
-            rng, num_users, p_max_span=(1.0, 50.0), r_span=(0.02, 12.0 / num_users)
-        )
+        gains, reqs, p_max, noise = _random_instance(rng, case, r_span=(0.02, 12.0 / case))
         sol = solve(gains, reqs, p_max, noise)
         if not sol.feasible or np.all(sol.powers >= p_max * (1.0 - 1e-12)):
             continue
-        best = gains @ sol.powers
-        seq = np.argsort(np.asarray(sol.order))
-        alphas = np.array([r.alpha for r in reqs])
-        for m in range(num_users - 1):
-            swapped = seq.copy()
-            swapped[[m, m + 1]] = seq[[m + 1, m]]
-            lp = fixed_order_lp_powers(gains[swapped], alphas[swapped], p_max, noise)
-            if lp is not None:
-                assert gains[swapped] @ lp <= best * (1.0 + 1e-9)
+        _assert_no_adjacent_swap_does_better(gains, reqs, p_max, noise, sol)
         kept += 1
         if kept == 6:
             break
