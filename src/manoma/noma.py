@@ -110,8 +110,7 @@ def sinr_and_rates(gains, order, powers, noise: float) -> np.ndarray:
     its interference is the received power of ranks above r. The last user
     sees noise only.
     """
-    g, p = _per_user(gains, "powers", powers)
-    _check_noise(noise)
+    g, p = check_rate_inputs(gains, powers, noise)
     ranks = np.asarray(order, dtype=int)
     if ranks.shape != (len(g),) or not np.array_equal(np.sort(ranks), np.arange(1, len(g) + 1)):
         raise ValueError(f"order {order!r} is not a permutation of 1..{len(g)}")
@@ -123,6 +122,13 @@ def sinr_and_rates(gains, order, powers, noise: float) -> np.ndarray:
     return rates
 
 
+def check_rate_inputs(gains, powers, noise: float) -> tuple[np.ndarray, np.ndarray]:
+    """The rate functions' input rule, returning the checked gains and powers."""
+    g, p = _per_user(gains, "powers", powers)
+    _check_noise(noise)
+    return g, p
+
+
 def _sequence_rates(g_seq: np.ndarray, p_seq: np.ndarray, noise: float):
     """sinr_and_rates on gains and powers already in decoding sequence, and
     each user's interference, which never increases; overflow stays inf or NaN."""
@@ -130,26 +136,6 @@ def _sequence_rates(g_seq: np.ndarray, p_seq: np.ndarray, noise: float):
         received = g_seq * p_seq
         tail = np.concatenate((np.cumsum(received[::-1])[::-1][1:], [0.0]))
         return np.log2(1.0 + received / (tail + noise)), tail
-
-
-def sum_rate_collapsed(gains, powers, noise: float) -> float:
-    """Order-independent form of the sum rate: the per-user logs telescope.
-
-    A total received power over noise too large for a float is summed with
-    the gains scaled by an exact power of two 2**-s, so the rate is
-    s + log2(2**-s + sum(g 2**-s p) / noise); totals that fit are not scaled.
-    """
-    g, p = _per_user(gains, "powers", powers)
-    _check_noise(noise)
-    with np.errstate(over="ignore"):
-        rate = float(np.log2(1.0 + np.sum(g * p) / noise))
-    if rate == math.inf:
-        # g < 2**eg, p < 2**ep and 1 / noise <= 2**(1 - en), so with this s
-        # every product, the sum and the ratio stay under 2**1022.
-        eg, ep, en = (int(np.frexp(x)[1]) for x in (g.max(), p.max(), noise))
-        s = eg + ep + len(g).bit_length() + max(1 - en, 0) - 1022
-        rate = s + float(np.log2(np.ldexp(1.0, -s) + np.sum(np.ldexp(g, -s) * p) / noise))
-    return rate
 
 
 def oma_sum_rate(gains, p_max: float, noise: float) -> float:

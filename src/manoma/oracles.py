@@ -9,7 +9,9 @@ quantity the pipeline computes faster:
 - grid_oracle is an exhaustive position search, against the ascent;
 - fixed_order_lp_powers and brute_force_allocation solve the power problem
   as linear programs, per decoding order and over all orders, against the
-  closed-form power control.
+  closed-form power control;
+- sum_rate_collapsed is the sum rate as one log of the total received
+  power, against the per-user rates.
 
 Only the LP oracles use scipy, and they import it on call, so importing
 this module (and the package) never loads scipy.
@@ -33,13 +35,18 @@ from manoma.channel import (
     lane_gains,
     lane_phases,
 )
-from manoma.noma import NomaSolution, check_allocation_inputs, sinr_and_rates
+from manoma.noma import (
+    NomaSolution,
+    check_allocation_inputs,
+    check_rate_inputs,
+    sinr_and_rates,
+)
 from manoma.positioner import lipschitz_delta, surrogate_gradient
 
 __all__ = [
     "propagation_delta", "coupling_matrix", "anchor_vector", "surrogate_value",
     "quadratic_surrogate", "grid_oracle", "MAX_BRUTE_FORCE_USERS",
-    "fixed_order_lp_powers", "brute_force_allocation",
+    "fixed_order_lp_powers", "brute_force_allocation", "sum_rate_collapsed",
 ]
 
 
@@ -197,3 +204,22 @@ def brute_force_allocation(gains, alphas, p_max: float, noise: float) -> NomaSol
         feasible=True,
         diagnostic=None,
     )
+
+
+def sum_rate_collapsed(gains, powers, noise: float) -> float:
+    """Order-independent form of the sum rate: the per-user logs telescope.
+
+    A total received power over noise too large for a float is summed with
+    the gains scaled by an exact power of two 2**-s, so the rate is
+    s + log2(2**-s + sum(g 2**-s p) / noise); totals that fit are not scaled.
+    """
+    g, p = check_rate_inputs(gains, powers, noise)
+    with np.errstate(over="ignore"):
+        rate = float(np.log2(1.0 + np.sum(g * p) / noise))
+    if rate == math.inf:
+        # g < 2**eg, p < 2**ep and 1 / noise <= 2**(1 - en), so with this s
+        # every product, the sum and the ratio stay under 2**1022.
+        eg, ep, en = (int(np.frexp(x)[1]) for x in (g.max(), p.max(), noise))
+        s = eg + ep + len(g).bit_length() + max(1 - en, 0) - 1022
+        rate = s + float(np.log2(np.ldexp(1.0, -s) + np.sum(np.ldexp(g, -s) * p) / noise))
+    return rate

@@ -17,9 +17,13 @@ from manoma.noma import (
     RateRequirement,
     sinr_and_rates,
     solve,
-    sum_rate_collapsed,
 )
-from manoma.oracles import brute_force_allocation, grid_oracle, surrogate_value
+from manoma.oracles import (
+    brute_force_allocation,
+    grid_oracle,
+    sum_rate_collapsed,
+    surrogate_value,
+)
 from manoma.positioner import (
     ScaParams,
     lipschitz_delta,

@@ -22,9 +22,8 @@ from manoma.noma import (
     power_allocation,
     sinr_and_rates,
     solve,
-    sum_rate_collapsed,
 )
-from manoma.oracles import brute_force_allocation, fixed_order_lp_powers
+from manoma.oracles import brute_force_allocation, fixed_order_lp_powers, sum_rate_collapsed
 from manoma.sim import ScenarioConfig, dbm_to_mw, draw_users, upper_bound
 
 # One default channel, for the upper bound's input rule.
