@@ -14,16 +14,18 @@ Internally an order is the sequence of user indices, first decoded first;
 ranks appear only in NomaSolution.order, decoding_order and the order
 argument of sinr_and_rates.
 
-Power control has no Python loop over pairs of users. The caps are one
-matrix caps[i, k] over the constrained users i decoded before user k; one
-np.add.reduce per width w gives the gains between every pair w users apart,
-one reduce or product per user the terms of the users after it, and the
-caps and verdicts are elementwise. Each result is bit for bit what the
-per-pair formulas give, because every sum and product is taken in the order
-np.sum and np.prod take it on the slice alone.
+Power control costs O(K) per cap. With P[j] the sum of the first j gains
+in decoding sequence, the constrained user i decoded before user k allows
+it at most (p_max (g_i / a_i + P[i+1] - P[k]) - later[k] - noise) / g_k,
+later[k] being the received power of the users after k at their
+minimum-rate powers. So user k's cap reads one running minimum of
+g_i / a_i + P[i+1]; np.cumsum gives P and later, np.minimum.accumulate the
+minimum, and the caps and verdicts are elementwise. cumsum sums in sequence
+and the minimum is exact, so a plain loop over the users reproduces every
+bit.
 
 Power control splits in two. The plan (decoding sequence, minimum-rate
-powers, pair sums) depends on the gains, alphas and noise but not on the
+powers, cap terms) depends on the gains, alphas and noise but not on the
 power cap; the finish (caps, back-off, rates, feasibility) is per cap. solve
 keeps the plans of its last two distinct (gains, alphas, noise) inputs in a
 bounded cache, keyed by their bytes, so a power sweep that alternates two
@@ -297,56 +299,41 @@ def check_allocation_inputs(gains, alphas, p_max: float, noise: float):
     return g, a
 
 
-def _windows(x: np.ndarray, width: int) -> np.ndarray:
-    """Read-only view of contiguous x whose row j is x[j : j + width]; what
-    sliding_window_view gives, without its per-call overhead."""
-    view = np.ndarray((len(x) - width + 1, width), x.dtype, x, 0, (x.itemsize, x.itemsize))
-    view.flags.writeable = False
-    return view
-
-
-def _pair_sums(g: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sums _saturating_powers needs, which no power cap enters:
-    between[i, k] = sum(g[i+1:k]) for i < k (NaN for i >= k) and later[k] =
-    sum(g c) over the users after k.
-
-    Every sum is taken by np.add.reduce on one slice or one row of a strided
-    view, which sums it exactly as np.sum sums that slice on its own. The
-    pairs with w users between them are the rows of _windows(g[1:-1], w).
+def _cap_terms(g: np.ndarray, a: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The terms of the power caps that no power cap enters, on gains,
+    alphas and minimum-rate powers in decoding sequence, with P[j] = g_0 +
+    ... + g_(j-1): margin[k] = min(g_i / a_i + P[i+1]) - P[k] over the
+    constrained users i < k (inf if there is none), and later[k] = sum(g c)
+    over the users after k. A sum too large for a float is inf; solve
+    reports the cap that reads it.
     """
-    num = len(g)
-    between = np.full((num, num), np.nan)
-    pairs = between.reshape(-1)  # pair (j, j + w + 1) sits at w + 1 + j (num + 1)
-    inner = np.ascontiguousarray(g[1:-1])
-    # A sum too large for a float is inf; solve reports the cap that reads it.
-    with np.errstate(over="ignore"):
-        for w in range(num - 1):
-            pairs[w + 1 :: num + 1][: num - 1 - w] = np.add.reduce(_windows(inner, w), 1)
-        received = g * c
-        later = np.array([np.add.reduce(received[k + 1 :]) for k in range(num)])
-    return between, later
+    constrained = a > 0.0
+    bound = np.full(len(g), np.inf)  # an unconstrained user bounds nobody
+    with np.errstate(over="ignore", invalid="ignore"):
+        prefix = np.cumsum(g)  # prefix[i] = P[i+1]
+        bound[constrained] = g[constrained] / a[constrained] + prefix[constrained]
+        least = np.minimum.accumulate(bound)
+        margin = np.concatenate(([np.inf], least[:-1] - prefix[:-1]))
+        later = np.concatenate((np.cumsum((g * c)[::-1])[::-1][1:], [0.0]))
+    return margin, later
 
 
-def _saturating_powers(g, a, c, between, later, p_max: float, noise: float) -> np.ndarray:
+def _saturating_powers(g, c, margin, later, p_max: float, noise: float) -> np.ndarray:
     """power_allocation on validated inputs, their minimum-rate powers c and
-    _pair_sums: the one place that decides a power cap.
+    _cap_terms: the one place that decides a power cap.
 
-    Constrained user i < k keeps its rate while user k sends at most
-    caps[i, k] = (g_i p_max / a_i - between[i, k] p_max - later[k] - noise)
-    / g_k. NaN marks the pairs that do not constrain k, and fmin skips NaN
-    as Python's min did. Nothing warns: an infinite headroom caps nobody, a
-    cap of inf - inf is NaN and skipped, one reading an overflowed sum -inf.
+    Every constrained user decoded before user k keeps its rate while k
+    sends at most cap[k] = (p_max margin[k] - later[k] - noise) / g_k, the
+    headroom p_max margin[k] less the interference and noise. Nothing warns:
+    an infinite headroom caps nobody, nor does a NaN cap (inf - inf), and a
+    cap that reads an overflowed sum is -inf.
     """
     p = np.full(len(g), p_max, dtype=float)
-    headroom = np.full(len(g), np.nan)
-    constrained = a > 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        headroom[constrained] = g[constrained] * p_max / a[constrained]
-        caps = (((headroom[:, None] - between * p_max) - later) - noise) / g
-        cap = np.fmin.reduce(caps, axis=0)  # NaN where no user constrains k
-    backs_off = np.flatnonzero(cap[1:] < p_max)
+        cap = ((p_max * margin - later) - noise) / g
+    backs_off = np.flatnonzero(cap < p_max)  # never user 0: its margin is inf
     if len(backs_off):
-        k = int(backs_off[0]) + 1
+        k = int(backs_off[0])
         p[k] = cap[k]
         p[k + 1 :] = c[k + 1 :]
     return p
@@ -364,7 +351,7 @@ def power_allocation(gains_in_order, alphas_in_order, p_max: float, noise: float
     """
     g, a = check_allocation_inputs(gains_in_order, alphas_in_order, p_max, noise)
     c = _minimum_rate_powers(g, a, noise)
-    return _saturating_powers(g, a, c, *_pair_sums(g, c), p_max, noise)
+    return _saturating_powers(g, c, *_cap_terms(g, a, c), p_max, noise)
 
 
 def check_feasibility(powers, rates, reqs, p_max: float) -> tuple[bool, str | None]:
@@ -416,19 +403,19 @@ def _plan(gain_bytes: bytes, alpha_bytes: bytes, noise: float) -> tuple:
     """The power-cap-independent half of solve, keyed by the bytes of the
     validated float gains and alphas.
 
-    Returns (seq, ranks, g, a, c, overflow, between, later): the decoding
-    sequence and ranks, then gains, alphas and minimum-rate powers in
-    decoding sequence, whether any c overflows, and _pair_sums(g, c). The
-    arrays are read-only, since every call that hits the cache shares them.
+    Returns (seq, ranks, g, c, overflow, margin, later): the decoding
+    sequence and ranks, then gains and minimum-rate powers in decoding
+    sequence, whether any c overflows, and _cap_terms. The arrays are
+    read-only, since every call that hits the cache shares them.
     """
     g, a = np.frombuffer(gain_bytes), np.frombuffer(alpha_bytes)
     seq = _decoding_sequence(g, a)
     g_seq, a_seq = g[seq], a[seq]
     c_seq = _minimum_rate_powers(g_seq, a_seq, noise)
-    between, later = _pair_sums(g_seq, c_seq)
-    for arr in (seq, g_seq, a_seq, c_seq, between, later):
+    margin, later = _cap_terms(g_seq, a_seq, c_seq)
+    for arr in (seq, g_seq, c_seq, margin, later):
         arr.flags.writeable = False
-    return seq, _ranks(seq), g_seq, a_seq, c_seq, bool(np.isinf(c_seq).any()), between, later
+    return seq, _ranks(seq), g_seq, c_seq, bool(np.isinf(c_seq).any()), margin, later
 
 
 def solve(gains, reqs, p_max: float, noise: float) -> NomaSolution:
@@ -436,7 +423,7 @@ def solve(gains, reqs, p_max: float, noise: float) -> NomaSolution:
 
     Validates on every call, then works in decoding sequence until it
     scatters powers and rates back to user order. The order, minimum-rate
-    powers and pair sums come from the plan cache, so repeated gains at
+    powers and cap terms come from the plan cache, so repeated gains at
     new power caps only redo the caps. Infeasible draws are flagged, never
     clipped. On overflow, powers and rates are NaN and the diagnostic names
     the first quantity that is not finite, and its lowest-indexed user, in
@@ -445,10 +432,10 @@ def solve(gains, reqs, p_max: float, noise: float) -> NomaSolution:
     """
     reqs = list(reqs)
     g, alphas = check_allocation_inputs(gains, [r.alpha for r in reqs], p_max, noise)
-    seq, ranks, g_seq, a_seq, c_seq, overflow, between, later = _plan(
+    seq, ranks, g_seq, c_seq, overflow, margin, later = _plan(
         g.tobytes(), alphas.tobytes(), float(noise)
     )
-    p_seq = _saturating_powers(g_seq, a_seq, c_seq, between, later, p_max, noise)
+    p_seq = _saturating_powers(g_seq, c_seq, margin, later, p_max, noise)
     rates, sum_rate, low = np.full(len(g), np.nan), math.nan, p_seq.min()
     checks = [(c_seq, _MIN_RATE_POWER)]
     if low >= 0.0:
