@@ -136,8 +136,13 @@ def _sequence_rates(g_seq: np.ndarray, p_seq: np.ndarray, noise: float):
     each user's interference, which never increases; overflow stays inf or NaN."""
     with np.errstate(over="ignore", invalid="ignore"):
         received = g_seq * p_seq
-        tail = np.concatenate((np.cumsum(received[::-1])[::-1][1:], [0.0]))
+        tail = _sums_after(received)
         return np.log2(1.0 + received / (tail + noise)), tail
+
+
+def _sums_after(x: np.ndarray) -> np.ndarray:
+    """sum(x[k+1:]) for every k, each summed in sequence from the last entry."""
+    return np.concatenate((np.cumsum(x[::-1])[::-1][1:], [0.0]))
 
 
 def oma_sum_rate(gains, p_max: float, noise: float) -> float:
@@ -314,7 +319,7 @@ def _cap_terms(g: np.ndarray, a: np.ndarray, c: np.ndarray) -> tuple[np.ndarray,
         bound[constrained] = g[constrained] / a[constrained] + prefix[constrained]
         least = np.minimum.accumulate(bound)
         margin = np.concatenate(([np.inf], least[:-1] - prefix[:-1]))
-        later = np.concatenate((np.cumsum((g * c)[::-1])[::-1][1:], [0.0]))
+        later = _sums_after(g * c)
     return margin, later
 
 
