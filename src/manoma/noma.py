@@ -14,15 +14,19 @@ Internally an order is the sequence of user indices, first decoded first;
 ranks appear only in NomaSolution.order, decoding_order and the order
 argument of sinr_and_rates.
 
-Power control costs O(K) per cap. With P[j] the sum of the first j gains
-in decoding sequence, the constrained user i decoded before user k allows
-it at most (p_max (g_i / a_i + P[i+1] - P[k]) - later[k] - noise) / g_k,
-later[k] being the received power of the users after k at their
-minimum-rate powers. So user k's cap reads one running minimum of
-g_i / a_i + P[i+1]; np.cumsum gives P and later, np.minimum.accumulate the
-minimum, and the caps and verdicts are elementwise. cumsum sums in sequence
-and the minimum is exact, so a plain loop over the users reproduces every
-bit.
+Power control costs O(K) per cap. The constrained user i decoded before
+user k allows it at most (p_max (g_i / a_i - sum(g between i and k)) -
+later[k] - noise) / g_k, later[k] being the received power of the users
+after k at their minimum-rate powers. So user k's cap reads one margin,
+the least of g_i / a_i - sum(g between) over those i, and the margins
+follow margin[k+1] = min(margin[k] - g_k, g_k / a_k): one pass over the
+users, and a reverse np.cumsum for later. Rounding is monotone, so taking
+the minimum before a subtraction rounds as taking it after: each margin is
+its pair's difference summed term by term, with that difference's
+conditioning (an error of about K eps (g_i / a_i + sum(g between))).
+Margins taken as differences of prefix sums of all gains would err by eps
+times the whole prefix, so a large gain decoded early could erase the cap
+of a small user decoded later.
 
 Power control splits in two. The plan (decoding sequence, minimum-rate
 powers, cap terms) depends on the gains, alphas and noise but not on the
@@ -306,21 +310,19 @@ def check_allocation_inputs(gains, alphas, p_max: float, noise: float):
 
 def _cap_terms(g: np.ndarray, a: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The terms of the power caps that no power cap enters, on gains,
-    alphas and minimum-rate powers in decoding sequence, with P[j] = g_0 +
-    ... + g_(j-1): margin[k] = min(g_i / a_i + P[i+1]) - P[k] over the
-    constrained users i < k (inf if there is none), and later[k] = sum(g c)
-    over the users after k. A sum too large for a float is inf; solve
-    reports the cap that reads it.
+    alphas and minimum-rate powers in decoding sequence: margin[k] = min(g_i
+    / a_i - sum(g[i+1:k])) over the constrained users i < k (inf if there is
+    none), and later[k] = sum(g c) over the users after k. A sum too large
+    for a float is inf; solve reports the cap that reads it.
     """
-    constrained = a > 0.0
-    bound = np.full(len(g), np.inf)  # an unconstrained user bounds nobody
-    with np.errstate(over="ignore", invalid="ignore"):
-        prefix = np.cumsum(g)  # prefix[i] = P[i+1]
-        bound[constrained] = g[constrained] / a[constrained] + prefix[constrained]
-        least = np.minimum.accumulate(bound)
-        margin = np.concatenate(([np.inf], least[:-1] - prefix[:-1]))
+    margin, least = [], math.inf
+    # An overflowed g / alpha stays inf less any gain and bounds nobody.
+    for gain, alpha in zip(g.tolist(), a.tolist()):
+        margin.append(least)
+        least = min(least - gain, gain / alpha if alpha > 0.0 else math.inf)
+    with np.errstate(over="ignore"):
         later = _sums_after(g * c)
-    return margin, later
+    return np.array(margin), later
 
 
 def _saturating_powers(g, c, margin, later, p_max: float, noise: float) -> np.ndarray:
