@@ -9,7 +9,6 @@ against orthogonal access.
 from manoma.channel import (
     DegenerateChannelError,
     MoveRegion,
-    PathAngles,
     Position,
     UserChannel,
     channel_coefficient,
@@ -45,7 +44,6 @@ from manoma.sim import (
     run_realization,
     sweep_power,
     sweep_users,
-    upper_bound,
 )
 
 __version__ = "0.1.0"
@@ -53,7 +51,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DegenerateChannelError",
     "MoveRegion",
-    "PathAngles",
     "Position",
     "UserChannel",
     "channel_coefficient",
@@ -85,6 +82,5 @@ __all__ = [
     "run_realization",
     "sweep_power",
     "sweep_users",
-    "upper_bound",
     "__version__",
 ]

@@ -7,11 +7,13 @@ All lengths are measured in carrier wavelengths (the physics depends only
 on position/wavelength, so the wavelength is normalized to 1 throughout).
 
 lane_phases, lane_coefficients and lane_gains compute each channel quantity
-over lanes (rows of positions); the scalar helpers are their one-lane calls.
+over lanes (rows of positions, each with its own channel's rows or all with
+one channel's); the scalar helpers are their one-lane calls.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -23,23 +25,6 @@ _J_TWO_PI = 1j * TWO_PI  # the factor of every field response exp(j*2*pi*rho)
 
 class DegenerateChannelError(ValueError):
     """Channel carries no energy (all-zero path responses); gain is identically 0."""
-
-
-@dataclass(frozen=True)
-class PathAngles:
-    """Departure direction of one transmit path, in radians.
-
-    theta is the elevation angle and phi the azimuth angle, both in [0, pi].
-    """
-
-    theta: float
-    phi: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.theta <= math.pi:
-            raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
-        if not 0.0 <= self.phi <= math.pi:
-            raise ValueError(f"phi must lie in [0, pi], got {self.phi}")
 
 
 @dataclass(frozen=True)
@@ -75,37 +60,42 @@ class MoveRegion:
         return abs(z.x) <= self.half + tol and abs(z.y) <= self.half + tol
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UserChannel:
     """One user's multipath description: per-path departure angles and complex
     path responses, plus the user-to-receiver distance in meters.
 
-    Immutable after construction; safe to share across parallel workers.
+    angles holds a (theta, phi) row per path: elevation and azimuth in [0,
+    pi] radians. Its arrays are read-only, so it is safe to share across
+    parallel workers; a channel equals only itself.
     """
 
-    angles: tuple[PathAngles, ...]
+    angles: np.ndarray
     prv: np.ndarray
     distance: float = 1.0
 
     def __post_init__(self) -> None:
-        prv = np.array(self.prv, dtype=complex)
-        prv.setflags(write=False)
+        angles = _read_only(np.array(self.angles, dtype=float))
+        prv = _read_only(np.array(self.prv, dtype=complex))
+        object.__setattr__(self, "angles", angles)
         object.__setattr__(self, "prv", prv)
-        if len(self.angles) < 1:
-            raise ValueError("a channel needs at least one path")
-        if prv.ndim != 1 or len(prv) != len(self.angles):
+        if angles.ndim != 2 or angles.shape[1] != 2 or len(angles) < 1:
             raise ValueError(
-                f"angles ({len(self.angles)}) and path responses ({prv.shape}) must match"
+                f"angles must be (theta, phi) rows, one per path, got shape {angles.shape}"
             )
+        if not ((angles >= 0.0) & (angles <= math.pi)).all():
+            raise ValueError(f"angles must lie in [0, pi], got {angles.tolist()}")
+        if prv.ndim != 1 or len(prv) != len(angles):
+            raise ValueError(f"angles ({len(angles)}) and path responses ({prv.shape}) must match")
         if not np.isfinite(prv).all():
             raise ValueError(f"path responses prv must be finite, got {prv}")
         if not self.distance > 0.0:
             raise ValueError(f"distance must be positive, got {self.distance}")
         # Direction cosines that map a position to per-path travel distances;
         # cached because every optimizer iteration re-evaluates the phases.
-        theta = np.array([a.theta for a in self.angles])
-        phi = np.array([a.phi for a in self.angles])
-        object.__setattr__(self, "_dirs", np.stack((np.sin(theta) * np.cos(phi), np.cos(theta))))
+        theta, phi = angles.T
+        dirs = np.stack((np.sin(theta) * np.cos(phi), np.cos(theta)))
+        object.__setattr__(self, "_dirs", _read_only(dirs))
 
     @property
     def num_paths(self) -> int:
@@ -127,11 +117,19 @@ class UserChannel:
         return float(np.sum(np.abs(self.prv)))
 
     def normalized(self) -> "UserChannel":
-        """Same geometry with path responses rescaled to unit total power."""
+        """Same geometry with path responses rescaled to unit total power; the
+        angle and direction arrays are shared, not rebuilt."""
         p = self.power
         if p <= 0.0:
             raise DegenerateChannelError("cannot normalize an all-zero channel")
-        return UserChannel(self.angles, self.prv / math.sqrt(p), self.distance)
+        unit = copy.copy(self)
+        object.__setattr__(unit, "prv", _read_only(self.prv / math.sqrt(p)))
+        return unit
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def lane_phases(xy: np.ndarray, dir_x: np.ndarray, dir_y: np.ndarray) -> np.ndarray:
@@ -195,5 +193,4 @@ def sample_user_channel(cfg, rng: np.random.Generator) -> UserChannel:
     # CN(0, v) convention: real and imaginary parts i.i.d. N(0, v/2).
     scale = math.sqrt(d ** (-cfg.pathloss_exponent) / (2.0 * num_paths))
     prv = scale * (rng.standard_normal(num_paths) + 1j * rng.standard_normal(num_paths))
-    angles = tuple(PathAngles(float(t), float(p)) for t, p in zip(theta, phi))
-    return UserChannel(angles=angles, prv=prv, distance=d)
+    return UserChannel(angles=np.stack((theta, phi), axis=1), prv=prv, distance=d)

@@ -284,7 +284,7 @@ def cmd_optimize(args) -> int:
     noise = dbm_to_mw(cfg.noise_dbm)
     p_max = dbm_to_mw(cfg.p_max_dbm)
     reqs = [RateRequirement(cfg.r_min)] * cfg.num_users
-    solution = solve([d.ma_gain for d in draws], reqs, p_max, noise)
+    solution = solve(draws.ma_gains, reqs, p_max, noise)
 
     print(
         f"{cfg.num_users} users, {cfg.paths_per_user} paths each, seed {cfg.seed}, "
@@ -295,11 +295,11 @@ def cmd_optimize(args) -> int:
         f"{'moved gain':>12}  {'rank':>4}  {'power mW':>12}  {'rate bps/Hz':>12}"
     )
     print(header)
-    for k, draw in enumerate(draws):
+    for k, (x, y) in enumerate(draws.positions):
         rate = solution.rates[k]
         print(
-            f"{k + 1:>4}  {draw.position.x:>12.6f}  {draw.position.y:>12.6f}  "
-            f"{draw.fpa_gain:>12.4e}  {draw.ma_gain:>12.4e}  {solution.order[k]:>4}  "
+            f"{k + 1:>4}  {x:>12.6f}  {y:>12.6f}  "
+            f"{draws.fpa_gains[k]:>12.4e}  {draws.ma_gains[k]:>12.4e}  {solution.order[k]:>4}  "
             f"{solution.powers[k]:>12.6g}  "
             f"{'n/a' if math.isnan(rate) else f'{rate:.6f}':>12}"
         )

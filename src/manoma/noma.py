@@ -140,13 +140,14 @@ def _sequence_rates(g_seq: np.ndarray, p_seq: np.ndarray, noise: float):
     each user's interference, which never increases; overflow stays inf or NaN."""
     with np.errstate(over="ignore", invalid="ignore"):
         received = g_seq * p_seq
-        tail = _sums_after(received)
+        tail = _after(np.add, received)
         return np.log2(1.0 + received / (tail + noise)), tail
 
 
-def _sums_after(x: np.ndarray) -> np.ndarray:
-    """sum(x[k+1:]) for every k, each summed in sequence from the last entry."""
-    return np.concatenate((np.cumsum(x[::-1])[::-1][1:], [0.0]))
+def _after(op: np.ufunc, x: np.ndarray) -> np.ndarray:
+    """op.reduce(x[k+1:]) for every k (sum or product), each taken in
+    sequence from the last entry."""
+    return np.concatenate((op.accumulate(x[::-1])[::-1][1:], [float(op.identity)]))
 
 
 def oma_sum_rate(gains, p_max: float, noise: float) -> float:
@@ -291,10 +292,10 @@ def minimum_rate_powers(gains, alphas, noise: float) -> np.ndarray:
 
 def _minimum_rate_powers(g: np.ndarray, a: np.ndarray, noise: float) -> np.ndarray:
     c = np.zeros(len(g))
+    k = a > 0.0
     # Many large factors overflow to inf; solve reports that user infeasible.
     with np.errstate(over="ignore"):
-        for k in np.flatnonzero(a > 0.0):
-            c[k] = noise * a[k] / g[k] * np.prod(a[k + 1 :] + 1.0)
+        c[k] = noise * a[k] / g[k] * _after(np.multiply, a + 1.0)[k]
     return c
 
 
@@ -321,7 +322,7 @@ def _cap_terms(g: np.ndarray, a: np.ndarray, c: np.ndarray) -> tuple[np.ndarray,
         margin.append(least)
         least = min(least - gain, gain / alpha if alpha > 0.0 else math.inf)
     with np.errstate(over="ignore"):
-        later = _sums_after(g * c)
+        later = _after(np.add, g * c)
     return np.array(margin), later
 
 

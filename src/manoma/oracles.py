@@ -26,7 +26,6 @@ import numpy as np
 
 from manoma.channel import (
     MoveRegion,
-    PathAngles,
     Position,
     UserChannel,
     channel_coefficient,
@@ -50,10 +49,11 @@ __all__ = [
 ]
 
 
-def propagation_delta(z: Position, p: PathAngles) -> float:
-    """Extra travel distance of one path at position z versus the origin,
-    in wavelengths: x*sin(theta)*cos(phi) + y*cos(theta)."""
-    return z.x * math.sin(p.theta) * math.cos(p.phi) + z.y * math.cos(p.theta)
+def propagation_delta(z: Position, theta: float, phi: float) -> float:
+    """Extra travel distance at position z versus the origin, in wavelengths,
+    of the path with elevation theta and azimuth phi: x*sin(theta)*cos(phi) +
+    y*cos(theta)."""
+    return z.x * math.sin(theta) * math.cos(phi) + z.y * math.cos(theta)
 
 
 def coupling_matrix(ch: UserChannel) -> np.ndarray:

@@ -8,10 +8,11 @@ every user could be phase-aligned simultaneously (UPPER-BOUND).
 
 One pipeline serves every entry point, in stages. `draw_users` spawns one
 child stream per user, samples every user's channel, positions every
-antenna on the unit-power channels, and evaluates the gains there and at
-the region center. `_realization_table` computes the five scheme rates on
-one draw of the largest user count for every (user count, power cap) pair,
-a smaller count on a prefix of the users, and knows no sweep axis.
+antenna on the unit-power channels, and takes every gain there and at the
+region center in one lane call, into one record of arrays with a row per
+user. `_realization_table` computes the five scheme rates on one draw of
+the largest user count for every (user count, power cap) pair, a smaller
+count on the first rows, and knows no sweep axis.
 `sweep_power` and `sweep_users` check their points before any draw, by
 the one rule per axis (`power_points`, `user_counts`), and aggregate the
 realizations into `SweepRow`s. A one-point `sweep_power` at the config's
@@ -34,7 +35,9 @@ from functools import partial
 
 import numpy as np
 
-from manoma.channel import MoveRegion, Position, UserChannel, channel_gain, sample_user_channel
+from manoma.channel import (
+    MoveRegion, Position, lane_coefficients, lane_gains, lane_phases, sample_user_channel,
+)
 from manoma.noma import GAIN_FLOOR, RateRequirement, aligned_sum_rate, oma_sum_rate, solve
 from manoma.positioner import ScaParams, optimize_position
 
@@ -139,18 +142,21 @@ def _check_finite_mw(name: str, dbm: float) -> None:
         raise ValueError(f"{name} must be finite, got {dbm}")
 
 
-@dataclass(frozen=True)
-class UserDraw:
-    """One user's raw channel, its optimized antenna position, and the raw
-    channel gain there (ma_gain) and at the region center (fpa_gain)."""
+@dataclass(frozen=True, eq=False)
+class DrawSet:
+    """One draw set, row k for user k: raw path responses (users, paths) and
+    directions (users, 2, paths) as UserChannel holds them, positions (users,
+    2), and the raw gains there, at the region center and aligned (users,)."""
 
-    channel: UserChannel
-    position: Position
-    ma_gain: float
-    fpa_gain: float
+    prv: np.ndarray
+    directions: np.ndarray
+    positions: np.ndarray
+    ma_gains: np.ndarray
+    fpa_gains: np.ndarray
+    amplitude_sums: np.ndarray
 
 
-def draw_users(cfg: ScenarioConfig, index: int, count: int) -> list[UserDraw]:
+def draw_users(cfg: ScenarioConfig, index: int, count: int) -> DrawSet:
     """The first `count` users of realization `index`, antennas positioned.
 
     The realization's generator depends on (cfg.seed, index) only, so worker
@@ -168,38 +174,33 @@ def draw_users(cfg: ScenarioConfig, index: int, count: int) -> list[UserDraw]:
     streams = np.random.default_rng(np.random.SeedSequence((cfg.seed, index))).spawn(count)
     channels = [sample_user_channel(cfg, rng) for rng in streams]
     region, origin = MoveRegion(cfg.region_side), Position(0.0, 0.0)
-    positions = [
-        optimize_position(ch.normalized(), region, cfg.sca, origin, rng=rng)[0]
+    positions = np.array([
+        optimize_position(ch.normalized(), region, cfg.sca, origin, rng=rng)[0].as_array()
         for ch, rng in zip(channels, streams)
-    ]
-    return [
-        UserDraw(ch, pos, ma_gain=channel_gain(pos, ch), fpa_gain=channel_gain(origin, ch))
-        for ch, pos in zip(channels, positions)
-    ]
+    ]).reshape(count, 2)
+    paths = cfg.paths_per_user
+    prv = np.array([ch.prv for ch in channels]).reshape(count, paths)
+    directions = np.array([ch.directions for ch in channels]).reshape(count, 2, paths)
+    # One lane per user at its position, then one per user at the center.
+    dir_x, dir_y = np.concatenate((directions, directions)).transpose(1, 0, 2)
+    rho = lane_phases(np.concatenate((positions, np.zeros_like(positions))), dir_x, dir_y)
+    gains = lane_gains(lane_coefficients(rho, np.concatenate((prv, prv))))
+    sums = np.sum(np.abs(prv), axis=1)
+    return DrawSet(prv, directions, positions, gains[:count], gains[count:], sums)
 
 
-def upper_bound(channels, p_max: float, noise: float) -> float:
-    """Sum-rate cap with every user at the per-user maximum gain (all path
-    amplitudes aligned) and full power; independent of antenna positions."""
-    return aligned_sum_rate([ch.amplitude_sum for ch in channels], p_max, noise)
-
-
-def _scheme_rates(draws: list[UserDraw], r_min: float, p_max_values, noise: float) -> np.ndarray:
-    """Five scheme sum rates for one draw set at each power cap, shape
-    (points, schemes); NaN marks an infeasible NOMA instance. What does not
-    depend on the power (gains, requirements, amplitude sums) is gathered
-    once."""
-    reqs = [RateRequirement(r_min)] * len(draws)
-    ma_gains = np.array([d.ma_gain for d in draws])
-    fpa_gains = np.array([d.fpa_gain for d in draws])
-    amplitude_sums = np.array([d.channel.amplitude_sum for d in draws])
+def _scheme_rates(draws: DrawSet, k: int, r_min: float, p_max_values, noise: float) -> np.ndarray:
+    """Five scheme sum rates for the first k users of a draw set at each
+    power cap, shape (points, schemes); NaN marks an infeasible NOMA
+    instance."""
+    reqs = [RateRequirement(r_min)] * k
     out = np.empty((len(p_max_values), len(SCHEMES)))
     for row, p_max in zip(out, p_max_values):
-        for slot, gains in enumerate((ma_gains, fpa_gains)):
+        for slot, gains in enumerate((draws.ma_gains[:k], draws.fpa_gains[:k])):
             sol = solve(gains, reqs, p_max, noise)
             row[slot] = sol.sum_rate if sol.feasible else math.nan
             row[slot + 2] = oma_sum_rate(gains, p_max, noise)
-        row[4] = aligned_sum_rate(amplitude_sums, p_max, noise)
+        row[4] = aligned_sum_rate(draws.amplitude_sums[:k], p_max, noise)
     return out
 
 
@@ -220,7 +221,7 @@ def _realization_table(cfg: ScenarioConfig, counts, p_max_dbm_values, index: int
     draws = draw_users(cfg, index, max(counts))
     p_max = [dbm_to_mw(p_dbm) for p_dbm in p_max_dbm_values]
     noise = dbm_to_mw(cfg.noise_dbm)
-    return np.concatenate([_scheme_rates(draws[:k], cfg.r_min, p_max, noise) for k in counts])
+    return np.concatenate([_scheme_rates(draws, k, cfg.r_min, p_max, noise) for k in counts])
 
 
 def _collect(cfg: ScenarioConfig, counts, p_max_dbm_values, workers: int) -> np.ndarray:

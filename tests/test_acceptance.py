@@ -11,7 +11,7 @@ import time
 import numpy as np
 from numpy.testing import assert_allclose
 
-from manoma.channel import MoveRegion, PathAngles, Position, UserChannel, channel_gain
+from manoma.channel import MoveRegion, Position, UserChannel, channel_gain
 from manoma.cli import main
 from manoma.noma import (
     RateRequirement,
@@ -36,7 +36,7 @@ from manoma.sim import SCHEMES, ScenarioConfig, _realization_table
 
 def _random_channel(rng, num_paths):
     angles = tuple(
-        PathAngles(rng.uniform(0, math.pi), rng.uniform(0, math.pi)) for _ in range(num_paths)
+        (rng.uniform(0, math.pi), rng.uniform(0, math.pi)) for _ in range(num_paths)
     )
     prv = rng.standard_normal(num_paths) + 1j * rng.standard_normal(num_paths)
     return UserChannel(angles=angles, prv=prv)

@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 from manoma.channel import (
     DegenerateChannelError,
     MoveRegion,
-    PathAngles,
     Position,
     UserChannel,
     channel_coefficient,
@@ -30,22 +29,20 @@ class _Scenario:
 
 def _random_channel(rng, num_paths=4):
     angles = tuple(
-        PathAngles(rng.uniform(0, math.pi), rng.uniform(0, math.pi)) for _ in range(num_paths)
+        (rng.uniform(0, math.pi), rng.uniform(0, math.pi)) for _ in range(num_paths)
     )
     prv = rng.standard_normal(num_paths) + 1j * rng.standard_normal(num_paths)
     return UserChannel(angles=angles, prv=prv)
 
 
 def test_propagation_delta_hand_value():
-    p = PathAngles(theta=math.pi / 3, phi=math.pi / 4)
     z = Position(1.0, 2.0)
     expected = math.sin(math.pi / 3) * math.cos(math.pi / 4) + 2.0 * math.cos(math.pi / 3)
-    assert_allclose(propagation_delta(z, p), expected, rtol=1e-12)
+    assert_allclose(propagation_delta(z, math.pi / 3, math.pi / 4), expected, rtol=1e-12)
 
 
 def test_propagation_delta_zero_at_origin():
-    p = PathAngles(theta=0.7, phi=2.1)
-    assert propagation_delta(Position(0.0, 0.0), p) == 0.0
+    assert propagation_delta(Position(0.0, 0.0), 0.7, 2.1) == 0.0
 
 
 def test_field_response_unit_modulus():
@@ -81,13 +78,13 @@ def test_coefficient_matches_per_path_sum():
         ch = _random_channel(rng, num_paths=6)
         z = Position(rng.uniform(-2, 2), rng.uniform(-2, 2))
         expected = 0j
-        for p, f in zip(ch.angles, ch.prv):
-            expected += np.conj(f) * np.exp(2j * math.pi * propagation_delta(z, p))
+        for (theta, phi), f in zip(ch.angles, ch.prv):
+            expected += np.conj(f) * np.exp(2j * math.pi * propagation_delta(z, theta, phi))
         assert_allclose(channel_coefficient(z, ch), expected, rtol=1e-12)
 
 
 def test_single_path_gain_is_position_independent():
-    ch = UserChannel(angles=(PathAngles(math.pi / 2, 0.0),), prv=np.array([1.5 - 0.5j]))
+    ch = UserChannel(angles=((math.pi / 2, 0.0),), prv=np.array([1.5 - 0.5j]))
     rng = np.random.default_rng(11)
     for _ in range(10):
         z = Position(rng.uniform(-5, 5), rng.uniform(-5, 5))
@@ -96,7 +93,7 @@ def test_single_path_gain_is_position_independent():
 
 def test_two_path_null_and_peak():
     # Path 1 moves phase with x only, path 2 with y only.
-    angles = (PathAngles(math.pi / 2, 0.0), PathAngles(0.0, 1.0))
+    angles = ((math.pi / 2, 0.0), (0.0, 1.0))
     ch = UserChannel(angles=angles, prv=np.array([1.0 + 0j, 1.0 + 0j]))
     assert_allclose(channel_gain(Position(0.5, 0.0), ch), 0.0, atol=1e-24)
     assert_allclose(channel_gain(Position(0.25, 0.25), ch), 4.0, rtol=1e-12)
@@ -129,15 +126,34 @@ def test_gain_continuity_under_small_moves():
 
 @pytest.mark.parametrize(
     "theta,phi",
-    [(-0.1, 1.0), (math.pi + 0.1, 1.0), (1.0, -0.1), (1.0, math.pi + 0.1)],
+    [
+        (-0.1, 1.0),
+        (math.pi + 0.1, 1.0),
+        (1.0, -0.1),
+        (1.0, math.pi + 0.1),
+        (math.nan, 1.0),
+        (1.0, math.nan),
+        (math.inf, 1.0),
+        (1.0, -math.inf),
+    ],
 )
 def test_angle_validation(theta, phi):
-    with pytest.raises(ValueError):
-        PathAngles(theta, phi)
+    # One array check covers every path, not only the first.
+    with pytest.raises(ValueError, match="angles must lie in"):
+        UserChannel(angles=[(1.0, 1.0), (theta, phi)], prv=np.ones(2))
+
+
+@pytest.mark.parametrize(
+    "angles", [np.ones((2, 3)), np.ones(2), np.empty((0, 2)), np.array([])],
+    ids=["three-columns", "one-row-flat", "no-rows", "empty"],
+)
+def test_angle_shape_validation(angles):
+    with pytest.raises(ValueError, match="angles must be"):
+        UserChannel(angles=angles, prv=np.ones(2))
 
 
 def test_channel_validation():
-    good = PathAngles(1.0, 1.0)
+    good = (1.0, 1.0)
     with pytest.raises(ValueError):
         UserChannel(angles=(), prv=np.array([], dtype=complex))
     with pytest.raises(ValueError):
@@ -153,9 +169,26 @@ def test_channel_validation():
 
 
 def test_prv_is_read_only():
-    ch = UserChannel(angles=(PathAngles(1.0, 1.0),), prv=np.array([1.0 + 0j]))
-    with pytest.raises(ValueError):
-        ch.prv[0] = 0.0
+    angles = np.array([[1.0, 1.0]])
+    ch = UserChannel(angles=angles, prv=np.array([1.0 + 0j]))
+    for field in (ch.prv, ch.angles, ch.directions, ch.normalized().prv):
+        with pytest.raises(ValueError):
+            field[0] = 0.0
+    # The channel holds its own copy of the angles.
+    angles[0, 0] = 2.0
+    assert ch.angles[0, 0] == 1.0
+
+
+def test_channels_compare_and_hash_by_identity():
+    # Compared field by field, two multi-path channels raised ValueError on
+    # their arrays' truth value, and hashing raised TypeError.
+    ch = sample_user_channel(_Scenario(), np.random.default_rng(3))
+    twin = sample_user_channel(_Scenario(), np.random.default_rng(3))
+    assert ch == ch
+    assert (ch == twin) is False
+    assert ch != twin
+    assert {ch} == {ch}
+    assert len({ch, twin, ch.normalized()}) == 3
 
 
 def test_region_contains_and_validates_side():
@@ -181,7 +214,7 @@ def test_normalized_has_unit_power():
 
 
 def test_normalized_rejects_zero_channel():
-    ch = UserChannel(angles=(PathAngles(1.0, 1.0),), prv=np.array([0j]))
+    ch = UserChannel(angles=((1.0, 1.0),), prv=np.array([0j]))
     with pytest.raises(DegenerateChannelError):
         ch.normalized()
 
@@ -191,7 +224,7 @@ def test_sampler_determinism():
     a = sample_user_channel(cfg, np.random.default_rng(42))
     b = sample_user_channel(cfg, np.random.default_rng(42))
     assert a.distance == b.distance
-    assert a.angles == b.angles
+    assert np.array_equal(a.angles, b.angles)
     assert_allclose(a.prv, b.prv, rtol=0, atol=0)
     c = sample_user_channel(cfg, np.random.default_rng(43))
     assert c.distance != a.distance
@@ -206,7 +239,7 @@ def test_sampler_draw_order_is_user_prefix_stable():
     rng2 = np.random.default_rng(5)
     first_of_two = sample_user_channel(cfg, rng2)
     sample_user_channel(cfg, rng2)
-    assert first_alone.angles == first_of_two.angles
+    assert np.array_equal(first_alone.angles, first_of_two.angles)
     assert_allclose(first_alone.prv, first_of_two.prv, rtol=0, atol=0)
 
 
@@ -217,9 +250,10 @@ def test_sampler_ranges():
         ch = sample_user_channel(cfg, rng)
         assert 80.0 <= ch.distance <= 100.0
         assert ch.num_paths == 3
-        for p in ch.angles:
-            assert 0.0 <= p.theta <= math.pi
-            assert 0.0 <= p.phi <= math.pi
+        assert ch.angles.shape == (3, 2)
+        for theta, phi in ch.angles:
+            assert 0.0 <= theta <= math.pi
+            assert 0.0 <= phi <= math.pi
 
 
 def test_sampler_power_statistics():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import manoma.noma as noma
-from manoma.channel import DegenerateChannelError, PathAngles, UserChannel, sample_user_channel
+from manoma.channel import DegenerateChannelError, UserChannel, sample_user_channel
 from manoma.noma import (
     RATE_SLACK,
     NomaSolution,
@@ -24,7 +24,7 @@ from manoma.noma import (
     solve,
 )
 from manoma.oracles import brute_force_allocation, fixed_order_lp_powers, sum_rate_collapsed
-from manoma.sim import ScenarioConfig, dbm_to_mw, draw_users, upper_bound
+from manoma.sim import ScenarioConfig, dbm_to_mw, draw_users
 
 # One default channel, for the upper bound's input rule.
 _CHANNELS = [sample_user_channel(ScenarioConfig(), np.random.default_rng(0))]
@@ -41,7 +41,7 @@ def _random_instance(rng, num_users, p_max_span=(1.0, 50.0), r_span=(0.05, 0.8))
 def _sweep_gains(num_users, r_min, index):
     """Movable- and fixed-antenna gains of draw set `index` of a seed-0 sweep."""
     draws = draw_users(ScenarioConfig(num_users=num_users, r_min=r_min), index, num_users)
-    return np.array([d.ma_gain for d in draws]), np.array([d.fpa_gain for d in draws])
+    return draws.ma_gains, draws.fpa_gains
 
 
 # Sweep shapes for the optimality oracles: users, r_min, the cap in dBm at
@@ -402,13 +402,17 @@ def _loop_decoding_order(gains, alphas):
 
 
 def _loop_minimum_rate_powers(gains, alphas, noise):
-    g = np.asarray(gains, dtype=float)
-    a = np.asarray(alphas, dtype=float)
-    c = np.zeros(len(g))
-    for k in range(len(g)):
+    """c_k = noise a_k / g_k times the product of (1 + a) over the users
+    after k, that product kept as a running product from the last user."""
+    g = np.asarray(gains, dtype=float).tolist()
+    a = np.asarray(alphas, dtype=float).tolist()
+    c = [0.0] * len(g)
+    after = 1.0
+    for k in range(len(g) - 1, -1, -1):
         if a[k] > 0.0:
-            c[k] = noise * a[k] / g[k] * float(np.prod(a[k + 1 :] + 1.0))
-    return c
+            c[k] = noise * a[k] / g[k] * after
+        after *= a[k] + 1.0
+    return np.array(c)
 
 
 def _loop_power_allocation(gains_in_order, alphas_in_order, p_max, noise):
@@ -631,7 +635,7 @@ def test_cached_plan_gives_the_uncached_result(num_users, r_min):
     calls = []
     for index in range(2):
         draws = draw_users(cfg, index, num_users)
-        ma, fpa = [d.ma_gain for d in draws], [d.fpa_gain for d in draws]
+        ma, fpa = draws.ma_gains, draws.fpa_gains
         calls += [(gains, dbm_to_mw(0.25 * i)) for i in range(81) for gains in (ma, fpa)]
     noma._plan.cache_clear()
     cached = [solve(gains, reqs, p_max, noise) for gains, p_max in calls]
@@ -746,7 +750,10 @@ _ENTRY_POINTS = {
     ),
     "oma_sum_rate": lambda v: oma_sum_rate(v["gains"], v["p_max"], v["noise"]),
     "aligned_sum_rate": lambda v: aligned_sum_rate(v["amplitude_sums"], v["p_max"], v["noise"]),
-    "upper_bound": lambda v: upper_bound(_CHANNELS, v["p_max"], v["noise"]),
+    # The amplitude sums of a sampled channel, as the sweep passes them.
+    "aligned_sum_rate-sampled": lambda v: aligned_sum_rate(
+        [ch.amplitude_sum for ch in _CHANNELS], v["p_max"], v["noise"]
+    ),
     "check_feasibility": lambda v: check_feasibility(
         v["powers"], v["rates"], [RateRequirement(v["r_min"])] * 2, v["p_max"]
     ),
@@ -761,7 +768,7 @@ _QUANTITIES = {
     "brute_force_allocation": ("gains", "alphas", "p_max", "noise"),
     "oma_sum_rate": ("gains", "p_max", "noise"),
     "aligned_sum_rate": ("amplitude_sums", "p_max", "noise"),
-    "upper_bound": ("p_max", "noise"),
+    "aligned_sum_rate-sampled": ("p_max", "noise"),
 }
 
 
@@ -778,8 +785,9 @@ def _invalid_input_cases():
     # every user, and oma_sum_rate kept its own gains sign test, so a NaN
     # gain or noise gave NaN and an infinite p_max an infinite rate; with no
     # gains it took the mean of an empty array, NaN and a RuntimeWarning.
-    # upper_bound had no rule: a zero noise raised ZeroDivisionError, a NaN
-    # p_max gave NaN and a negative one "math domain error". check_feasibility
+    # The aligned bound of sampled channels had no rule: a zero noise raised
+    # ZeroDivisionError, a NaN p_max gave NaN and a negative one "math
+    # domain error". check_feasibility
     # checked nothing: a NaN p_max or a third power gave (True, None), and
     # a NaN power or a 2x2 rates array went unremarked too.
     found = [
@@ -788,7 +796,7 @@ def _invalid_input_cases():
         ("solve", {"r_min": 1100.0}, "r_min"),
         ("oma_sum_rate", {"noise": 0.0}, "noise"),
         ("oma_sum_rate", {"gains": []}, "user"),
-        ("upper_bound", {"noise": 0.0}, "noise"),
+        ("aligned_sum_rate-sampled", {"noise": 0.0}, "noise"),
         ("check_feasibility", {"p_max": math.nan}, "p_max"),
         ("check_feasibility", {"powers": [1.0, 1.0, 1.0], "p_max": 2.0}, "powers"),
         ("check_feasibility", {"powers": [math.nan, 1.0]}, "powers"),
@@ -1121,14 +1129,14 @@ def test_infinite_headroom_caps_nobody():
         # The aligned rate has one ratio, of the total received power; it
         # came out inf.
         (
-            upper_bound, (_CHANNELS, 1e308, 1e-300),
+            aligned_sum_rate, ([ch.amplitude_sum for ch in _CHANNELS], 1e308, 1e-300),
             "received-power ratio g * p / (interference + noise) is not finite",
         ),
         # An amplitude sum of 1e200 squares past the float range: Python's **
         # raised OverflowError(34, 'Numerical result out of range').
         (
-            upper_bound,
-            ([UserChannel((PathAngles(1.0, 1.0),), np.array([1e200 + 0j]))], 1.0, 1.0),
+            aligned_sum_rate,
+            ([UserChannel(((1.0, 1.0),), np.array([1e200 + 0j])).amplitude_sum], 1.0, 1.0),
             "received-power ratio g * p / (interference + noise) is not finite",
         ),
         # Each square fits and their total does not; at a zero cap the ratio
@@ -1138,7 +1146,7 @@ def test_infinite_headroom_caps_nobody():
             "received-power ratio g * p / (interference + noise) is not finite",
         ),
     ],
-    ids=["sinr_and_rates", "oma_sum_rate", "upper_bound", "found-upper_bound-square", "total"],
+    ids=["sinr_and_rates", "oma_sum_rate", "sampled", "found-square", "total"],
 )
 def test_rate_functions_raise_on_overflow_without_warnings(call, args, message):
     with warnings.catch_warnings():

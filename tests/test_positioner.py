@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 from manoma.channel import (
     DegenerateChannelError,
     MoveRegion,
-    PathAngles,
     Position,
     UserChannel,
     channel_gain,
@@ -35,7 +34,7 @@ from manoma.sim import ScenarioConfig
 
 def _random_channel(rng, num_paths=4):
     angles = tuple(
-        PathAngles(rng.uniform(0, math.pi), rng.uniform(0, math.pi)) for _ in range(num_paths)
+        (rng.uniform(0, math.pi), rng.uniform(0, math.pi)) for _ in range(num_paths)
     )
     prv = rng.standard_normal(num_paths) + 1j * rng.standard_normal(num_paths)
     return UserChannel(angles=angles, prv=prv)
@@ -49,12 +48,12 @@ def _random_position(rng, span=2.0):
 
 
 def test_coupling_matrix_single_path():
-    ch = UserChannel(angles=(PathAngles(1.0, 1.0),), prv=np.array([1.0 + 0j]))
+    ch = UserChannel(angles=((1.0, 1.0),), prv=np.array([1.0 + 0j]))
     assert_allclose(coupling_matrix(ch), [[1.0 + 0j]])
 
 
 def test_coupling_matrix_two_paths():
-    angles = (PathAngles(1.0, 1.0), PathAngles(0.5, 2.0))
+    angles = ((1.0, 1.0), (0.5, 2.0))
     ch = UserChannel(angles=angles, prv=np.array([1.0, 1j]))
     expected = np.array([[1.0, -1j], [1j, 1.0]])
     assert_allclose(coupling_matrix(ch), expected)
@@ -88,7 +87,7 @@ def test_anchor_vector_matches_matrix_product():
 
 
 def test_gradient_zero_for_single_path():
-    ch = UserChannel(angles=(PathAngles(0.8, 2.2),), prv=np.array([2.0 - 1j]))
+    ch = UserChannel(angles=((0.8, 2.2),), prv=np.array([2.0 - 1j]))
     rng = np.random.default_rng(22)
     for _ in range(5):
         g = surrogate_gradient(_random_position(rng), ch)
@@ -97,7 +96,7 @@ def test_gradient_zero_for_single_path():
 
 def test_gradient_x_component_vanishes_for_broadside_paths():
     # cos(phi) = 0 removes every path's x sensitivity.
-    angles = tuple(PathAngles(math.pi / 2, math.pi / 2) for _ in range(3))
+    angles = tuple((math.pi / 2, math.pi / 2) for _ in range(3))
     rng = np.random.default_rng(23)
     prv = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     ch = UserChannel(angles=angles, prv=prv)
@@ -135,7 +134,7 @@ def test_gradient_matches_finite_differences():
 def test_delta_hand_value():
     # Four broadside paths with responses 0.5 each: the coefficient at any z
     # is 2, so the anchor amplitudes are all 1 and delta is 32*pi^2.
-    angles = tuple(PathAngles(math.pi / 2, math.pi / 2) for _ in range(4))
+    angles = tuple((math.pi / 2, math.pi / 2) for _ in range(4))
     ch = UserChannel(angles=angles, prv=np.full(4, 0.5 + 0j))
     assert_allclose(lipschitz_delta(Position(0.1, 0.2), ch), 32 * math.pi**2, rtol=1e-12)
 
@@ -150,7 +149,7 @@ def test_delta_scales_quadratically_with_prv():
 
 
 def test_delta_rejects_zero_channel():
-    ch = UserChannel(angles=(PathAngles(1.0, 1.0),), prv=np.array([0j]))
+    ch = UserChannel(angles=((1.0, 1.0),), prv=np.array([0j]))
     with pytest.raises(DegenerateChannelError):
         lipschitz_delta(Position(0.0, 0.0), ch)
 
@@ -235,7 +234,7 @@ def test_quadratic_surrogate_is_taylor_bound_up_to_constant():
 
 
 def test_step_fixed_point_when_gradient_vanishes():
-    ch = UserChannel(angles=(PathAngles(0.9, 1.3),), prv=np.array([1.0 + 2j]))
+    ch = UserChannel(angles=((0.9, 1.3),), prv=np.array([1.0 + 2j]))
     z = Position(0.2, -0.3)
     out = sca_step(z, ch, MoveRegion(2.0))
     assert_allclose([out.x, out.y], [z.x, z.y], atol=1e-12)
@@ -294,7 +293,7 @@ def test_step_never_decreases_linearized_surrogate():
 
 
 def test_single_path_terminates_immediately():
-    ch = UserChannel(angles=(PathAngles(1.1, 0.4),), prv=np.array([0.7 - 0.1j]))
+    ch = UserChannel(angles=((1.1, 0.4),), prv=np.array([0.7 - 0.1j]))
     pos, gain, iters = optimize_position(ch, MoveRegion(2.0), init=Position(0.5, -0.5))
     assert iters == 1
     assert_allclose(gain, abs(0.7 - 0.1j) ** 2, rtol=1e-12)
@@ -524,7 +523,7 @@ def test_engine_zero_anchor_lane_stays_put_and_stops():
     # prv = (1, -1) cancels exactly at the origin: the anchor vector is zero,
     # so the curvature bound is zero and the step must leave the lane alone
     # (without a 0/0 warning) while the other lane ascends normally.
-    angles = (PathAngles(0.7, 1.9), PathAngles(2.1, 0.4))
+    angles = ((0.7, 1.9), (2.1, 0.4))
     ch = UserChannel(angles=angles, prv=np.array([1.0 + 0j, -1.0 + 0j]))
     region = MoveRegion(2.0)
     assert lipschitz_delta(Position(0.0, 0.0), ch) == 0.0
@@ -545,7 +544,7 @@ def test_engine_zero_anchor_lane_stays_put_and_stops():
 
 
 def test_engine_rejects_all_zero_channel():
-    ch = UserChannel(angles=(PathAngles(1.0, 1.0),), prv=np.array([0j]))
+    ch = UserChannel(angles=((1.0, 1.0),), prv=np.array([0j]))
     with pytest.raises(DegenerateChannelError):
         ascend(ch, MoveRegion(1.0), ScaParams(), np.zeros((1, 2)))
 
@@ -554,7 +553,7 @@ def test_engine_rejects_all_zero_channel():
 
 
 def test_grid_oracle_single_path():
-    ch = UserChannel(angles=(PathAngles(1.0, 1.0),), prv=np.array([2.0 + 0j]))
+    ch = UserChannel(angles=((1.0, 1.0),), prv=np.array([2.0 + 0j]))
     _, gain = grid_oracle(ch, MoveRegion(2.0), step=0.25)
     assert_allclose(gain, 4.0, rtol=1e-12)
 

@@ -8,8 +8,15 @@ from numpy.testing import assert_allclose
 import manoma
 import manoma.noma as noma
 import manoma.sim as sim
-from manoma.channel import PathAngles, UserChannel
-from manoma.noma import RateRequirement, solve
+from manoma.channel import (
+    Position,
+    UserChannel,
+    channel_gain,
+    lane_coefficients,
+    lane_gains,
+    lane_phases,
+)
+from manoma.noma import RateRequirement, aligned_sum_rate, solve
 from manoma.positioner import ScaParams
 from manoma.sim import (
     SCHEMES,
@@ -20,7 +27,6 @@ from manoma.sim import (
     run_realization,
     sweep_power,
     sweep_users,
-    upper_bound,
 )
 
 
@@ -133,21 +139,21 @@ def test_oma_zero_gains_zero_rate():
 
 
 def test_upper_bound_hand_value():
-    ch = UserChannel(angles=(PathAngles(1.0, 1.0),), prv=np.array([1.0 + 0j]))
-    assert_allclose(upper_bound([ch], p_max=1.0, noise=1.0), 1.0, rtol=1e-12)
+    ch = UserChannel(angles=((1.0, 1.0),), prv=np.array([1.0 + 0j]))
+    assert_allclose(aligned_sum_rate([ch.amplitude_sum], p_max=1.0, noise=1.0), 1.0, rtol=1e-12)
 
 
 def test_sweep_upper_bound_column_is_upper_bound_bit_for_bit():
-    # The UPPER-BOUND column goes through upper_bound's own computation,
-    # prefixes of a draw set included.
+    # The UPPER-BOUND column is aligned_sum_rate of the draw set's amplitude
+    # sums, prefixes of a draw set included.
     cfg = _small_cfg()
     caps = (0.0, 7.5, 20.0)
     noise = dbm_to_mw(cfg.noise_dbm)
     for index in range(3):
         table = sim._realization_table(cfg, (2, 3), caps, index)
-        channels = [d.channel for d in draw_users(cfg, index, 3)]
+        sums = draw_users(cfg, index, 3).amplitude_sums
         expected = [
-            upper_bound(channels[:k], dbm_to_mw(p_dbm), noise) for k in (2, 3) for p_dbm in caps
+            aligned_sum_rate(sums[:k], dbm_to_mw(p_dbm), noise) for k in (2, 3) for p_dbm in caps
         ]
         assert table[:, SCHEMES.index("UPPER-BOUND")].tolist() == expected
 
@@ -158,7 +164,7 @@ def test_upper_bound_tight_for_single_path_channels():
     rng = np.random.default_rng(60)
     channels = [
         UserChannel(
-            angles=(PathAngles(rng.uniform(0, math.pi), rng.uniform(0, math.pi)),),
+            angles=((rng.uniform(0, math.pi), rng.uniform(0, math.pi)),),
             prv=np.array([rng.standard_normal() + 1j * rng.standard_normal()]),
         )
         for _ in range(3)
@@ -167,7 +173,8 @@ def test_upper_bound_tight_for_single_path_channels():
     reqs = [RateRequirement(0.0)] * 3
     sol = solve(gains, reqs, p_max=4.0, noise=1.0)
     assert sol.feasible
-    assert_allclose(sol.sum_rate, upper_bound(channels, 4.0, 1.0), rtol=1e-9)
+    sums = [ch.amplitude_sum for ch in channels]
+    assert_allclose(sol.sum_rate, aligned_sum_rate(sums, 4.0, 1.0), rtol=1e-9)
 
 
 # --- single realizations ---
@@ -185,6 +192,36 @@ def test_draw_users_samples_every_channel_before_positioning(monkeypatch):
         monkeypatch.setattr(sim, name, spy)
     draw_users(_small_cfg(), 0, 3)
     assert calls == ["sample_user_channel"] * 3 + ["optimize_position"] * 3
+
+
+@pytest.mark.parametrize("num_users,paths", [(1, 1), (6, 5), (32, 5), (8, 17)])
+def test_draw_set_matches_per_user_channel_gain_bitwise(monkeypatch, num_users, paths):
+    # draw_users takes every gain in one lane call over all users at their
+    # positions and at the center; each must be the per-user scalar result.
+    channels, positions = [], []
+
+    def sample_spy(*args, _fn=sim.sample_user_channel):
+        channels.append(_fn(*args))
+        return channels[-1]
+
+    def position_spy(*args, _fn=sim.optimize_position, **kwargs):
+        result = _fn(*args, **kwargs)
+        positions.append(result[0])
+        return result
+
+    monkeypatch.setattr(sim, "sample_user_channel", sample_spy)
+    monkeypatch.setattr(sim, "optimize_position", position_spy)
+    draws = draw_users(ScenarioConfig(num_users=num_users, paths_per_user=paths), 0, num_users)
+    assert draws.positions.tolist() == [[z.x, z.y] for z in positions]
+    assert np.array_equal(draws.prv, [ch.prv for ch in channels])
+    assert np.array_equal(draws.directions, [ch.directions for ch in channels])
+    origin = Position(0.0, 0.0)
+    assert draws.ma_gains.tolist() == [
+        channel_gain(Position(*draws.positions[k]), ch) for k, ch in enumerate(channels)
+    ]
+    assert draws.fpa_gains.tolist() == [channel_gain(origin, ch) for ch in channels]
+    assert draws.amplitude_sums.tolist() == [ch.amplitude_sum for ch in channels]
+    assert draws == draws and {draws} == {draws}
 
 
 def test_sweep_calls_the_traced_layers_once_per_instance(monkeypatch):
@@ -211,6 +248,13 @@ def test_sweep_calls_the_traced_layers_once_per_instance(monkeypatch):
     assert all(isinstance(p_max, float) for p_max, _ in solves)
     assert all(type(sol.feasible) is bool for _, sol in solves)
     assert len(positions) == cfg.realizations * cfg.num_users
+
+
+def test_draw_users_of_no_users_is_an_empty_record():
+    draws = draw_users(_small_cfg(), 0, 0)
+    assert draws.prv.shape == (0, 3) and draws.directions.shape == (0, 2, 3)
+    assert draws.positions.shape == (0, 2)
+    assert draws.ma_gains.shape == draws.fpa_gains.shape == draws.amplitude_sums.shape == (0,)
 
 
 def test_realization_deterministic():
@@ -263,7 +307,7 @@ def test_per_realization_scheme_ordering():
 def test_gain_first_pipeline_beats_random_positions():
     # Decoupling check: optimizing each user's gain first is never worse
     # than any alternative position set with powers re-optimized.
-    from manoma.channel import MoveRegion, Position, channel_gain
+    from manoma.channel import MoveRegion
 
     cfg = _small_cfg(sca=ScaParams(multistart=8))
     region = MoveRegion(cfg.region_side)
@@ -273,13 +317,13 @@ def test_gain_first_pipeline_beats_random_positions():
     compared = 0
     for r in range(10):
         draws = draw_users(cfg, r, cfg.num_users)
-        pipeline = solve([d.ma_gain for d in draws], reqs, p_max, noise)
+        pipeline = solve(draws.ma_gains, reqs, p_max, noise)
+        dir_x, dir_y = draws.directions.transpose(1, 0, 2)
         alt_rng = np.random.default_rng(1000 + r)
         for _ in range(5):
-            alt_gains = [
-                channel_gain(Position(*alt_rng.uniform(-region.half, region.half, 2)), d.channel)
-                for d in draws
-            ]
+            # One random position per user, each a lane of the user's channel.
+            xy = alt_rng.uniform(-region.half, region.half, (cfg.num_users, 2))
+            alt_gains = lane_gains(lane_coefficients(lane_phases(xy, dir_x, dir_y), draws.prv))
             alt = solve(alt_gains, reqs, p_max, noise)
             if alt.feasible:
                 assert pipeline.feasible
