@@ -49,8 +49,11 @@ class MoveRegion:
     side: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.side < math.inf:
-            raise ValueError(f"region side must be finite and nonnegative, got {self.side}")
+        # A point of the region lies within half * sqrt(2) < side of its
+        # center, so a finite 2 pi side bounds every phase 2 pi d . rho.
+        if not (0.0 <= self.side and TWO_PI * self.side < math.inf):
+            msg = "must be finite and nonnegative, and 2 pi region_side finite"
+            raise ValueError(f"region_side {msg}, got {self.side}")
 
     @property
     def half(self) -> float:

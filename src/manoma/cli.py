@@ -256,8 +256,10 @@ def _parse_points(key: str, items: list[str], sweep: str) -> list:
 
 
 def _output_problem(path: str) -> str | None:
-    """Why the sweep outputs at `path` could not be written, checked before
-    any compute starts; None when nothing is in the way."""
+    """Why a sweep output could not be written at `path`, checked before any
+    compute starts; None when nothing is in the way."""
+    if not path:
+        return "an empty path names no file"
     directory = os.path.dirname(path) or "."
     if not os.path.isdir(directory):
         return f"directory {directory} does not exist"
@@ -329,10 +331,12 @@ def cmd_sweep(args) -> int:
     else:
         points = list(DEFAULT_USER_POINTS if sweep == "users" else DEFAULT_POWER_POINTS)
 
-    problem = _output_problem(args.out)
-    if problem:
-        print(f"i/o error: cannot write {args.out}: {problem}", file=sys.stderr)
-        return EXIT_IO
+    manifest_path = args.out + ".manifest.json"
+    for path in (args.out, manifest_path):
+        problem = _output_problem(path)
+        if problem:
+            print(f"i/o error: cannot write {path}: {problem}", file=sys.stderr)
+            return EXIT_IO
 
     print(
         f"{sweep} sweep: {len(points)} points, {cfg.realizations} realizations, "
@@ -350,7 +354,6 @@ def cmd_sweep(args) -> int:
         file=sys.stderr,
     )
 
-    manifest_path = args.out + ".manifest.json"
     manifest = {
         "artifact": "manoma",
         "version": __version__,

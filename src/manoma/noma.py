@@ -28,14 +28,8 @@ Margins taken as differences of prefix sums of all gains would err by eps
 times the whole prefix, so a large gain decoded early could erase the cap
 of a small user decoded later.
 
-Power control splits in two. The plan (decoding sequence, minimum-rate
-powers, cap terms) depends on the gains, alphas and noise but not on the
-power cap; the finish (caps, back-off, rates, feasibility) is per cap. solve
-keeps the plans of its last two distinct (gains, alphas, noise) inputs in a
-bounded cache, keyed by their bytes, so a power sweep that alternates two
-gain sets at every point plans each set once. Inputs are validated on every
-call before the cache is consulted, and the cached arrays are read-only.
-power_allocation runs the same two halves without the cache.
+solve and power_allocation share one chain for the powers, and solve plans
+its decoding sequence, minimum-rate powers and cap terms on every call.
 
 The rate, order and power functions check their inputs by one rule per
 quantity, and a ValueError names the quantity that breaks it:
@@ -50,7 +44,6 @@ quantity, and a ValueError names the quantity that breaks it:
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -358,8 +351,15 @@ def power_allocation(gains_in_order, alphas_in_order, p_max: float, noise: float
     feasibility, nothing is clipped here.
     """
     g, a = check_allocation_inputs(gains_in_order, alphas_in_order, p_max, noise)
+    return _sequence_powers(g, a, p_max, noise)[1]
+
+
+def _sequence_powers(g: np.ndarray, a: np.ndarray, p_max: float, noise: float) -> tuple:
+    """The minimum-rate powers c and the optimal powers p of checked gains
+    and alphas in decoding sequence: the powers of solve and
+    power_allocation."""
     c = _minimum_rate_powers(g, a, noise)
-    return _saturating_powers(g, c, *_cap_terms(g, a, c), p_max, noise)
+    return c, _saturating_powers(g, c, *_cap_terms(g, a, c), p_max, noise)
 
 
 def check_feasibility(powers, rates, reqs, p_max: float) -> tuple[bool, str | None]:
@@ -404,46 +404,23 @@ def _feasibility(p: np.ndarray, rates: np.ndarray, reqs: list, p_max: float):
     return True, None
 
 
-# Two entries: a sweep point solves the movable- and the fixed-antenna gains
-# of one draw set in turn, and every point of the set shares both plans.
-@functools.lru_cache(maxsize=2)
-def _plan(gain_bytes: bytes, alpha_bytes: bytes, noise: float) -> tuple:
-    """The power-cap-independent half of solve, keyed by the bytes of the
-    validated float gains and alphas.
-
-    Returns (seq, ranks, g, c, overflow, margin, later): the decoding
-    sequence and ranks, then gains and minimum-rate powers in decoding
-    sequence, whether any c overflows, and _cap_terms. The arrays are
-    read-only, since every call that hits the cache shares them.
-    """
-    g, a = np.frombuffer(gain_bytes), np.frombuffer(alpha_bytes)
-    seq = _decoding_sequence(g, a)
-    g_seq, a_seq = g[seq], a[seq]
-    c_seq = _minimum_rate_powers(g_seq, a_seq, noise)
-    margin, later = _cap_terms(g_seq, a_seq, c_seq)
-    for arr in (seq, g_seq, c_seq, margin, later):
-        arr.flags.writeable = False
-    return seq, _ranks(seq), g_seq, c_seq, bool(np.isinf(c_seq).any()), margin, later
-
-
 def solve(gains, reqs, p_max: float, noise: float) -> NomaSolution:
     """Order selection, closed-form powers, rates, and feasibility in one call.
 
-    Validates on every call, then works in decoding sequence until it
-    scatters powers and rates back to user order. The order, minimum-rate
-    powers and cap terms come from the plan cache, so repeated gains at
-    new power caps only redo the caps. Infeasible draws are flagged, never
-    clipped. On overflow, powers and rates are NaN and the diagnostic names
-    the first quantity that is not finite, and its lowest-indexed user, in
-    this order: the minimum-rate power; then the power cap if some power is
-    negative, or else the received-power ratio and then the interference.
+    Validates and plans on every call, then works in decoding sequence until
+    it scatters powers and rates back to user order. Infeasible draws are
+    flagged, never clipped. On overflow, powers and rates are NaN and the
+    diagnostic names the first quantity that is not finite, and its
+    lowest-indexed user, in this order: the minimum-rate power; then the
+    power cap if some power is negative, or else the received-power ratio
+    and then the interference.
     """
     reqs = list(reqs)
     g, alphas = check_allocation_inputs(gains, [r.alpha for r in reqs], p_max, noise)
-    seq, ranks, g_seq, c_seq, overflow, margin, later = _plan(
-        g.tobytes(), alphas.tobytes(), float(noise)
-    )
-    p_seq = _saturating_powers(g_seq, c_seq, margin, later, p_max, noise)
+    seq = _decoding_sequence(g, alphas)
+    ranks, g_seq = _ranks(seq), g[seq]
+    c_seq, p_seq = _sequence_powers(g_seq, alphas[seq], p_max, noise)
+    overflow = bool(np.isinf(c_seq).any())
     rates, sum_rate, low = np.full(len(g), np.nan), math.nan, p_seq.min()
     checks = [(c_seq, _MIN_RATE_POWER)]
     if low >= 0.0:

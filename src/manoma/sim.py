@@ -44,7 +44,7 @@ from manoma.positioner import ScaParams, optimize_position
 SCHEMES = ("NOMA-MA", "NOMA-FPA", "OMA-MA", "OMA-FPA", "UPPER-BOUND")
 
 _MAX_SEED = 2**64
-_FINITE_FIELDS = ("noise_dbm", "pathloss_exponent", "distance_range", "region_side")
+_FINITE_FIELDS = ("noise_dbm", "pathloss_exponent", "distance_range")
 # A fixed-antenna gain is exponential with the path gain as its mean, so this
 # margin puts about one user in 1e10 below GAIN_FLOOR. The movable-antenna
 # gain is never lower: positioning starts at the region center and never
@@ -84,8 +84,7 @@ class ScenarioConfig:
             raise ValueError(
                 f"distance_range must satisfy 0 < min <= max, got {self.distance_range}"
             )
-        if self.region_side < 0.0:
-            raise ValueError(f"region_side must be nonnegative, got {self.region_side}")
+        MoveRegion(self.region_side)  # raises unless region_side is a valid side
         RateRequirement(self.r_min)  # raises unless r_min is a valid minimum rate
         if self.pathloss_exponent <= 0.0:
             raise ValueError(

@@ -198,9 +198,10 @@ def test_region_contains_and_validates_side():
     with pytest.raises(ValueError):
         MoveRegion(side=-1.0)
     # A NaN side used to fail only at the first containment test.
-    for side in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="side must be finite"):
+    for side in (math.nan, math.inf, 5e307):
+        with pytest.raises(ValueError, match="^region_side must be finite"):
             MoveRegion(side=side)
+    assert MoveRegion(side=2.86e307).half == 1.43e307
 
 
 def test_normalized_has_unit_power():

@@ -497,6 +497,10 @@ def test_sweep_rejects_overflowing_r_min_before_compute(tmp_path, capsys, monkey
         ("pathloss_exponent = 400", "distance_range and pathloss_exponent"),
         # A path gain of 6.3e-32: every gain would fall under noma.GAIN_FLOOR.
         ('distance_range = "[1e8, 1e8] m"', "distance_range and pathloss_exponent"),
+        # Finite sides whose phase 2 pi side overflows: the positioner used to
+        # warn at 5e307 and fail on a NaN position at 1e308.
+        ('region_side = "5e307 wavelengths"', "region_side must be finite and nonnegative"),
+        ('region_side = "1e308 wavelengths"', "region_side must be finite and nonnegative"),
     ],
 )
 def test_unrepresentable_values_fail_at_config_time(
@@ -623,6 +627,32 @@ def test_sweep_checks_output_path_before_compute(
     assert code == 4
     assert str(out_path) in err
     assert list(tmp_path.iterdir()) == [tmp_path / "fast.cfg"]
+
+
+@pytest.mark.parametrize(
+    "out, manifest_dir, problem",
+    [
+        ("out.csv", True, "out.csv.manifest.json: it is a directory"),
+        ("", False, ": an empty path names no file"),
+    ],
+    ids=["manifest-is-a-directory", "empty-out"],
+)
+def test_sweep_judges_both_outputs_before_compute(
+    fast_config, tmp_path, capsys, monkeypatch, out, manifest_dir, problem
+):
+    # The sweep used to run first and fail only on writing, and a manifest
+    # path that is a directory left the new CSV in place without it.
+    def no_compute(*args, **kwargs):
+        raise AssertionError("the sweep ran although its outputs cannot be written")
+
+    monkeypatch.setattr(cli, "sweep_power", no_compute)
+    monkeypatch.chdir(tmp_path)
+    if manifest_dir:
+        (tmp_path / f"{out}.manifest.json").mkdir()
+    before = sorted(tmp_path.iterdir())
+    code, _, err = run_cli(["sweep", "--config", fast_config, "--out", out], capsys)
+    assert (code, err) == (4, f"i/o error: cannot write {problem}\n")
+    assert sorted(tmp_path.iterdir()) == before
 
 
 @pytest.mark.parametrize("earlier_run", [False, True], ids=["fresh", "over_earlier_run"])

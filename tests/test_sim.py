@@ -82,6 +82,9 @@ def test_dbm_to_mw(dbm, mw):
         dict(paths_per_user=2.5),
         dict(realizations=1.5),
         dict(seed=1.5),
+        # Finite sides whose phase 2 pi side a float cannot hold.
+        dict(region_side=5e307),
+        dict(region_side=1e308),
     ],
 )
 def test_config_validation(bad):
