@@ -182,9 +182,9 @@ def _first_not_finite(seq: np.ndarray, checks) -> str | None:
     """`user k <quantity>` for the first (values, quantity) pair in checks with
     a non-finite value, values in decoding sequence seq; else None."""
     for values, quantity in checks:
-        bad = ~np.isfinite(values)
-        if bad.any():
-            return f"user {seq[bad].min() + 1} {quantity}"
+        finite = np.isfinite(values)
+        if np.count_nonzero(finite) < len(finite):  # cheaper than .all() at small K
+            return f"user {seq[~finite].min() + 1} {quantity}"
     return None
 
 
@@ -276,7 +276,8 @@ def minimum_rate_powers(gains, alphas, noise: float) -> np.ndarray:
     Assumes every user decoded after k transmits its own c: the interference
     plus noise then equals noise times the product of (alpha+1) over later
     users, which is what the product term accounts for. Unconstrained users
-    (alpha = 0) need nothing. A product too large for a float makes c_k inf.
+    (alpha = 0) need nothing. A product too large for a float makes c_k inf,
+    or NaN where noise * alpha / g underflows to 0.
     """
     g, a = _per_user(gains, "alphas", alphas, GAIN_FLOOR)
     _check_noise(noise)
@@ -286,8 +287,9 @@ def minimum_rate_powers(gains, alphas, noise: float) -> np.ndarray:
 def _minimum_rate_powers(g: np.ndarray, a: np.ndarray, noise: float) -> np.ndarray:
     c = np.zeros(len(g))
     k = a > 0.0
-    # Many large factors overflow to inf; solve reports that user infeasible.
-    with np.errstate(over="ignore"):
+    # Many large factors overflow to inf, which times a prefactor noise *
+    # alpha / g that underflows to 0 is NaN; solve reports either infeasible.
+    with np.errstate(over="ignore", invalid="ignore"):
         c[k] = noise * a[k] / g[k] * _after(np.multiply, a + 1.0)[k]
     return c
 
@@ -409,34 +411,33 @@ def solve(gains, reqs, p_max: float, noise: float) -> NomaSolution:
 
     Validates and plans on every call, then works in decoding sequence until
     it scatters powers and rates back to user order. Infeasible draws are
-    flagged, never clipped. On overflow, powers and rates are NaN and the
-    diagnostic names the first quantity that is not finite, and its
-    lowest-indexed user, in this order: the minimum-rate power; then the
+    flagged, never clipped. One test decides overflow and words it: the
+    checked quantities are, in this order, the minimum-rate power; then the
     power cap if some power is negative, or else the received-power ratio
-    and then the interference.
+    and then the interference. The first that holds a value that is not
+    finite, with its lowest-indexed user, is the diagnostic, and then powers
+    and rates are NaN.
     """
     reqs = list(reqs)
     g, alphas = check_allocation_inputs(gains, [r.alpha for r in reqs], p_max, noise)
     seq = _decoding_sequence(g, alphas)
     ranks, g_seq = _ranks(seq), g[seq]
     c_seq, p_seq = _sequence_powers(g_seq, alphas[seq], p_max, noise)
-    overflow = bool(np.isinf(c_seq).any())
-    rates, sum_rate, low = np.full(len(g), np.nan), math.nan, p_seq.min()
+    rates, sum_rate = np.full(len(g), np.nan), math.nan
     checks = [(c_seq, _MIN_RATE_POWER)]
-    if low >= 0.0:
+    if p_seq.min() >= 0.0:
         rate_seq, interference = _sequence_rates(g_seq, p_seq, noise)
         rates[seq] = rate_seq
         sum_rate = float(np.sum(rates))
         checks += [(rate_seq, _RATIO), (interference, _INTERFERENCE)]
-        overflow |= not (math.isfinite(sum_rate) and math.isfinite(interference[0]))
     else:
         # Only the first user to back off takes its cap, and every later one
         # its c, so a cap that reads an overflowed sum is the one -inf power.
         checks.append((p_seq, _POWER_CAP))
-        overflow |= low == -math.inf
+    overflow = _first_not_finite(seq, checks)
     if overflow:
         nan = np.full(len(g), np.nan)
-        return NomaSolution(ranks, nan, nan.copy(), math.nan, False, _first_not_finite(seq, checks))
+        return NomaSolution(ranks, nan, nan.copy(), math.nan, False, overflow)
     powers = np.empty(len(g))
     powers[seq] = p_seq
     feasible, diagnostic = _feasibility(powers, rates, reqs, p_max)

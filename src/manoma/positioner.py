@@ -15,7 +15,9 @@ stop rule. A multistart search therefore costs a fraction of running its
 starts one after another (ten extra starts take about 1.5 to 2 times as long
 as one start, not eleven times). Each step runs _minorant and _newton_step
 over lanes; lipschitz_delta, surrogate_gradient and sca_step are their
-one-lane calls.
+one-lane calls. ascend checks its starts against the region and then the
+channel's energy, so optimize_position and sca_trajectory keep no checks of
+their own; the one-lane calls get the energy check from _minorant_at.
 """
 
 from __future__ import annotations
@@ -100,6 +102,7 @@ def _require_energy(ch: UserChannel) -> None:
 
 
 def _minorant_at(z_ref: Position, ch: UserChannel) -> tuple[np.ndarray, np.ndarray]:
+    _require_energy(ch)
     rho = lane_phases(z_ref.as_array()[None], *ch.directions)
     return _minorant(rho, lane_coefficients(rho, ch.prv), ch.prv[None], ch.directions)
 
@@ -117,7 +120,6 @@ def lipschitz_delta(z_ref: Position, ch: UserChannel) -> float:
     exact gain null; an all-zero path response has no optimization problem at
     all and is rejected.
     """
-    _require_energy(ch)
     return float(_minorant_at(z_ref, ch)[0][0])
 
 
@@ -129,7 +131,6 @@ def sca_step(z_ref: Position, ch: UserChannel, region: MoveRegion) -> Position:
     bound means the anchor is zero (gain null with a flat surrogate); the
     point is stationary and is returned unchanged.
     """
-    _require_energy(ch)
     z = _newton_step(z_ref.as_array()[None], *_minorant_at(z_ref, ch), region.half)
     return Position(float(z[0, 0]), float(z[0, 1]))
 
@@ -143,7 +144,9 @@ def ascend(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run the ascent from every start at once, one lane per start.
 
-    starts has shape (lanes, 2); callers check that they lie in the region.
+    starts has shape (lanes, 2), and ascend checks them: a start outside the
+    region by MoveRegion.contains raises ValueError, then an all-zero channel
+    raises DegenerateChannelError.
     Every lane takes the steps sca_step takes from its start, and each
     iterate's coefficient gives its gain and its next step. A lane stops once
     its gain improves by less than the threshold (the accepted step is kept),
@@ -157,6 +160,10 @@ def ascend(
     positions, gains) entry is appended per step, holding the lanes whose
     step was accepted; iteration 0 holds the starts.
     """
+    z = np.array(starts, dtype=float).reshape(-1, 2)
+    for start in map(Position, *z.T.tolist()):
+        if not region.contains(start):
+            raise ValueError(f"initial position {start} lies outside the region")
     _require_energy(ch)
     prv, dirs = ch.prv, ch.directions
     dir_x, dir_y = dirs
@@ -164,7 +171,6 @@ def ascend(
     threshold = params.threshold
     last = params.max_iterations
 
-    z = np.array(starts, dtype=float).reshape(-1, 2)
     num_lanes = len(z)
     final_z = np.empty_like(z)
     final_gain = np.empty(num_lanes)
@@ -221,8 +227,6 @@ def sca_trajectory(
     recorded) or the iteration cap is reached. The gain sequence is
     non-decreasing by construction. This is the one-lane case of ascend.
     """
-    if not region.contains(init):
-        raise ValueError(f"initial position {init} lies outside the region")
     history: list = []
     ascend(ch, region, params, init.as_array(), history)
     return [
@@ -249,8 +253,6 @@ def optimize_position(
     sequential runs. The rng only feeds the multistart draws; omitting it
     gives a fixed seed so results stay reproducible.
     """
-    if not region.contains(init):
-        raise ValueError(f"initial position {init} lies outside the region")
     starts = init.as_array()[None, :]
     if params.multistart > 0:
         if rng is None:

@@ -225,8 +225,8 @@ def _realization_table(cfg: ScenarioConfig, counts, p_max_dbm_values, index: int
 
 def _collect(cfg: ScenarioConfig, counts, p_max_dbm_values, workers: int) -> np.ndarray:
     """All realizations' rate tables, shape (realizations, points, schemes)."""
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    if not (isinstance(workers, numbers.Integral) and workers >= 1):
+        raise ValueError(f"workers must be at least 1, got {workers}, and an integer")
     job = partial(_realization_table, cfg, tuple(counts), tuple(p_max_dbm_values))
     indices = range(cfg.realizations)
     # A pool starts all its processes at the first task, so it gets no more
@@ -297,7 +297,8 @@ def sweep_power(cfg: ScenarioConfig, p_max_dbm_values, workers: int = 1) -> list
     exact same channel draws and antenna positions (positions do not depend
     on power, so pairing is free variance reduction). A one-point sweep at
     cfg.p_max_dbm is the Monte Carlo estimate at the config's operating
-    point. Points obey power_points, and workers must be at least 1."""
+    point. Points obey power_points, and workers must be an integer of at
+    least 1."""
     values = power_points(p_max_dbm_values)
     return _aggregate(_collect(cfg, (cfg.num_users,), values, workers), values)
 
@@ -305,6 +306,6 @@ def sweep_power(cfg: ScenarioConfig, p_max_dbm_values, workers: int = 1) -> list
 def sweep_users(cfg: ScenarioConfig, k_values, workers: int = 1) -> list[SweepRow]:
     """Sum rates versus user count at the config's power cap; smaller user
     counts evaluate a prefix of the larger counts' draws. Counts obey
-    user_counts, and workers must be at least 1."""
+    user_counts, and workers must be an integer of at least 1."""
     counts = user_counts(k_values)
     return _aggregate(_collect(cfg, counts, (cfg.p_max_dbm,), workers), counts)

@@ -814,6 +814,25 @@ def test_minimum_rate_power_overflow_is_infeasible_without_warnings():
     assert np.all(np.isnan(sol.powers)) and math.isnan(sol.sum_rate)
 
 
+@pytest.mark.parametrize("noise", [1e-100, 1e-300])
+def test_minimum_rate_power_overflow_is_infeasible_when_it_is_nan(noise):
+    # alpha = 2**600 - 1, so user 1's product (1 + alpha)**2 overflows. At
+    # noise 1e-300 its prefactor noise * alpha / g underflows to 0, and c is
+    # 0 * inf = NaN, not inf: the verdict is the same, and nothing warns.
+    gains, reqs = [1e210, 1.0, 1e-10], [RateRequirement(600.0)] * 3
+    alphas = [req.alpha for req in reqs]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve(gains, reqs, p_max=1e300, noise=noise)
+        c = minimum_rate_powers(gains, alphas, noise)
+        power_allocation(gains, alphas, 1e300, noise)
+    assert not math.isfinite(c[0]) and np.isfinite(c[1:]).all()
+    assert sol.order == (1, 2, 3)
+    assert not sol.feasible
+    assert sol.diagnostic.startswith("user 1 minimum-rate power is not finite")
+    assert np.all(np.isnan(sol.powers)) and math.isnan(sol.sum_rate)
+
+
 @pytest.mark.parametrize("case", [8, 16, 32, 64, *_SWEEP_CASES])
 def test_closed_form_matches_fixed_order_lp(case):
     # The decoding order solve picks, held fixed, with its power problem

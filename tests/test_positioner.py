@@ -152,6 +152,8 @@ def test_delta_rejects_zero_channel():
     ch = UserChannel(angles=((1.0, 1.0),), prv=np.array([0j]))
     with pytest.raises(DegenerateChannelError):
         lipschitz_delta(Position(0.0, 0.0), ch)
+    with pytest.raises(DegenerateChannelError):
+        surrogate_gradient(Position(0.0, 0.0), ch)
 
 
 def _fd_hessian(fun, z, h=1e-4):
@@ -547,6 +549,24 @@ def test_engine_rejects_all_zero_channel():
     ch = UserChannel(angles=((1.0, 1.0),), prv=np.array([0j]))
     with pytest.raises(DegenerateChannelError):
         ascend(ch, MoveRegion(1.0), ScaParams(), np.zeros((1, 2)))
+
+
+@pytest.mark.parametrize("lane", [0, 2])
+def test_engine_rejects_start_outside_region(lane):
+    # A start outside the box fails in ascend itself, as lane 0 or a later
+    # lane, and before the channel's energy is judged.
+    starts = np.zeros((3, 2))
+    starts[lane] = (3.0, -2.5)
+    message = r"initial position Position\(x=3.0, y=-2.5\) lies outside the region"
+    for ch in (
+        _random_channel(np.random.default_rng(36)),
+        UserChannel(angles=((1.0, 1.0),), prv=np.array([0j])),
+    ):
+        with pytest.raises(ValueError, match=message):
+            ascend(ch, MoveRegion(2.0), ScaParams(), starts)
+    # Corners within MoveRegion.contains's tolerance are inside.
+    corners = np.array([[1.0, -1.0], [-1.0 - 1e-13, 1.0]])
+    ascend(_random_channel(np.random.default_rng(36)), MoveRegion(2.0), ScaParams(), corners)
 
 
 # --- grid oracle ---

@@ -504,7 +504,7 @@ def test_sweep_power_rejects_points_before_any_draw(positioned, point, message):
     assert positioned == []
 
 
-@pytest.mark.parametrize("workers", [0, -4])
+@pytest.mark.parametrize("workers", [0, -4, 2.5, 2.0])
 def test_sweeps_reject_workers_below_one_before_any_draw(positioned, workers):
     cfg = _small_cfg()
     with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
