@@ -109,12 +109,9 @@ def _format_value(kind: type, unit: str | None, value) -> str:
 
 def _parse_float(key: str, text: str) -> float:
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise ConfigError(f"{key}: expected a number, got {text!r}") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"{key}: expected a finite number, got {text!r}")
-    return value
 
 
 def _parse_value(key: str, kind: type, unit: str | None, text: str):

@@ -48,7 +48,10 @@ class ScaParams:
 
     threshold is the absolute gain increase below which iteration stops;
     multistart adds that many extra uniform-random initial points and keeps
-    the best run.
+    the best run. The default threshold is calibrated for unit-power
+    channels (UserChannel.normalized()); on a raw channel, whose gains carry
+    the path loss, every step's increase falls below it and the ascent stops
+    after one step.
     """
 
     threshold: float = 1e-5
@@ -226,6 +229,7 @@ def sca_trajectory(
     true gain improves by less than the threshold (the accepted step is still
     recorded) or the iteration cap is reached. The gain sequence is
     non-decreasing by construction. This is the one-lane case of ascend.
+    Pass a unit-power channel: the threshold is absolute (see ScaParams).
     """
     history: list = []
     ascend(ch, region, params, init.as_array(), history)
@@ -251,7 +255,9 @@ def optimize_position(
     result (the supplied init wins ties, then earlier draws). All starts run
     as lanes of one ascend call, so extra starts cost far less than extra
     sequential runs. The rng only feeds the multistart draws; omitting it
-    gives a fixed seed so results stay reproducible.
+    gives a fixed seed so results stay reproducible. Pass a unit-power
+    channel, as sim.draw_users does: the threshold is absolute (see
+    ScaParams), so a raw channel stops after one step.
     """
     starts = init.as_array()[None, :]
     if params.multistart > 0:

@@ -44,7 +44,6 @@ from manoma.positioner import ScaParams, optimize_position
 SCHEMES = ("NOMA-MA", "NOMA-FPA", "OMA-MA", "OMA-FPA", "UPPER-BOUND")
 
 _MAX_SEED = 2**64
-_FINITE_FIELDS = ("noise_dbm", "pathloss_exponent", "distance_range")
 # A fixed-antenna gain is exponential with the path gain as its mean, so this
 # margin puts about one user in 1e10 below GAIN_FLOOR. The movable-antenna
 # gain is never lower: positioning starts at the region center and never
@@ -72,28 +71,26 @@ class ScenarioConfig:
     sca: ScaParams = field(default_factory=ScaParams)
 
     def __post_init__(self) -> None:
-        for name in _FINITE_FIELDS:
-            value = getattr(self, name)
-            if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
-                raise ValueError(f"{name} must be finite, got {value}")
         for name in ("num_users", "paths_per_user", "realizations"):
             value = getattr(self, name)
             if not (isinstance(value, numbers.Integral) and value >= 1):
                 raise ValueError(f"{name} must be an integer of at least 1, got {value}")
-        if not 0.0 < self.distance_range[0] <= self.distance_range[1]:
-            raise ValueError(
-                f"distance_range must satisfy 0 < min <= max, got {self.distance_range}"
-            )
+        span = self.distance_range
+        if not (isinstance(span, tuple) and len(span) == 2 and 0.0 < span[0] <= span[1] < math.inf):
+            rule = "must be finite, a (min, max) tuple with 0 < min <= max"
+            raise ValueError(f"distance_range {rule}, got {span}")
         MoveRegion(self.region_side)  # raises unless region_side is a valid side
         RateRequirement(self.r_min)  # raises unless r_min is a valid minimum rate
-        if self.pathloss_exponent <= 0.0:
+        if not 0.0 < self.pathloss_exponent < math.inf:
             raise ValueError(
-                f"pathloss_exponent must be positive, got {self.pathloss_exponent}"
+                f"pathloss_exponent must be finite and positive, got {self.pathloss_exponent}"
             )
         if not (isinstance(self.seed, numbers.Integral) and 0 <= self.seed < _MAX_SEED):
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        if not isinstance(self.sca, ScaParams):
+            raise ValueError(f"sca must be a ScaParams, got {self.sca!r}")
         if not 0.0 < dbm_to_mw(self.noise_dbm) < math.inf:
-            raise ValueError(f"noise_dbm must be positive and finite in mW, got {self.noise_dbm}")
+            raise ValueError(f"noise_dbm must be finite and positive in mW, got {self.noise_dbm}")
         _check_finite_mw("p_max_dbm", self.p_max_dbm)
         for d in self.distance_range:
             if not _MIN_PATH_GAIN <= _pow(d, -self.pathloss_exponent) < math.inf:

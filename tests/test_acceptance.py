@@ -9,6 +9,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 from numpy.testing import assert_allclose
 
 from manoma.channel import MoveRegion, Position, UserChannel, channel_gain
@@ -312,6 +313,7 @@ def test_criterion_09_user_sweep_reproduction():
     )
 
 
+@pytest.mark.bitwise
 def test_criterion_10_byte_identical_csv(tmp_path, capsys):
     start = time.perf_counter()
     cfg_path = tmp_path / "det.cfg"

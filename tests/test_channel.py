@@ -231,6 +231,7 @@ def test_sampler_determinism():
     assert c.distance != a.distance
 
 
+@pytest.mark.bitwise
 def test_sampler_draw_order_is_user_prefix_stable():
     # Drawing one user then another from a single stream must reproduce the
     # first user exactly, regardless of how many users follow.

@@ -542,6 +542,7 @@ def _assert_matches_loops(gains, reqs, p_max, noise):
     return got
 
 
+@pytest.mark.bitwise
 def test_array_code_matches_loops_bitwise_on_fuzz_set():
     rng = np.random.default_rng(60)
     feasible = 0
@@ -561,6 +562,7 @@ def test_array_code_matches_loops_bitwise_on_fuzz_set():
     assert 20 <= feasible <= 220
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize("num_users,r_min", [(6, 0.25), (32, 0.1), (64, 0.05)])
 def test_array_code_matches_loops_bitwise_on_sweep_draws(num_users, r_min):
     reqs = [RateRequirement(r_min)] * num_users
@@ -570,6 +572,7 @@ def test_array_code_matches_loops_bitwise_on_sweep_draws(num_users, r_min):
             _assert_matches_loops(gains, reqs, dbm_to_mw(0.25 * i), noise)
 
 
+@pytest.mark.bitwise
 def test_array_code_matches_loops_bitwise_across_twenty_decades_of_gain():
     # Each user's gain has its own scale, so a cap can sit far below the
     # gains decoded before it. Caps from differences of prefix sums of all
@@ -588,6 +591,7 @@ def test_array_code_matches_loops_bitwise_across_twenty_decades_of_gain():
     assert 20 <= feasible <= 100
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize(
     "gains, r_min, p_max, noise, powers",
     [
@@ -1038,6 +1042,7 @@ def test_overflow_on_finite_inputs_is_infeasible_without_warnings(
     assert math.isnan(sol.sum_rate)
 
 
+@pytest.mark.bitwise
 def test_overflowing_decoding_keys_keep_the_order_of_the_scaled_instance():
     # Both keys g * (1 + 1/alpha) overflowed to -inf and tied, so user 1 went
     # first; the instance scaled by 2**-20 (p_max by 2**20) decodes user 2
@@ -1052,6 +1057,7 @@ def test_overflowing_decoding_keys_keep_the_order_of_the_scaled_instance():
     assert_array_equal(sol.rates, scaled.rates)
 
 
+@pytest.mark.bitwise
 def test_overflowing_cap_sums_keep_the_verdict_of_the_scaled_instance():
     # User 4's cap read the gain sum 1e308 + 1e308, which overflowed to a
     # -inf cap, and the instance was infeasible. User 1's g / alpha
@@ -1080,6 +1086,7 @@ def test_power_allocation_overflow_needs_no_warning():
     assert_array_equal(powers, [1e10, 1e10])
 
 
+@pytest.mark.bitwise
 def test_infinite_headroom_caps_nobody():
     # User 1's headroom 1e290 * 1e10 / alpha overflows. solve used to call
     # the instance infeasible, blaming it, though both users get full power

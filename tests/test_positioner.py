@@ -353,6 +353,7 @@ def test_gain_invariant_under_global_prv_phase():
     assert_allclose(g1, g0, rtol=1e-9)
 
 
+@pytest.mark.bitwise
 def test_multistart_never_hurts_and_is_reproducible():
     rng_channel = np.random.default_rng(37)
     region = MoveRegion(2.0)
@@ -418,6 +419,7 @@ def _bits(z, gain, iteration):
     return (float(z.x).hex(), float(z.y).hex(), float(gain).hex(), int(iteration))
 
 
+@pytest.mark.bitwise
 def test_engine_matches_sequential_loop_bit_for_bit():
     # Default-scenario channels as the simulator optimizes them (normalized),
     # at multistart 0 and 10. Every start is first run alone through the
@@ -454,6 +456,7 @@ def test_engine_matches_sequential_loop_bit_for_bit():
     assert capped >= 10  # the iteration cap is exercised, not just early stops
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize("multistart", [0, 10])
 def test_engine_matches_sequential_loop_at_zero_threshold(multistart):
     # At threshold 0 a lane stops only on a zero gain increase (the step is
@@ -484,6 +487,7 @@ def test_engine_matches_sequential_loop_at_zero_threshold(multistart):
     assert zero_increase_stops >= 1
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize("num_paths", [1, 2, 3, 8, 9, 17])
 def test_engine_matches_sequential_loop_for_any_path_count(num_paths):
     # Path counts on both sides of numpy's 8-wide summation blocks, and the
@@ -503,6 +507,7 @@ def test_engine_matches_sequential_loop_for_any_path_count(num_paths):
             assert _bits(*alone) == expected
 
 
+@pytest.mark.bitwise
 def test_engine_lanes_do_not_depend_on_batch_partition():
     cfg = ScenarioConfig()
     region = MoveRegion(cfg.region_side)
@@ -521,6 +526,7 @@ def test_engine_lanes_do_not_depend_on_batch_partition():
             assert [np.asarray(out[row]).tobytes() for out in halves[part]] == expected
 
 
+@pytest.mark.bitwise
 def test_engine_zero_anchor_lane_stays_put_and_stops():
     # prv = (1, -1) cancels exactly at the origin: the anchor vector is zero,
     # so the curvature bound is zero and the step must leave the lane alone
@@ -602,6 +608,7 @@ def test_grid_oracle_step_validation():
         grid_oracle(ch, MoveRegion(1.0), step=0.0)
 
 
+@pytest.mark.bitwise
 def test_grid_oracle_gain_is_channel_gain_at_its_point():
     # The oracle evaluates its grid through the same phase and coefficient
     # kernels as channel_gain, so its reported gain is that gain, bit for bit.

@@ -85,11 +85,32 @@ def test_dbm_to_mw(dbm, mw):
         # Finite sides whose phase 2 pi side a float cannot hold.
         dict(region_side=5e307),
         dict(region_side=1e308),
+        # A range is a (min, max) tuple: a list used to raise TypeError, and
+        # a third value was accepted and then dropped on serialization.
+        dict(distance_range=(80.0, 90.0, 100.0)),
+        dict(distance_range=[80.0, 100.0]),
+        # Used to construct and then fail at the first positioning.
+        dict(sca={"multistart": 1}),
     ],
 )
 def test_config_validation(bad):
     with pytest.raises(ValueError):
         ScenarioConfig(**bad)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("distance_range", (80.0, 90.0, 100.0)),
+        ("distance_range", [80.0, 100.0]),
+        ("distance_range", 90.0),
+        ("sca", {"multistart": 1}),
+    ],
+)
+def test_config_shapes_are_named_by_field(field, value):
+    # The message starts with the field, so resolve_config names the key.
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        ScenarioConfig(**{field: value})
 
 
 @pytest.mark.parametrize("field", ["num_users", "paths_per_user", "realizations", "seed"])
@@ -110,6 +131,10 @@ def test_config_counts_are_integers_named_by_field(field):
         ("distance_range", (80.0, math.inf)),
         ("region_side", math.nan),
         ("r_min", math.inf),
+        ("noise_dbm", math.nan),
+        ("pathloss_exponent", math.inf),
+        ("distance_range", (math.nan, 100.0)),
+        ("distance_range", (-math.inf, 100.0)),
     ],
 )
 def test_config_rejects_non_finite_values(field, value):
@@ -146,6 +171,7 @@ def test_upper_bound_hand_value():
     assert_allclose(aligned_sum_rate([ch.amplitude_sum], p_max=1.0, noise=1.0), 1.0, rtol=1e-12)
 
 
+@pytest.mark.bitwise
 def test_sweep_upper_bound_column_is_upper_bound_bit_for_bit():
     # The UPPER-BOUND column is aligned_sum_rate of the draw set's amplitude
     # sums, prefixes of a draw set included.
@@ -197,6 +223,7 @@ def test_draw_users_samples_every_channel_before_positioning(monkeypatch):
     assert calls == ["sample_user_channel"] * 3 + ["optimize_position"] * 3
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize("num_users,paths", [(1, 1), (6, 5), (32, 5), (8, 17)])
 def test_draw_set_matches_per_user_channel_gain_bitwise(monkeypatch, num_users, paths):
     # draw_users takes every gain in one lane call over all users at their
@@ -267,6 +294,7 @@ def test_realization_deterministic():
     assert a == b
 
 
+@pytest.mark.bitwise
 def test_point_region_collapses_ma_to_fpa():
     cfg = _small_cfg(region_side=0.0)
     rates = run_realization(cfg, 1)
@@ -276,6 +304,7 @@ def test_point_region_collapses_ma_to_fpa():
     assert rates["OMA-MA"] == rates["OMA-FPA"]
 
 
+@pytest.mark.bitwise
 def test_single_path_collapses_ma_to_fpa():
     cfg = _small_cfg(paths_per_user=1)
     rates = run_realization(cfg, 2)
@@ -353,6 +382,7 @@ def test_monte_carlo_single_realization_matches_run():
         assert row.realizations == 1
 
 
+@pytest.mark.bitwise
 def test_monte_carlo_worker_count_invariance():
     cfg = _small_cfg(num_users=2, paths_per_user=2, realizations=6)
     serial = sweep_power(cfg, [cfg.p_max_dbm], workers=1)
@@ -436,6 +466,7 @@ def test_sweep_power_monotone_and_bounded():
                 assert row.mean_sum_rate <= bound + 1e-9
 
 
+@pytest.mark.bitwise
 def test_sweep_users_prefix_matches_direct_run():
     cfg = _small_cfg(num_users=4, realizations=4)
     rows = sweep_users(cfg, [2, 4])
