@@ -46,12 +46,10 @@ _CURVATURE = 8.0 * math.pi**2
 class ScaParams:
     """Stopping controls for the ascent loop.
 
-    threshold is the absolute gain increase below which iteration stops;
-    multistart adds that many extra uniform-random initial points and keeps
-    the best run. The default threshold is calibrated for unit-power
-    channels (UserChannel.normalized()); on a raw channel, whose gains carry
-    the path loss, every step's increase falls below it and the ascent stops
-    after one step.
+    threshold is the increase of the unit-power gain (the gain over the
+    channel's power) below which iteration stops, so one threshold serves
+    every channel scale; multistart adds that many extra uniform-random
+    initial points and keeps the best run.
     """
 
     threshold: float = 1e-5
@@ -63,7 +61,7 @@ class ScaParams:
             raise ValueError(f"threshold must be finite and nonnegative, got {self.threshold}")
         for name, low in (("max_iterations", 1), ("multistart", 0)):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and value >= low):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
                 raise ValueError(f"{name} must be an integer of at least {low}, got {value}")
 
 
@@ -150,6 +148,13 @@ def ascend(
     starts has shape (lanes, 2), and ascend checks them: a start outside the
     region by MoveRegion.contains raises ValueError, then an all-zero channel
     raises DegenerateChannelError.
+
+    The loop runs on the channel rescaled to unit power, prv / sqrt(power),
+    as UserChannel.normalized() rescales it. Scaling the path responses
+    scales the gain but moves no iterate, so the threshold bounds the
+    increase of the unit-power gain at any channel scale. Reported gains are
+    the unit-power gains times the channel's power.
+
     Every lane takes the steps sca_step takes from its start, and each
     iterate's coefficient gives its gain and its next step. A lane stops once
     its gain improves by less than the threshold (the accepted step is kept),
@@ -168,10 +173,10 @@ def ascend(
         if not region.contains(start):
             raise ValueError(f"initial position {start} lies outside the region")
     _require_energy(ch)
-    prv, dirs = ch.prv, ch.directions
+    power = ch.power
+    prv, dirs = ch.prv / math.sqrt(power), ch.directions
     dir_x, dir_y = dirs
     half = region.half
-    threshold = params.threshold
     last = params.max_iterations
 
     num_lanes = len(z)
@@ -185,7 +190,7 @@ def ascend(
     h = lane_coefficients(rho, prv)
     gain = lane_gains(h)
     if history is not None:
-        history.append((0, live, z, gain))
+        history.append((0, live, z, gain * power))
     for i in range(1, last + 1):
         # sca_step and channel_gain of every live lane.
         z_new = _newton_step(z, *_minorant(rho, h, prv_rows[: len(live)], dirs), half)
@@ -195,10 +200,10 @@ def ascend(
         increase = gain_new - gain
         if history is not None:
             kept = ~(increase < 0.0)
-            history.append((i, live[kept], z_new[kept], gain_new[kept]))
+            history.append((i, live[kept], z_new[kept], gain_new[kept] * power))
         # threshold >= 0, so a step that lowers the gain also stops its lane,
         # and so does a zero increase, which threshold 0 needs tested apart.
-        done = increase < threshold if threshold else increase <= 0.0
+        done = increase < params.threshold if params.threshold else increase <= 0.0
         if i == last:
             done[:] = True
         if np.count_nonzero(done):
@@ -213,7 +218,7 @@ def ascend(
                 break
             z_new, rho_new, h_new, gain_new = z_new[go], rho_new[go], h_new[go], gain_new[go]
         z, rho, h, gain = z_new, rho_new, h_new, gain_new
-    return final_z, final_gain, final_iteration
+    return final_z, final_gain * power, final_iteration
 
 
 def sca_trajectory(
@@ -229,7 +234,6 @@ def sca_trajectory(
     true gain improves by less than the threshold (the accepted step is still
     recorded) or the iteration cap is reached. The gain sequence is
     non-decreasing by construction. This is the one-lane case of ascend.
-    Pass a unit-power channel: the threshold is absolute (see ScaParams).
     """
     history: list = []
     ascend(ch, region, params, init.as_array(), history)
@@ -255,9 +259,7 @@ def optimize_position(
     result (the supplied init wins ties, then earlier draws). All starts run
     as lanes of one ascend call, so extra starts cost far less than extra
     sequential runs. The rng only feeds the multistart draws; omitting it
-    gives a fixed seed so results stay reproducible. Pass a unit-power
-    channel, as sim.draw_users does: the threshold is absolute (see
-    ScaParams), so a raw channel stops after one step.
+    gives a fixed seed so results stay reproducible.
     """
     starts = init.as_array()[None, :]
     if params.multistart > 0:

@@ -8,11 +8,11 @@ every user could be phase-aligned simultaneously (UPPER-BOUND).
 
 One pipeline serves every entry point, in stages. `draw_users` spawns one
 child stream per user, samples every user's channel, positions every
-antenna on the unit-power channels, and takes every gain there and at the
-region center in one lane call, into one record of arrays with a row per
-user. `_realization_table` computes the five scheme rates on one draw of
-the largest user count for every (user count, power cap) pair, a smaller
-count on the first rows, and knows no sweep axis.
+antenna, and takes every gain there and at the region center in one lane
+call, into one record of arrays with a row per user. `_realization_table`
+computes the five scheme rates on one draw of the largest user count for
+every (user count, power cap) pair, a smaller count on the first rows, and
+knows no sweep axis.
 `sweep_power` and `sweep_users` check their points before any draw, by
 the one rule per axis (`power_points`, `user_counts`), and aggregate the
 realizations into `SweepRow`s. A one-point `sweep_power` at the config's
@@ -73,7 +73,7 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         for name in ("num_users", "paths_per_user", "realizations"):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and value >= 1):
+            if not (_is_integer(value) and value >= 1):
                 raise ValueError(f"{name} must be an integer of at least 1, got {value}")
         span = self.distance_range
         if not (isinstance(span, tuple) and len(span) == 2 and 0.0 < span[0] <= span[1] < math.inf):
@@ -85,7 +85,7 @@ class ScenarioConfig:
             raise ValueError(
                 f"pathloss_exponent must be finite and positive, got {self.pathloss_exponent}"
             )
-        if not (isinstance(self.seed, numbers.Integral) and 0 <= self.seed < _MAX_SEED):
+        if not (_is_integer(self.seed) and 0 <= self.seed < _MAX_SEED):
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if not isinstance(self.sca, ScaParams):
             raise ValueError(f"sca must be a ScaParams, got {self.sca!r}")
@@ -115,6 +115,11 @@ class SweepRow:
     @property
     def infeasible_fraction(self) -> float:
         return self.infeasible_count / self.realizations
+
+
+def _is_integer(value) -> bool:
+    """An integral number other than a bool, whose True would pass as 1."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _pow(base: float, exponent: float) -> float:
@@ -161,17 +166,12 @@ def draw_users(cfg: ScenarioConfig, index: int, count: int) -> DrawSet:
     a smaller count is an exact prefix of a larger one. A stream draws its
     user's channel and then the multistart starts, so running each stage
     over all users before the next changes no draw.
-
-    The optimizer runs on the unit-power rescaling of each channel: its
-    iterates are invariant to channel scale, but the absolute stop threshold
-    is calibrated for order-one gains, and raw gains here carry the path
-    loss (around 1e-8). The reported gains are evaluated on the raw channel.
     """
     streams = np.random.default_rng(np.random.SeedSequence((cfg.seed, index))).spawn(count)
     channels = [sample_user_channel(cfg, rng) for rng in streams]
     region, origin = MoveRegion(cfg.region_side), Position(0.0, 0.0)
     positions = np.array([
-        optimize_position(ch.normalized(), region, cfg.sca, origin, rng=rng)[0].as_array()
+        optimize_position(ch, region, cfg.sca, origin, rng=rng)[0].as_array()
         for ch, rng in zip(channels, streams)
     ]).reshape(count, 2)
     paths = cfg.paths_per_user
@@ -222,7 +222,7 @@ def _realization_table(cfg: ScenarioConfig, counts, p_max_dbm_values, index: int
 
 def _collect(cfg: ScenarioConfig, counts, p_max_dbm_values, workers: int) -> np.ndarray:
     """All realizations' rate tables, shape (realizations, points, schemes)."""
-    if not (isinstance(workers, numbers.Integral) and workers >= 1):
+    if not (_is_integer(workers) and workers >= 1):
         raise ValueError(f"workers must be at least 1, got {workers}, and an integer")
     job = partial(_realization_table, cfg, tuple(counts), tuple(p_max_dbm_values))
     indices = range(cfg.realizations)

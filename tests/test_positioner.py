@@ -29,7 +29,7 @@ from manoma.positioner import (
     sca_trajectory,
     surrogate_gradient,
 )
-from manoma.sim import ScenarioConfig
+from manoma.sim import ScenarioConfig, draw_users
 
 
 def _random_channel(rng, num_paths=4):
@@ -387,9 +387,10 @@ def test_param_validation():
 @pytest.mark.parametrize("field", ["max_iterations", "multistart"])
 def test_param_counts_are_integers(field):
     # 2.5 iterations and 1.5 extra starts used to construct and then fail
-    # mid-run with a TypeError; numpy integers are integers.
-    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
-        ScaParams(**{field: 2.5})
+    # mid-run with a TypeError; numpy integers are integers, bools are not.
+    for value in (2.5, True, False):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            ScaParams(**{field: value})
     assert getattr(ScaParams(**{field: np.int64(3)}), field) == 3
 
 
@@ -419,11 +420,19 @@ def _bits(z, gain, iteration):
     return (float(z.x).hex(), float(z.y).hex(), float(gain).hex(), int(iteration))
 
 
+def _on_channel(state, ch):
+    """A reference state of ch.normalized() as ascend reports it on ch: the
+    unit-power gain times the channel's power."""
+    z, gain, iteration = state
+    return z, gain * ch.power, iteration
+
+
 @pytest.mark.bitwise
 def test_engine_matches_sequential_loop_bit_for_bit():
-    # Default-scenario channels as the simulator optimizes them (normalized),
-    # at multistart 0 and 10. Every start is first run alone through the
-    # reference loop; multistart keeps the first strictly best lane.
+    # Raw default-scenario channels, as the simulator optimizes them, at
+    # multistart 0 and 10. Every start is first run alone through the
+    # reference loop on the unit-power channel; multistart keeps the first
+    # strictly best lane.
     cfg = ScenarioConfig()
     region = MoveRegion(cfg.region_side)
     params = ScaParams(multistart=10)
@@ -431,28 +440,29 @@ def test_engine_matches_sequential_loop_bit_for_bit():
     rng = np.random.default_rng(2024)
     capped = 0
     for k in range(200):
-        ch = sample_user_channel(cfg, rng).normalized()
+        ch = sample_user_channel(cfg, rng)
         draws = np.random.default_rng(k)
         starts = [origin] + [
             Position(*(float(v) for v in draws.uniform(-region.half, region.half, 2)))
             for _ in range(params.multistart)
         ]
-        lanes = [_reference_lane(ch, region, params, start) for start in starts]
+        lanes = [_reference_lane(ch.normalized(), region, params, start) for start in starts]
         finals = [lane[-1] for lane in lanes]
         capped += sum(f[2] == params.max_iterations for f in finals)
 
         trajectory = sca_trajectory(ch, region, ScaParams(), origin)
         assert [_bits(s.current, s.gain, s.iteration) for s in trajectory] == [
-            _bits(*state) for state in lanes[0]
+            _bits(*_on_channel(state, ch)) for state in lanes[0]
         ]
-        assert _bits(*optimize_position(ch, region, ScaParams(), origin)) == _bits(*finals[0])
+        alone = optimize_position(ch, region, ScaParams(), origin)
+        assert _bits(*alone) == _bits(*_on_channel(finals[0], ch))
 
         best = finals[0]
         for final in finals[1:]:
             if final[1] > best[1]:
                 best = final
         got = optimize_position(ch, region, params, origin, rng=np.random.default_rng(k))
-        assert _bits(*got) == _bits(*best)
+        assert _bits(*got) == _bits(*_on_channel(best, ch))
     assert capped >= 10  # the iteration cap is exercised, not just early stops
 
 
@@ -467,7 +477,7 @@ def test_engine_matches_sequential_loop_at_zero_threshold(multistart):
     rng = np.random.default_rng(2025)
     zero_increase_stops = 0
     for k in range(20):
-        ch = sample_user_channel(cfg, rng).normalized()
+        ch = sample_user_channel(cfg, rng)
         draws = np.random.default_rng(k)
         starts = [Position(0.0, 0.0)] + [
             Position(*(float(v) for v in draws.uniform(-region.half, region.half, 2)))
@@ -475,14 +485,16 @@ def test_engine_matches_sequential_loop_at_zero_threshold(multistart):
         ]
         z, gains, iterations = ascend(ch, region, params, np.array([s.as_array() for s in starts]))
         for lane, start in enumerate(starts):
-            states = _reference_lane(ch, region, params, start)
-            assert _bits(Position(*z[lane]), gains[lane], iterations[lane]) == _bits(*states[-1])
+            states = _reference_lane(ch.normalized(), region, params, start)
+            expected = _bits(*_on_channel(states[-1], ch))
+            assert _bits(Position(*z[lane]), gains[lane], iterations[lane]) == expected
             last, before = states[-1], states[-2] if len(states) > 1 else None
             if last[2] < params.max_iterations and before and last[1] == before[1]:
                 zero_increase_stops += 1
         trajectory = sca_trajectory(ch, region, params, starts[0])
         assert [_bits(s.current, s.gain, s.iteration) for s in trajectory] == [
-            _bits(*state) for state in _reference_lane(ch, region, params, starts[0])
+            _bits(*_on_channel(state, ch))
+            for state in _reference_lane(ch.normalized(), region, params, starts[0])
         ]
     assert zero_increase_stops >= 1
 
@@ -497,14 +509,52 @@ def test_engine_matches_sequential_loop_for_any_path_count(num_paths):
     region = MoveRegion(2.0)
     params = ScaParams()
     for _ in range(5):
-        ch = _random_channel(rng, num_paths=num_paths).normalized()
+        ch = _random_channel(rng, num_paths=num_paths)
         starts = [Position(0.0, 0.0)] + [_random_position(rng, span=1.0) for _ in range(2)]
         z, gains, iterations = ascend(ch, region, params, np.array([s.as_array() for s in starts]))
         for lane, start in enumerate(starts):
-            expected = _bits(*_reference_lane(ch, region, params, start)[-1])
+            final = _reference_lane(ch.normalized(), region, params, start)[-1]
+            expected = _bits(*_on_channel(final, ch))
             assert _bits(Position(*z[lane]), gains[lane], iterations[lane]) == expected
             alone = optimize_position(ch, region, params, start)
             assert _bits(*alone) == expected
+
+
+@pytest.mark.bitwise
+def test_optimize_position_on_a_raw_draw_is_the_sweep_position():
+    # sim hands optimize_position the raw channels of draw_users' streams;
+    # the same call here gives each user's sweep position bit for bit, with
+    # the full ascent: a threshold on the raw gain (about 1e-8 here) would
+    # stop after one step.
+    cfg = ScenarioConfig()
+    region, origin = MoveRegion(cfg.region_side), Position(0.0, 0.0)
+    steps = []
+    for index in range(10):
+        draws = draw_users(cfg, index, cfg.num_users)
+        streams = np.random.default_rng(np.random.SeedSequence((cfg.seed, index))).spawn(
+            cfg.num_users
+        )
+        for k, stream in enumerate(streams):
+            raw = sample_user_channel(cfg, stream)
+            pos, gain, iterations = optimize_position(raw, region, cfg.sca, origin, rng=stream)
+            assert pos.as_array().tobytes() == draws.positions[k].tobytes()
+            assert_allclose(gain, channel_gain(pos, raw), rtol=1e-12)
+            steps.append(iterations)
+    assert sum(s > 1 for s in steps) > len(steps) // 2
+
+
+def test_trajectory_on_a_raw_draw_runs_the_full_ascent():
+    cfg = ScenarioConfig()
+    rng = np.random.default_rng(0)
+    region = MoveRegion(cfg.region_side)
+    for _ in range(10):
+        raw = sample_user_channel(cfg, rng)
+        assert raw.power < 1e-6  # the path loss is in the gain
+        states = sca_trajectory(raw, region, ScaParams(), Position(0.0, 0.0))
+        assert len(states) > 2
+        gains = [s.gain for s in states]
+        assert all(b >= a for a, b in zip(gains, gains[1:]))
+        assert_allclose(gains[-1], channel_gain(states[-1].current, raw), rtol=1e-12)
 
 
 @pytest.mark.bitwise

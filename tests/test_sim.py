@@ -116,9 +116,10 @@ def test_config_shapes_are_named_by_field(field, value):
 @pytest.mark.parametrize("field", ["num_users", "paths_per_user", "realizations", "seed"])
 def test_config_counts_are_integers_named_by_field(field):
     # The message starts with the field, so resolve_config names the key;
-    # numpy integers are integers.
-    with pytest.raises(ValueError, match=f"^{field} must be a"):
-        ScenarioConfig(**{field: 2.5})
+    # numpy integers are integers, and a bool is not a count.
+    for value in (2.5, True, False):
+        with pytest.raises(ValueError, match=f"^{field} must be a"):
+            ScenarioConfig(**{field: value})
     assert getattr(ScenarioConfig(**{field: np.int64(3)}), field) == 3
 
 
@@ -535,7 +536,7 @@ def test_sweep_power_rejects_points_before_any_draw(positioned, point, message):
     assert positioned == []
 
 
-@pytest.mark.parametrize("workers", [0, -4, 2.5, 2.0])
+@pytest.mark.parametrize("workers", [0, -4, 2.5, 2.0, True])
 def test_sweeps_reject_workers_below_one_before_any_draw(positioned, workers):
     cfg = _small_cfg()
     with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
