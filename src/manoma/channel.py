@@ -6,9 +6,10 @@ the complex channel coefficient is a function of the 2-D antenna position.
 All lengths are measured in carrier wavelengths (the physics depends only
 on position/wavelength, so the wavelength is normalized to 1 throughout).
 
-lane_phases, lane_coefficients and lane_gains compute each channel quantity
-over lanes (rows of positions, each with its own channel's rows or all with
-one channel's); the scalar helpers are their one-lane calls.
+lane_phases, lane_field_responses, lane_coefficients and lane_gains compute
+each channel quantity over lanes (rows of positions, each with its own
+channel's rows or all with one channel's); the scalar helpers are their
+one-lane calls.
 """
 
 from __future__ import annotations
@@ -140,14 +141,15 @@ def lane_phases(xy: np.ndarray, dir_x: np.ndarray, dir_y: np.ndarray) -> np.ndar
     return xy[:, :1] * dir_x + xy[:, 1:] * dir_y
 
 
-def _field_responses(rho: np.ndarray) -> np.ndarray:
+def lane_field_responses(rho: np.ndarray) -> np.ndarray:
+    """Unit-modulus field responses exp(j*2*pi*rho) of (lanes, paths) phases."""
     return np.exp(_J_TWO_PI * rho)
 
 
 def lane_coefficients(rho: np.ndarray, prv: np.ndarray) -> np.ndarray:
     """Conjugated path responses dotted with each lane's field response; np.vecdot
     sums each row alone, where a (lanes x paths) @ (paths,) product would not."""
-    return np.vecdot(prv, _field_responses(rho))
+    return np.vecdot(prv, lane_field_responses(rho))
 
 
 def lane_gains(h: np.ndarray) -> np.ndarray:
@@ -164,7 +166,7 @@ def field_response_vector(z: Position, ch: UserChannel) -> np.ndarray:
 
     Entry p is exp(j*2*pi*rho_p(z)); at the origin it is the all-ones vector.
     """
-    return _field_responses(_one_lane_phases(z, ch))[0]
+    return lane_field_responses(_one_lane_phases(z, ch))[0]
 
 
 def channel_coefficient(z: Position, ch: UserChannel) -> complex:

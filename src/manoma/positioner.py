@@ -9,15 +9,25 @@ curvature constant. The minorant maximizer over the box is a clamped Newton
 point, so every step is exact and dependency-free, and the true gain never
 decreases.
 
+The coupling matrix f f^H is rank one, so the anchor at z is b = f h(z) and
+|b_l| = |f_l| |h|. The minorant's curvature 8 pi^2 sum |b_l| is therefore
+8 pi^2 |h| sum |f_l|, and its gradient -2 pi sum |b_l| d_l sin(2 pi rho_l -
+arg b_l) is -2 pi Im(conj(h) sum d_l conj(f_l) e_l), with e_l path l's field
+response and d_l its delay sensitivities. One vecdot of the path rows [f,
+-2 pi f d_x, -2 pi f d_y] with a lane's field responses thus gives h, bit for
+bit as lane_coefficients gives it, and the whole minorant: a step costs one
+vecdot.
+
 One engine, ascend, runs the loop: every start of one user is a lane of a
 single array program over (starts x paths) arrays, each lane with its own
 stop rule. A multistart search therefore costs a fraction of running its
 starts one after another (ten extra starts take about 1.5 to 2 times as long
-as one start, not eleven times). Each step runs _minorant and _newton_step
-over lanes; lipschitz_delta, surrogate_gradient and sca_step are their
-one-lane calls. ascend checks its starts against the region and then the
-channel's energy, so optimize_position and sca_trajectory keep no checks of
-their own; the one-lane calls get the energy check from _minorant_at.
+as one start, not eleven times). Each step runs _path_sums, _minorant and
+_newton_step over lanes; lipschitz_delta, surrogate_gradient and sca_step
+are their one-lane calls. ascend checks its starts against the region and
+then the channel's energy, so optimize_position and sca_trajectory keep no
+checks of their own; the one-lane calls get the energy check from
+_minorant_at.
 """
 
 from __future__ import annotations
@@ -34,7 +44,7 @@ from manoma.channel import (
     MoveRegion,
     Position,
     UserChannel,
-    lane_coefficients,
+    lane_field_responses,
     lane_gains,
     lane_phases,
 )
@@ -74,14 +84,26 @@ class ScaState:
     iteration: int
 
 
-def _minorant(rho, h, prv_rows, dirs) -> tuple[np.ndarray, np.ndarray]:
-    """Curvature bounds (lanes,) and surrogate gradients (lanes, 2). One row of
-    path responses per lane makes the anchor prv * h round alike anywhere."""
-    b = prv_rows * h[:, None]
-    mag = np.abs(b)
-    s = np.sin(TWO_PI * rho - np.arctan2(b.imag, b.real))
-    grad = -TWO_PI * np.add.reduce(mag[:, None, :] * dirs * s[:, None, :], axis=2)
-    return _CURVATURE * np.add.reduce(mag, axis=1), grad
+def _path_rows(prv: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """Path responses f and their products with the delay sensitivities,
+    rows [f, -2 pi f d_x, -2 pi f d_y] of shape (3, paths)."""
+    return np.concatenate((prv[None], prv * (-TWO_PI * dirs)))
+
+
+def _path_sums(z: np.ndarray, rows: np.ndarray, dir_x, dir_y) -> np.ndarray:
+    """Each (lanes, 2) position's path rows dotted with its field responses e,
+    shape (lanes, 3): column 0 is h, as lane_coefficients returns it, and
+    columns 1-2 are -2 pi sum d_l conj(f_l) e_l."""
+    return np.vecdot(rows, lane_field_responses(lane_phases(z, dir_x, dir_y))[:, None])
+
+
+def _minorant(sums: np.ndarray, amplitude_sum: float) -> tuple[np.ndarray, np.ndarray]:
+    """Curvature bounds (lanes,) and surrogate gradients (lanes, 2) from each
+    lane's path sums. The anchor b = f h has |b_l| = |f_l| |h|, so they are
+    8 pi^2 |h| sum |f_l| and -2 pi Im(conj(h) sum d_l conj(f_l) e_l)."""
+    h = sums[:, 0]
+    grad = (h.conj()[:, None] * sums[:, 1:]).imag
+    return _CURVATURE * amplitude_sum * np.abs(h), grad
 
 
 def _newton_step(z: np.ndarray, delta: np.ndarray, grad: np.ndarray, half: float) -> np.ndarray:
@@ -104,8 +126,9 @@ def _require_energy(ch: UserChannel) -> None:
 
 def _minorant_at(z_ref: Position, ch: UserChannel) -> tuple[np.ndarray, np.ndarray]:
     _require_energy(ch)
-    rho = lane_phases(z_ref.as_array()[None], *ch.directions)
-    return _minorant(rho, lane_coefficients(rho, ch.prv), ch.prv[None], ch.directions)
+    dirs = ch.directions
+    sums = _path_sums(z_ref.as_array()[None], _path_rows(ch.prv, dirs), *dirs)
+    return _minorant(sums, ch.amplitude_sum)
 
 
 def surrogate_gradient(z_ref: Position, ch: UserChannel) -> np.ndarray:
@@ -176,6 +199,8 @@ def ascend(
     power = ch.power
     prv, dirs = ch.prv / math.sqrt(power), ch.directions
     dir_x, dir_y = dirs
+    rows = _path_rows(prv, dirs)
+    amplitude_sum = float(np.sum(np.abs(prv)))  # as UserChannel.amplitude_sum sums it
     half = region.half
     last = params.max_iterations
 
@@ -184,19 +209,16 @@ def ascend(
     final_gain = np.empty(num_lanes)
     final_iteration = np.empty(num_lanes, dtype=int)
     live = np.arange(num_lanes)
-    prv_rows = np.tile(prv, (num_lanes, 1))
 
-    rho = lane_phases(z, dir_x, dir_y)
-    h = lane_coefficients(rho, prv)
-    gain = lane_gains(h)
+    sums = _path_sums(z, rows, dir_x, dir_y)
+    gain = lane_gains(sums[:, 0])
     if history is not None:
         history.append((0, live, z, gain * power))
     for i in range(1, last + 1):
         # sca_step and channel_gain of every live lane.
-        z_new = _newton_step(z, *_minorant(rho, h, prv_rows[: len(live)], dirs), half)
-        rho_new = lane_phases(z_new, dir_x, dir_y)
-        h_new = lane_coefficients(rho_new, prv)
-        gain_new = lane_gains(h_new)
+        z_new = _newton_step(z, *_minorant(sums, amplitude_sum), half)
+        sums_new = _path_sums(z_new, rows, dir_x, dir_y)
+        gain_new = lane_gains(sums_new[:, 0])
         increase = gain_new - gain
         if history is not None:
             kept = ~(increase < 0.0)
@@ -216,8 +238,8 @@ def ascend(
             live = live[go]
             if len(live) == 0:
                 break
-            z_new, rho_new, h_new, gain_new = z_new[go], rho_new[go], h_new[go], gain_new[go]
-        z, rho, h, gain = z_new, rho_new, h_new, gain_new
+            z_new, sums_new, gain_new = z_new[go], sums_new[go], gain_new[go]
+        z, sums, gain = z_new, sums_new, gain_new
     return final_z, final_gain * power, final_iteration
 
 

@@ -266,10 +266,20 @@ def _aggregate(tables: np.ndarray, values) -> list[SweepRow]:
     return rows
 
 
+def _numbers(axis: str, values) -> list:
+    """An axis's values as a list, rejecting bools, which float() would read
+    as 0 and 1."""
+    values = list(values)
+    for v in values:
+        if isinstance(v, (bool, np.bool_)):
+            raise ValueError(f"{axis} must be a number, not a bool, got {v}")
+    return values
+
+
 def power_points(values) -> list[float]:
-    """The power axis's rule: at least one point, each finite in dBm and in
-    mW, as cfg.p_max_dbm must be."""
-    points = [float(v) for v in values]
+    """The power axis's rule: at least one point, each a number other than a
+    bool and finite in dBm and in mW, as cfg.p_max_dbm must be."""
+    points = [float(v) for v in _numbers("power point", values)]
     if not points:
         raise ValueError("at least one power value is required")
     for point in points:
@@ -279,8 +289,9 @@ def power_points(values) -> list[float]:
 
 def user_counts(values) -> list[int]:
     """The user axis's rule: at least one count, each an integer of at least
-    1; 4.0 is the count 4, and 2.5 is rejected, not truncated."""
-    counts = [float(k) for k in values]
+    1 other than a bool; 4.0 is the count 4, and 2.5 is rejected, not
+    truncated."""
+    counts = [float(k) for k in _numbers("user count", values)]
     if not counts:
         raise ValueError("at least one user count is required")
     for k in counts:

@@ -10,18 +10,23 @@ from manoma.channel import (
     Position,
     UserChannel,
     channel_gain,
+    lane_coefficients,
+    lane_phases,
     sample_user_channel,
 )
 from manoma.oracles import (
     anchor_vector,
     coupling_matrix,
     grid_oracle,
+    propagation_delta,
     quadratic_surrogate,
     surrogate_value,
 )
 from manoma.positioner import (
     ScaParams,
     ScaState,
+    _path_rows,
+    _path_sums,
     ascend,
     lipschitz_delta,
     optimize_position,
@@ -137,6 +142,53 @@ def test_delta_hand_value():
     angles = tuple((math.pi / 2, math.pi / 2) for _ in range(4))
     ch = UserChannel(angles=angles, prv=np.full(4, 0.5 + 0j))
     assert_allclose(lipschitz_delta(Position(0.1, 0.2), ch), 32 * math.pi**2, rtol=1e-12)
+
+
+# --- one vecdot of path rows: the coefficient and the anchor-form minorant ---
+
+
+@pytest.mark.bitwise
+@pytest.mark.parametrize("num_paths", range(1, 18))
+def test_path_sums_coefficient_is_lane_coefficients_bit_for_bit(num_paths):
+    # Column 0 of the path-row sums is the channel coefficient h the channel
+    # kernel computes, on one lane and on multistart lanes, raw and at unit
+    # power; hex keeps the sign of zero apart.
+    cfg = ScenarioConfig(paths_per_user=num_paths)
+    rng = np.random.default_rng(40 + num_paths)
+    bits = lambda c: [(v.real.hex(), v.imag.hex()) for v in c.tolist()]
+    for _ in range(5):
+        raw = sample_user_channel(cfg, rng)
+        for ch in (raw, raw.normalized()):
+            dirs = ch.directions
+            for lanes in (1, 11):
+                z = rng.uniform(-1.0, 1.0, (lanes, 2))
+                h = _path_sums(z, _path_rows(ch.prv, dirs), *dirs)[:, 0]
+                want = lane_coefficients(lane_phases(z, *dirs), ch.prv)
+                assert bits(h) == bits(want)
+
+
+@pytest.mark.parametrize("unit", [False, True], ids=["raw", "unit"])
+def test_minorant_matches_the_anchor_form(unit):
+    # The anchor b = coupling_matrix @ field response gives the paper's
+    # curvature 8 pi^2 sum |b_l| and gradient -2 pi sum |b_l| d_l sin(2 pi
+    # rho_l - arg b_l). A gradient component whose terms cancel has no
+    # relative accuracy, so its tolerance is also 1e-12 of the largest
+    # amplitude sum 2 pi sum |b_l| |d_l|.
+    rng = np.random.default_rng(29)
+    for _ in range(1000):
+        ch = sample_user_channel(ScenarioConfig(paths_per_user=int(rng.integers(1, 9))), rng)
+        if unit:
+            ch = ch.normalized()
+        z = _random_position(rng, span=1.0)
+        b = anchor_vector(z, ch)
+        theta, phi = ch.angles.T
+        d = np.stack((np.sin(theta) * np.cos(phi), np.cos(theta)))
+        rho = np.array([propagation_delta(z, t, p) for t, p in ch.angles])
+        amplitudes = 2 * math.pi * np.abs(b) * d
+        grad = -(amplitudes * np.sin(2 * math.pi * rho - np.angle(b))).sum(axis=1)
+        atol = 1e-12 * np.abs(amplitudes).sum(axis=1).max()
+        assert_allclose(surrogate_gradient(z, ch), grad, rtol=1e-12, atol=atol)
+        assert_allclose(lipschitz_delta(z, ch), 8 * math.pi**2 * np.abs(b).sum(), rtol=1e-12)
 
 
 def test_delta_scales_quadratically_with_prv():

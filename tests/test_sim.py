@@ -504,6 +504,10 @@ def test_sweep_input_validation():
     for counts in ([0, 2], [2.5], [math.nan], [math.inf]):
         with pytest.raises(ValueError, match="user counts must be integers of at least 1"):
             sweep_users(cfg, counts)
+    # float() reads a bool as 0 or 1, so a bool is not a count.
+    for counts, value in (([True, 3], True), ([np.True_], True), ([2, np.False_], False)):
+        with pytest.raises(ValueError, match=f"user count must be a number, not a bool, got {value}"):
+            sweep_users(cfg, counts)
 
 
 @pytest.fixture
@@ -525,12 +529,14 @@ def positioned(monkeypatch):
         (math.nan, "power point must be finite in mW"),
         (3090.0, "power point must be finite in mW"),
         (-math.inf, "power point must be finite, got -inf"),
+        (True, "power point must be a number, not a bool, got True"),
+        (np.False_, "power point must be a number, not a bool, got False"),
     ],
-    ids=["nan", "3090.0", "-inf"],
+    ids=["nan", "3090.0", "-inf", "True", "np.False_"],
 )
 def test_sweep_power_rejects_points_before_any_draw(positioned, point, message):
     # 3090 dBm is finite but overflows in mW, and -inf dBm is 0 mW but not
-    # finite in dBm; p_max_dbm obeys the same rule.
+    # finite in dBm; p_max_dbm obeys the same rule. A bool is not a point.
     with pytest.raises(ValueError, match=message):
         sweep_power(_small_cfg(), [point])
     assert positioned == []
