@@ -6,10 +6,12 @@ the complex channel coefficient is a function of the 2-D antenna position.
 All lengths are measured in carrier wavelengths (the physics depends only
 on position/wavelength, so the wavelength is normalized to 1 throughout).
 
-lane_phases, lane_field_responses, lane_coefficients and lane_gains compute
-each channel quantity over lanes (rows of positions, each with its own
-channel's rows or all with one channel's); the scalar helpers are their
-one-lane calls.
+lane_phases(xy, dirs), lane_field_responses, lane_coefficients and
+lane_gains compute each channel quantity over lanes (rows of positions, each
+with its own channel's rows or all with one channel's): dirs is one
+channel's (2, paths) direction rows or each lane's (lanes, 2, paths). The
+scalar helpers field_response_vector, channel_coefficient and channel_gain
+are their one-lane calls.
 """
 
 from __future__ import annotations
@@ -50,6 +52,8 @@ class MoveRegion:
     side: float
 
     def __post_init__(self) -> None:
+        if isinstance(self.side, (bool, np.bool_)):
+            raise ValueError(f"region_side must be a number, not a bool, got {self.side}")
         # A point of the region lies within half * sqrt(2) < side of its
         # center, so a finite 2 pi side bounds every phase 2 pi d . rho.
         if not (0.0 <= self.side and TWO_PI * self.side < math.inf):
@@ -136,9 +140,12 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def lane_phases(xy: np.ndarray, dir_x: np.ndarray, dir_y: np.ndarray) -> np.ndarray:
-    """Per-path travel distances rho (lanes, paths) of (lanes, 2) positions."""
-    return xy[:, :1] * dir_x + xy[:, 1:] * dir_y
+def lane_phases(xy: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """Per-path travel distances rho (lanes, paths) of (lanes, 2) positions:
+    x d_x + y d_y, with dirs one channel's (2, paths) direction rows or each
+    lane's own (lanes, 2, paths). Both products come from one broadcast."""
+    t = xy[:, :, None] * dirs
+    return t[:, 0] + t[:, 1]
 
 
 def lane_field_responses(rho: np.ndarray) -> np.ndarray:
@@ -154,11 +161,12 @@ def lane_coefficients(rho: np.ndarray, prv: np.ndarray) -> np.ndarray:
 
 def lane_gains(h: np.ndarray) -> np.ndarray:
     """Squared modulus of every lane's channel coefficient."""
-    return h.real * h.real + h.imag * h.imag
+    re, im = h.real, h.imag
+    return re * re + im * im
 
 
 def _one_lane_phases(z: Position, ch: UserChannel) -> np.ndarray:
-    return lane_phases(z.as_array()[None], *ch.directions)
+    return lane_phases(z.as_array()[None], ch.directions)
 
 
 def field_response_vector(z: Position, ch: UserChannel) -> np.ndarray:

@@ -4,6 +4,11 @@ No sweep runs anything here. Each name is an independent route to a
 quantity the pipeline computes faster:
 - propagation_delta is one path's phase term in scalar form, against the
   channel kernels;
+- reference_phases, reference_path_sums, reference_gains,
+  reference_minorant and reference_newton_step spell out the ascent's step
+  kernels a second, independent way (one broadcast per coordinate, path
+  sums and anchors per lane row, the zero-curvature mask built on every
+  step), against which the kernels must agree bit for bit;
 - coupling_matrix, anchor_vector, surrogate_value and quadratic_surrogate
   are the paper-form surrogates, against the ascent's minorant kernel;
 - grid_oracle is an exhaustive position search, against the ascent;
@@ -25,6 +30,7 @@ import math
 import numpy as np
 
 from manoma.channel import (
+    TWO_PI,
     MoveRegion,
     Position,
     UserChannel,
@@ -43,8 +49,9 @@ from manoma.noma import (
 from manoma.positioner import lipschitz_delta, surrogate_gradient
 
 __all__ = [
-    "propagation_delta", "coupling_matrix", "anchor_vector", "surrogate_value",
-    "quadratic_surrogate", "grid_oracle", "MAX_BRUTE_FORCE_USERS",
+    "propagation_delta", "reference_phases", "reference_path_sums", "reference_gains",
+    "reference_minorant", "reference_newton_step", "coupling_matrix", "anchor_vector",
+    "surrogate_value", "quadratic_surrogate", "grid_oracle", "MAX_BRUTE_FORCE_USERS",
     "fixed_order_lp_powers", "brute_force_allocation", "sum_rate_collapsed",
 ]
 
@@ -54,6 +61,50 @@ def propagation_delta(z: Position, theta: float, phi: float) -> float:
     of the path with elevation theta and azimuth phi: x*sin(theta)*cos(phi) +
     y*cos(theta)."""
     return z.x * math.sin(theta) * math.cos(phi) + z.y * math.cos(theta)
+
+
+def reference_phases(xy: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """Per-path travel distances (lanes, paths) of (lanes, 2) positions, one
+    broadcast per coordinate; dirs is one channel's (2, paths) rows or each
+    lane's (lanes, 2, paths)."""
+    return xy[:, :1] * dirs[..., 0, :] + xy[:, 1:] * dirs[..., 1, :]
+
+
+def reference_path_sums(xy: np.ndarray, prv: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """Path rows [f, -2 pi f d_x, -2 pi f d_y] dotted with each lane's field
+    responses, shape (lanes, 3); prv is (paths,) with (2, paths) dirs, or
+    (lanes, paths) with (lanes, 2, paths)."""
+    f = prv[..., None, :]
+    rows = np.concatenate((f, f * (-TWO_PI * dirs)), axis=-2)
+    return np.vecdot(rows, np.exp(1j * TWO_PI * reference_phases(xy, dirs))[:, None])
+
+
+def reference_gains(h: np.ndarray) -> np.ndarray:
+    """Squared modulus of each channel coefficient."""
+    return h.real * h.real + h.imag * h.imag
+
+
+def reference_minorant(sums: np.ndarray, amplitude_sum: float) -> tuple[np.ndarray, np.ndarray]:
+    """Curvature bounds 8 pi^2 |h| sum |f_l| (lanes,) and surrogate gradients
+    Im(conj(h) sums[:, 1:]) (lanes, 2) from (lanes, 3) path sums."""
+    h = sums[:, 0]
+    grad = (h.conj()[:, None] * sums[:, 1:]).imag
+    return 8.0 * math.pi**2 * amplitude_sum * np.abs(h), grad
+
+
+def reference_newton_step(
+    z: np.ndarray, delta: np.ndarray, grad: np.ndarray, half: float
+) -> np.ndarray:
+    """Newton points z + grad/delta clamped to the box, the zero-curvature
+    mask built first: a lane with delta 0 divides by 1 and stays put."""
+    flat = delta == 0.0
+    any_flat = np.count_nonzero(flat)
+    if any_flat:
+        delta = np.where(flat, 1.0, delta)
+    z_new = (z + grad / delta[:, None]).clip(-half, half)
+    if any_flat:
+        z_new[flat] = z[flat]
+    return z_new
 
 
 def coupling_matrix(ch: UserChannel) -> np.ndarray:
@@ -116,7 +167,7 @@ def grid_oracle(
         if ticks[-1] < half - 1e-12 * max(half, 1.0):
             ticks = np.concatenate((ticks, [half]))
     points = np.stack([axis.ravel() for axis in np.meshgrid(ticks, ticks, indexing="ij")], 1)
-    gains = lane_gains(lane_coefficients(lane_phases(points, *ch.directions), ch.prv))
+    gains = lane_gains(lane_coefficients(lane_phases(points, ch.directions), ch.prv))
     best = int(np.argmax(gains))
     return Position(float(points[best, 0]), float(points[best, 1])), float(gains[best])
 

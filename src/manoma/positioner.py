@@ -22,12 +22,13 @@ One engine, ascend, runs the loop: every start of one user is a lane of a
 single array program over (starts x paths) arrays, each lane with its own
 stop rule. A multistart search therefore costs a fraction of running its
 starts one after another (ten extra starts take about 1.5 to 2 times as long
-as one start, not eleven times). Each step runs _path_sums, _minorant and
-_newton_step over lanes; lipschitz_delta, surrogate_gradient and sca_step
-are their one-lane calls. ascend checks its starts against the region and
+as one start, not eleven times). _path_rows builds a channel's rows and
+curvature factor once per call; each step then runs _step (the minorant and
+its clamped Newton point), _path_sums and lane_gains over lanes, and no
+other helper. lipschitz_delta, surrogate_gradient and sca_step are one-lane
+calls of the same helpers. ascend checks its starts against the region and
 then the channel's energy, so optimize_position and sca_trajectory keep no
-checks of their own; the one-lane calls get the energy check from
-_minorant_at.
+checks of their own; the one-lane calls get the energy check from _one_lane.
 """
 
 from __future__ import annotations
@@ -67,6 +68,8 @@ class ScaParams:
     multistart: int = 0
 
     def __post_init__(self) -> None:
+        if isinstance(self.threshold, (bool, np.bool_)):
+            raise ValueError(f"threshold must be a number, not a bool, got {self.threshold}")
         if not 0.0 <= self.threshold < math.inf:
             raise ValueError(f"threshold must be finite and nonnegative, got {self.threshold}")
         for name, low in (("max_iterations", 1), ("multistart", 0)):
@@ -84,56 +87,70 @@ class ScaState:
     iteration: int
 
 
-def _path_rows(prv: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """Path responses f and their products with the delay sensitivities,
-    rows [f, -2 pi f d_x, -2 pi f d_y] of shape (3, paths)."""
-    return np.concatenate((prv[None], prv * (-TWO_PI * dirs)))
-
-
-def _path_sums(z: np.ndarray, rows: np.ndarray, dir_x, dir_y) -> np.ndarray:
-    """Each (lanes, 2) position's path rows dotted with its field responses e,
-    shape (lanes, 3): column 0 is h, as lane_coefficients returns it, and
-    columns 1-2 are -2 pi sum d_l conj(f_l) e_l."""
-    return np.vecdot(rows, lane_field_responses(lane_phases(z, dir_x, dir_y))[:, None])
-
-
-def _minorant(sums: np.ndarray, amplitude_sum: float) -> tuple[np.ndarray, np.ndarray]:
-    """Curvature bounds (lanes,) and surrogate gradients (lanes, 2) from each
-    lane's path sums. The anchor b = f h has |b_l| = |f_l| |h|, so they are
-    8 pi^2 |h| sum |f_l| and -2 pi Im(conj(h) sum d_l conj(f_l) e_l)."""
-    h = sums[:, 0]
-    grad = (h.conj()[:, None] * sums[:, 1:]).imag
-    return _CURVATURE * amplitude_sum * np.abs(h), grad
-
-
-def _newton_step(z: np.ndarray, delta: np.ndarray, grad: np.ndarray, half: float) -> np.ndarray:
-    """Each lane's Newton point z + grad/delta, clamped to the box; a lane with
-    zero curvature (zero anchor) stays put, divided by 1 to keep out 0/0."""
-    flat = delta == 0.0
-    any_flat = np.count_nonzero(flat)
-    if any_flat:
-        delta = np.where(flat, 1.0, delta)
-    z_new = (z + grad / delta[:, None]).clip(-half, half)
-    if any_flat:
-        z_new[flat] = z[flat]
-    return z_new
-
-
-def _require_energy(ch: UserChannel) -> None:
-    if ch.power == 0.0:
+def _energy(ch: UserChannel) -> float:
+    """The channel's power, which must be positive: an all-zero channel has a
+    gain of zero everywhere and nothing to optimize."""
+    power = ch.power
+    if power == 0.0:
         raise DegenerateChannelError("all-zero path responses: gain is identically zero")
+    return power
 
 
-def _minorant_at(z_ref: Position, ch: UserChannel) -> tuple[np.ndarray, np.ndarray]:
-    _require_energy(ch)
+def _path_rows(prv: np.ndarray, dirs: np.ndarray) -> tuple[np.ndarray, float]:
+    """Path responses f and their products with the delay sensitivities, rows
+    [f, -2 pi f d_x, -2 pi f d_y] of shape (3, 1, paths), one lane axis for
+    _path_sums to broadcast, and the curvature factor 8 pi^2 sum |f_l|, its
+    sum as UserChannel.amplitude_sum sums it."""
+    rows = np.concatenate((prv[None], prv * (-TWO_PI * dirs)))[:, None]
+    return rows, _CURVATURE * float(np.sum(np.abs(prv)))
+
+
+def _path_sums(z: np.ndarray, rows: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """Each (lanes, 2) position's path rows dotted with its field responses e,
+    shape (3, lanes): row 0 is h, as lane_coefficients returns it, and rows
+    1-2 are -2 pi sum d_l conj(f_l) e_l. Each row is contiguous, which keeps
+    the step's ufuncs on their one-dimensional fast path at any lane count."""
+    return np.vecdot(rows, lane_field_responses(lane_phases(z, dirs)))
+
+
+def _step(
+    z: np.ndarray, sums: np.ndarray, curvature: float, half: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each lane's minorant from its path sums and the minorant's maximizer:
+    the Newton points z + grad/delta clamped to the box (lanes, 2), the
+    curvature bounds delta (lanes,) and the surrogate gradients grad
+    (lanes, 2).
+
+    The anchor b = f h has |b_l| = |f_l| |h|, so delta is 8 pi^2 |h| sum
+    |f_l| and grad is -2 pi Im(conj(h) sum d_l conj(f_l) e_l). A lane with
+    zero curvature (zero anchor) stays put, divided by 1 to keep out 0/0;
+    the mask is built only when such a lane exists.
+    """
+    h = sums[0]
+    delta = curvature * np.abs(h)
+    grad = (h.conj() * sums[1:]).imag
+    if np.count_nonzero(delta) < len(delta):
+        flat = delta == 0.0
+        z_new = (z + (grad / np.where(flat, 1.0, delta)).T).clip(-half, half)
+        return np.where(flat[:, None], z, z_new), delta, grad.T
+    return (z + (grad / delta).T).clip(-half, half), delta, grad.T
+
+
+def _one_lane(
+    z_ref: Position, ch: UserChannel, half: float = math.inf
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_step from z_ref on ch as one lane, each input built once: a step in
+    the box of the given half side, the curvature bound and the gradient."""
+    _energy(ch)
     dirs = ch.directions
-    sums = _path_sums(z_ref.as_array()[None], _path_rows(ch.prv, dirs), *dirs)
-    return _minorant(sums, ch.amplitude_sum)
+    rows, curvature = _path_rows(ch.prv, dirs)
+    z = z_ref.as_array()[None]
+    return _step(z, _path_sums(z, rows, dirs), curvature, half)
 
 
 def surrogate_gradient(z_ref: Position, ch: UserChannel) -> np.ndarray:
     """Gradient of the linearized surrogate at its own expansion point."""
-    return _minorant_at(z_ref, ch)[1][0]
+    return _one_lane(z_ref, ch)[2][0]
 
 
 def lipschitz_delta(z_ref: Position, ch: UserChannel) -> float:
@@ -144,7 +161,7 @@ def lipschitz_delta(z_ref: Position, ch: UserChannel) -> float:
     exact gain null; an all-zero path response has no optimization problem at
     all and is rejected.
     """
-    return float(_minorant_at(z_ref, ch)[0][0])
+    return float(_one_lane(z_ref, ch)[1][0])
 
 
 def sca_step(z_ref: Position, ch: UserChannel, region: MoveRegion) -> Position:
@@ -155,7 +172,7 @@ def sca_step(z_ref: Position, ch: UserChannel, region: MoveRegion) -> Position:
     bound means the anchor is zero (gain null with a flat surrogate); the
     point is stationary and is returned unchanged.
     """
-    z = _newton_step(z_ref.as_array()[None], *_minorant_at(z_ref, ch), region.half)
+    z = _one_lane(z_ref, ch, region.half)[0]
     return Position(float(z[0, 0]), float(z[0, 1]))
 
 
@@ -195,13 +212,11 @@ def ascend(
     for start in map(Position, *z.T.tolist()):
         if not region.contains(start):
             raise ValueError(f"initial position {start} lies outside the region")
-    _require_energy(ch)
-    power = ch.power
-    prv, dirs = ch.prv / math.sqrt(power), ch.directions
-    dir_x, dir_y = dirs
-    rows = _path_rows(prv, dirs)
-    amplitude_sum = float(np.sum(np.abs(prv)))  # as UserChannel.amplitude_sum sums it
+    power = _energy(ch)
+    dirs = ch.directions
+    rows, curvature = _path_rows(ch.prv / math.sqrt(power), dirs)
     half = region.half
+    threshold = params.threshold
     last = params.max_iterations
 
     num_lanes = len(z)
@@ -210,22 +225,22 @@ def ascend(
     final_iteration = np.empty(num_lanes, dtype=int)
     live = np.arange(num_lanes)
 
-    sums = _path_sums(z, rows, dir_x, dir_y)
-    gain = lane_gains(sums[:, 0])
+    sums = _path_sums(z, rows, dirs)
+    gain = lane_gains(sums[0])
     if history is not None:
         history.append((0, live, z, gain * power))
     for i in range(1, last + 1):
         # sca_step and channel_gain of every live lane.
-        z_new = _newton_step(z, *_minorant(sums, amplitude_sum), half)
-        sums_new = _path_sums(z_new, rows, dir_x, dir_y)
-        gain_new = lane_gains(sums_new[:, 0])
+        z_new = _step(z, sums, curvature, half)[0]
+        sums_new = _path_sums(z_new, rows, dirs)
+        gain_new = lane_gains(sums_new[0])
         increase = gain_new - gain
         if history is not None:
             kept = ~(increase < 0.0)
             history.append((i, live[kept], z_new[kept], gain_new[kept] * power))
         # threshold >= 0, so a step that lowers the gain also stops its lane,
         # and so does a zero increase, which threshold 0 needs tested apart.
-        done = increase < params.threshold if params.threshold else increase <= 0.0
+        done = increase < threshold if threshold else increase <= 0.0
         if i == last:
             done[:] = True
         if np.count_nonzero(done):
@@ -238,7 +253,7 @@ def ascend(
             live = live[go]
             if len(live) == 0:
                 break
-            z_new, sums_new, gain_new = z_new[go], sums_new[go], gain_new[go]
+            z_new, sums_new, gain_new = z_new[go], sums_new[:, go], gain_new[go]
         z, sums, gain = z_new, sums_new, gain_new
     return final_z, final_gain * power, final_iteration
 

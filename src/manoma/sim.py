@@ -75,7 +75,12 @@ class ScenarioConfig:
             value = getattr(self, name)
             if not (_is_integer(value) and value >= 1):
                 raise ValueError(f"{name} must be an integer of at least 1, got {value}")
+        for name in ("p_max_dbm", "noise_dbm", "pathloss_exponent"):
+            _reject_bool(name, getattr(self, name))
         span = self.distance_range
+        if isinstance(span, tuple):
+            for d in span:
+                _reject_bool("distance_range", d)
         if not (isinstance(span, tuple) and len(span) == 2 and 0.0 < span[0] <= span[1] < math.inf):
             rule = "must be finite, a (min, max) tuple with 0 < min <= max"
             raise ValueError(f"distance_range {rule}, got {span}")
@@ -178,8 +183,10 @@ def draw_users(cfg: ScenarioConfig, index: int, count: int) -> DrawSet:
     prv = np.array([ch.prv for ch in channels]).reshape(count, paths)
     directions = np.array([ch.directions for ch in channels]).reshape(count, 2, paths)
     # One lane per user at its position, then one per user at the center.
-    dir_x, dir_y = np.concatenate((directions, directions)).transpose(1, 0, 2)
-    rho = lane_phases(np.concatenate((positions, np.zeros_like(positions))), dir_x, dir_y)
+    rho = lane_phases(
+        np.concatenate((positions, np.zeros_like(positions))),
+        np.concatenate((directions, directions)),
+    )
     gains = lane_gains(lane_coefficients(rho, np.concatenate((prv, prv))))
     sums = np.sum(np.abs(prv), axis=1)
     return DrawSet(prv, directions, positions, gains[:count], gains[count:], sums)
@@ -266,13 +273,18 @@ def _aggregate(tables: np.ndarray, values) -> list[SweepRow]:
     return rows
 
 
+def _reject_bool(name: str, value) -> None:
+    """The rule for a float field or axis value: not a bool, which float()
+    would read as 0.0 or 1.0."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a number, not a bool, got {value}")
+
+
 def _numbers(axis: str, values) -> list:
-    """An axis's values as a list, rejecting bools, which float() would read
-    as 0 and 1."""
+    """An axis's values as a list, rejecting bools."""
     values = list(values)
     for v in values:
-        if isinstance(v, (bool, np.bool_)):
-            raise ValueError(f"{axis} must be a number, not a bool, got {v}")
+        _reject_bool(axis, v)
     return values
 
 

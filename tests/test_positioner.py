@@ -11,6 +11,7 @@ from manoma.channel import (
     UserChannel,
     channel_gain,
     lane_coefficients,
+    lane_gains,
     lane_phases,
     sample_user_channel,
 )
@@ -20,6 +21,11 @@ from manoma.oracles import (
     grid_oracle,
     propagation_delta,
     quadratic_surrogate,
+    reference_gains,
+    reference_minorant,
+    reference_newton_step,
+    reference_path_sums,
+    reference_phases,
     surrogate_value,
 )
 from manoma.positioner import (
@@ -27,6 +33,7 @@ from manoma.positioner import (
     ScaState,
     _path_rows,
     _path_sums,
+    _step,
     ascend,
     lipschitz_delta,
     optimize_position,
@@ -162,9 +169,69 @@ def test_path_sums_coefficient_is_lane_coefficients_bit_for_bit(num_paths):
             dirs = ch.directions
             for lanes in (1, 11):
                 z = rng.uniform(-1.0, 1.0, (lanes, 2))
-                h = _path_sums(z, _path_rows(ch.prv, dirs), *dirs)[:, 0]
-                want = lane_coefficients(lane_phases(z, *dirs), ch.prv)
+                h = _path_sums(z, _path_rows(ch.prv, dirs)[0], dirs)[0]
+                want = lane_coefficients(lane_phases(z, dirs), ch.prv)
                 assert bits(h) == bits(want)
+
+
+# Lanes with an exact zero anchor: none, one that is not lane 0, and two.
+_ZERO_ANCHORS = {1: [(), (0,)], 2: [(), (1,), (0, 1)], 11: [(), (5,), (3, 10)]}
+
+
+@pytest.mark.bitwise
+@pytest.mark.parametrize("per_lane", [False, True], ids=["shared", "per_lane"])
+@pytest.mark.parametrize("lanes", [1, 2, 11])
+@pytest.mark.parametrize("num_paths", [1, 2, 3, 8, 9, 17])
+def test_step_kernels_match_the_reference_expressions_bit_for_bit(num_paths, lanes, per_lane):
+    # The phases, path sums, gains, and the step's minorant and Newton point
+    # over lanes give the bits of the independent expressions in
+    # manoma.oracles, on one channel's direction rows and on each lane's own,
+    # and so do the one-lane calls; tobytes keeps the sign of zero apart. The
+    # step acts on path sums alone, so per-lane sums take the first
+    # channel's curvature.
+    cfg = ScenarioConfig(paths_per_user=num_paths)
+    rng = np.random.default_rng(1000 * lanes + num_paths)
+    half = 1.0
+    bits = lambda a: np.asarray(a).tobytes()
+    for _ in range(4):
+        channels = [sample_user_channel(cfg, rng) for _ in range(lanes if per_lane else 1)]
+        if per_lane:
+            prv = np.array([ch.prv for ch in channels])
+            dirs = np.array([ch.directions for ch in channels])
+            rows = np.concatenate([_path_rows(ch.prv, ch.directions)[0] for ch in channels], 1)
+        else:
+            prv, dirs = channels[0].prv, channels[0].directions
+            rows = _path_rows(prv, dirs)[0]
+        z = rng.uniform(-half, half, (lanes, 2))
+        assert bits(lane_phases(z, dirs)) == bits(reference_phases(z, dirs))
+        sums = _path_sums(z, rows, dirs)
+        assert bits(sums.T) == bits(reference_path_sums(z, prv, dirs))
+        h = sums[0]
+        assert bits(lane_gains(h)) == bits(reference_gains(h))
+        want_h = lane_coefficients(lane_phases(z, dirs), prv)
+        assert bits(lane_gains(want_h)) == bits(reference_gains(want_h))
+        ch = channels[0]
+        amplitude_sum = ch.amplitude_sum
+        curvature = _path_rows(ch.prv, ch.directions)[1]
+        if not per_lane:
+            want_delta, want_grad = reference_minorant(sums.T, amplitude_sum)
+            want_z = reference_newton_step(z, want_delta, want_grad, half)
+            for lane, start in enumerate(map(Position, *z.T.tolist())):
+                assert bits(channel_gain(start, ch)) == bits(reference_gains(h)[lane])
+                assert bits(lipschitz_delta(start, ch)) == bits(want_delta[lane])
+                assert bits(surrogate_gradient(start, ch)) == bits(want_grad[lane])
+                step = sca_step(start, ch, MoveRegion(2.0 * half)).as_array()
+                assert bits(step) == bits(want_z[lane])
+        for zeros in _ZERO_ANCHORS[lanes]:
+            anchored = sums.copy()
+            anchored[0, list(zeros)] = 0.0
+            step, delta, grad = _step(z, anchored, curvature, half)
+            want_delta, want_grad = reference_minorant(anchored.T, amplitude_sum)
+            assert bits(delta) == bits(want_delta)
+            assert bits(grad) == bits(want_grad)
+            assert np.count_nonzero(want_delta == 0.0) == len(zeros)
+            assert bits(step) == bits(reference_newton_step(z, want_delta, want_grad, half))
+            assert bits(step[list(zeros)]) == bits(z[list(zeros)])
 
 
 @pytest.mark.parametrize("unit", [False, True], ids=["raw", "unit"])
@@ -450,18 +517,23 @@ def test_param_counts_are_integers(field):
 
 
 def _reference_lane(ch, region, params, init):
-    """The sequential ascent loop, rebuilt from the scalar helpers: the states
-    (position, gain, iteration) one start visits."""
-    z, gain = init, channel_gain(init, ch)
-    states = [(z, gain, 0)]
+    """The sequential ascent loop, rebuilt from the reference expressions in
+    manoma.oracles rather than the engine's kernels: the states (position,
+    gain, iteration) one start visits."""
+    prv, dirs, amplitude_sum = ch.prv, ch.directions, ch.amplitude_sum
+    z = init.as_array()[None]
+    sums = reference_path_sums(z, prv, dirs)
+    gain = reference_gains(sums[:, 0])[0]
+    states = [(init, gain, 0)]
     for i in range(1, params.max_iterations + 1):
-        z_new = sca_step(z, ch, region)
-        gain_new = channel_gain(z_new, ch)
+        z_new = reference_newton_step(z, *reference_minorant(sums, amplitude_sum), region.half)
+        sums_new = reference_path_sums(z_new, prv, dirs)
+        gain_new = reference_gains(sums_new[:, 0])[0]
         increase = gain_new - gain
         if increase < 0.0:
             break
-        z, gain = z_new, gain_new
-        states.append((z, gain, i))
+        z, sums, gain = z_new, sums_new, gain_new
+        states.append((Position(float(z[0, 0]), float(z[0, 1])), gain, i))
         if increase < params.threshold or increase == 0.0:
             break
     return states

@@ -124,6 +124,32 @@ def test_config_counts_are_integers_named_by_field(field):
 
 
 @pytest.mark.parametrize(
+    "build,field",
+    [
+        (lambda v: ScaParams(threshold=v), "threshold"),
+        (lambda v: ScenarioConfig(p_max_dbm=v), "p_max_dbm"),
+        (lambda v: ScenarioConfig(noise_dbm=v), "noise_dbm"),
+        (lambda v: ScenarioConfig(pathloss_exponent=v), "pathloss_exponent"),
+        (lambda v: ScenarioConfig(region_side=v), "region_side"),
+        (lambda v: ScenarioConfig(r_min=v), "r_min"),
+        (lambda v: ScenarioConfig(distance_range=(v, 2.0)), "distance_range"),
+        (lambda v: RateRequirement(v), "r_min"),
+    ],
+    ids=[
+        "threshold", "p_max_dbm", "noise_dbm", "pathloss_exponent", "region_side",
+        "config_r_min", "distance_range", "rate_requirement",
+    ],
+)
+def test_float_fields_reject_bools_named_by_field(build, field):
+    # float() reads True as 1.0 and False as 0.0, and each of these read a
+    # bool as a valid value; the message starts with the field.
+    for value in (True, False, np.True_, np.False_):
+        message = f"^{field} must be a number, not a bool, got {value}"
+        with pytest.raises(ValueError, match=message):
+            build(value)
+
+
+@pytest.mark.parametrize(
     "field,value",
     [
         ("p_max_dbm", math.inf),
@@ -351,12 +377,11 @@ def test_gain_first_pipeline_beats_random_positions():
     for r in range(10):
         draws = draw_users(cfg, r, cfg.num_users)
         pipeline = solve(draws.ma_gains, reqs, p_max, noise)
-        dir_x, dir_y = draws.directions.transpose(1, 0, 2)
         alt_rng = np.random.default_rng(1000 + r)
         for _ in range(5):
             # One random position per user, each a lane of the user's channel.
             xy = alt_rng.uniform(-region.half, region.half, (cfg.num_users, 2))
-            alt_gains = lane_gains(lane_coefficients(lane_phases(xy, dir_x, dir_y), draws.prv))
+            alt_gains = lane_gains(lane_coefficients(lane_phases(xy, draws.directions), draws.prv))
             alt = solve(alt_gains, reqs, p_max, noise)
             if alt.feasible:
                 assert pipeline.feasible
