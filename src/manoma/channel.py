@@ -165,7 +165,7 @@ def lane_gains(h: np.ndarray) -> np.ndarray:
     return re * re + im * im
 
 
-def _one_lane_phases(z: Position, ch: UserChannel) -> np.ndarray:
+def _phases_at(z: Position, ch: UserChannel) -> np.ndarray:
     return lane_phases(z.as_array()[None], ch.directions)
 
 
@@ -174,18 +174,18 @@ def field_response_vector(z: Position, ch: UserChannel) -> np.ndarray:
 
     Entry p is exp(j*2*pi*rho_p(z)); at the origin it is the all-ones vector.
     """
-    return lane_field_responses(_one_lane_phases(z, ch))[0]
+    return lane_field_responses(_phases_at(z, ch))[0]
 
 
 def channel_coefficient(z: Position, ch: UserChannel) -> complex:
     """Complex channel response: conjugated path responses dotted with the
     field-response vector at z."""
-    return complex(lane_coefficients(_one_lane_phases(z, ch), ch.prv)[0])
+    return complex(lane_coefficients(_phases_at(z, ch), ch.prv)[0])
 
 
 def channel_gain(z: Position, ch: UserChannel) -> float:
     """Squared modulus of the channel coefficient at z."""
-    return float(lane_gains(lane_coefficients(_one_lane_phases(z, ch), ch.prv))[0])
+    return float(lane_gains(lane_coefficients(_phases_at(z, ch), ch.prv))[0])
 
 
 def sample_user_channel(cfg, rng: np.random.Generator) -> UserChannel:

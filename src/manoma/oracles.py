@@ -8,7 +8,9 @@ quantity the pipeline computes faster:
   reference_minorant and reference_newton_step spell out the ascent's step
   kernels a second, independent way (one broadcast per coordinate, path
   sums and anchors per lane row, the zero-curvature mask built on every
-  step), against which the kernels must agree bit for bit;
+  step), against which the kernels must agree bit for bit; minorant_at is
+  their one-lane call, the curvature bound and surrogate gradient at one
+  point;
 - coupling_matrix, anchor_vector, surrogate_value and quadratic_surrogate
   are the paper-form surrogates, against the ascent's minorant kernel;
 - grid_oracle is an exhaustive position search, against the ascent;
@@ -46,13 +48,13 @@ from manoma.noma import (
     check_rate_inputs,
     sinr_and_rates,
 )
-from manoma.positioner import lipschitz_delta, surrogate_gradient
 
 __all__ = [
     "propagation_delta", "reference_phases", "reference_path_sums", "reference_gains",
-    "reference_minorant", "reference_newton_step", "coupling_matrix", "anchor_vector",
-    "surrogate_value", "quadratic_surrogate", "grid_oracle", "MAX_BRUTE_FORCE_USERS",
-    "fixed_order_lp_powers", "brute_force_allocation", "sum_rate_collapsed",
+    "reference_minorant", "minorant_at", "reference_newton_step", "coupling_matrix",
+    "anchor_vector", "surrogate_value", "quadratic_surrogate", "grid_oracle",
+    "MAX_BRUTE_FORCE_USERS", "fixed_order_lp_powers", "brute_force_allocation",
+    "sum_rate_collapsed",
 ]
 
 
@@ -90,6 +92,18 @@ def reference_minorant(sums: np.ndarray, amplitude_sum: float) -> tuple[np.ndarr
     h = sums[:, 0]
     grad = (h.conj()[:, None] * sums[:, 1:]).imag
     return 8.0 * math.pi**2 * amplitude_sum * np.abs(h), grad
+
+
+def minorant_at(z_ref: Position, ch: UserChannel) -> tuple[float, np.ndarray]:
+    """The curvature bound 8 pi^2 |h| sum |f_l| and the surrogate gradient
+    (2,) at z_ref, by reference_minorant on one lane's reference_path_sums.
+
+    delta dominates the surrogate Hessian everywhere (its spectral norm is
+    at most half this value), and is zero only at an exact gain null.
+    """
+    sums = reference_path_sums(z_ref.as_array()[None], ch.prv, ch.directions)
+    delta, grad = reference_minorant(sums, ch.amplitude_sum)
+    return float(delta[0]), grad[0]
 
 
 def reference_newton_step(
@@ -138,8 +152,7 @@ def surrogate_value(z: Position, z_ref: Position, ch: UserChannel) -> float:
 def quadratic_surrogate(z: Position, z_ref: Position, ch: UserChannel) -> float:
     """Concave quadratic minorant of the linearized surrogate, constant terms
     dropped: -(delta/2)||z||^2 + (grad + delta*z_ref)^T z."""
-    grad = surrogate_gradient(z_ref, ch)
-    delta = lipschitz_delta(z_ref, ch)
+    delta, grad = minorant_at(z_ref, ch)
     zv = z.as_array()
     ref = z_ref.as_array()
     return float(-0.5 * delta * zv @ zv + (grad + delta * ref) @ zv)

@@ -25,10 +25,10 @@ starts one after another (ten extra starts take about 1.5 to 2 times as long
 as one start, not eleven times). _path_rows builds a channel's rows and
 curvature factor once per call; each step then runs _step (the minorant and
 its clamped Newton point), _path_sums and lane_gains over lanes, and no
-other helper. lipschitz_delta, surrogate_gradient and sca_step are one-lane
-calls of the same helpers. ascend checks its starts against the region and
-then the channel's energy, so optimize_position and sca_trajectory keep no
-checks of their own; the one-lane calls get the energy check from _one_lane.
+other helper. sca_step is the one one-lane call of the same helpers.
+ascend checks its starts against the region and then the channel's energy,
+so optimize_position and sca_trajectory keep no checks of their own;
+sca_step makes the same energy check.
 """
 
 from __future__ import annotations
@@ -136,43 +136,23 @@ def _step(
     return (z + (grad / delta).T).clip(-half, half), delta, grad.T
 
 
-def _one_lane(
-    z_ref: Position, ch: UserChannel, half: float = math.inf
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_step from z_ref on ch as one lane, each input built once: a step in
-    the box of the given half side, the curvature bound and the gradient."""
-    _energy(ch)
-    dirs = ch.directions
-    rows, curvature = _path_rows(ch.prv, dirs)
-    z = z_ref.as_array()[None]
-    return _step(z, _path_sums(z, rows, dirs), curvature, half)
-
-
-def surrogate_gradient(z_ref: Position, ch: UserChannel) -> np.ndarray:
-    """Gradient of the linearized surrogate at its own expansion point."""
-    return _one_lane(z_ref, ch)[2][0]
-
-
-def lipschitz_delta(z_ref: Position, ch: UserChannel) -> float:
-    """Curvature bound for the surrogate: 8*pi^2 times the anchor amplitudes.
-
-    Dominates the surrogate Hessian everywhere (its spectral norm is at most
-    half this value). Zero only when the anchor vanishes, which happens at an
-    exact gain null; an all-zero path response has no optimization problem at
-    all and is rejected.
-    """
-    return float(_one_lane(z_ref, ch)[1][0])
-
-
 def sca_step(z_ref: Position, ch: UserChannel, region: MoveRegion) -> Position:
-    """Exact maximizer of the quadratic minorant over the box.
+    """Exact maximizer of the quadratic minorant over the box: ascend's step
+    as one lane, on the channel as passed. Unlike ascend it does not rescale
+    to unit power, so on a channel that is not at unit power its last bits
+    may differ from the step ascend takes (the Newton point itself does not
+    depend on the scale). An all-zero channel raises DegenerateChannelError.
 
     The quadratic is separable, so the box-constrained maximum is the
     unconstrained Newton point clamped per coordinate. A vanishing curvature
     bound means the anchor is zero (gain null with a flat surrogate); the
     point is stationary and is returned unchanged.
     """
-    z = _one_lane(z_ref, ch, region.half)[0]
+    _energy(ch)
+    dirs = ch.directions
+    rows, curvature = _path_rows(ch.prv, dirs)
+    z = z_ref.as_array()[None]
+    z = _step(z, _path_sums(z, rows, dirs), curvature, region.half)[0]
     return Position(float(z[0, 0]), float(z[0, 1]))
 
 
@@ -195,13 +175,13 @@ def ascend(
     increase of the unit-power gain at any channel scale. Reported gains are
     the unit-power gains times the channel's power.
 
-    Every lane takes the steps sca_step takes from its start, and each
-    iterate's coefficient gives its gain and its next step. A lane stops once
-    its gain improves by less than the threshold (the accepted step is kept),
-    when a step would lower its gain (the step is dropped; this guards
-    floating-point edge cases), or at the iteration cap. A stopped lane is
-    written out and removed from the working arrays, so no lane depends on
-    which others run beside it.
+    Every lane takes the steps sca_step takes from its start on the
+    unit-power channel, and each iterate's coefficient gives its gain and its
+    next step. A lane stops once its gain improves by less than the threshold
+    (the accepted step is kept), when a step would lower its gain (the step
+    is dropped; this guards floating-point edge cases), or at the iteration
+    cap. A stopped lane is written out and removed from the working arrays,
+    so no lane depends on which others run beside it.
 
     Returns the final positions (lanes, 2), gains (lanes,) and iteration
     counts (lanes,). When history is a list, one (iteration, lanes,

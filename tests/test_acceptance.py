@@ -22,15 +22,14 @@ from manoma.noma import (
 from manoma.oracles import (
     brute_force_allocation,
     grid_oracle,
+    minorant_at,
     sum_rate_collapsed,
     surrogate_value,
 )
 from manoma.positioner import (
     ScaParams,
-    lipschitz_delta,
     optimize_position,
     sca_trajectory,
-    surrogate_gradient,
 )
 from manoma.sim import SCHEMES, ScenarioConfig, _realization_table
 
@@ -55,7 +54,7 @@ def test_criterion_01_gradient_oracle():
     for _ in range(1000):
         ch = _random_channel(rng, int(rng.integers(1, 9)))
         z = _random_position(rng)
-        grad = surrogate_gradient(z, ch)
+        grad = minorant_at(z, ch)[1]
         fd = np.array(
             [
                 (
@@ -93,7 +92,7 @@ def test_criterion_02_majorant_oracle():
     for _ in range(1000):
         ch = _random_channel(rng, int(rng.integers(1, 9)))
         z_ref = _random_position(rng)
-        delta = lipschitz_delta(z_ref, ch)
+        delta = minorant_at(z_ref, ch)[0]
         z = _random_position(rng)
         f = lambda p: surrogate_value(p, z_ref, ch)
         fxx = (f(Position(z.x + h, z.y)) - 2 * f(z) + f(Position(z.x - h, z.y))) / h**2
@@ -130,8 +129,7 @@ def test_criterion_03_minorization_chain():
         # true gain >= 2*linearized - anchor value
         assert channel_gain(z, ch) - (2 * sbar - gain_ref) >= -slack
         # linearized >= quadratic Taylor minorant
-        grad = surrogate_gradient(z_ref, ch)
-        delta = lipschitz_delta(z_ref, ch)
+        delta, grad = minorant_at(z_ref, ch)
         dz = z.as_array() - z_ref.as_array()
         taylor = sbar_ref + grad @ dz - 0.5 * delta * dz @ dz
         assert sbar - taylor >= -slack

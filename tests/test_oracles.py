@@ -23,3 +23,13 @@ def test_reference_implementations_live_only_in_oracles():
             text = path.read_text()
             assert "scipy" not in text, path.name
             assert not re.search(r"^\s*(import|from) itertools\b", text, re.M), path.name
+    # The references stand apart from the engine they check: nothing bound in
+    # oracles comes from the positioner, and no line imports it.
+    engine = [
+        name
+        for name, obj in vars(manoma.oracles).items()
+        if getattr(obj, "__module__", None) == "manoma.positioner"
+    ]
+    assert engine == []
+    text = Path(manoma.oracles.__file__).read_text()
+    assert not re.search(r"^\s*(import|from) manoma\.positioner\b", text, re.M)

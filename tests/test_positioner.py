@@ -19,6 +19,7 @@ from manoma.oracles import (
     anchor_vector,
     coupling_matrix,
     grid_oracle,
+    minorant_at,
     propagation_delta,
     quadratic_surrogate,
     reference_gains,
@@ -35,11 +36,9 @@ from manoma.positioner import (
     _path_sums,
     _step,
     ascend,
-    lipschitz_delta,
     optimize_position,
     sca_step,
     sca_trajectory,
-    surrogate_gradient,
 )
 from manoma.sim import ScenarioConfig, draw_users
 
@@ -102,7 +101,7 @@ def test_gradient_zero_for_single_path():
     ch = UserChannel(angles=((0.8, 2.2),), prv=np.array([2.0 - 1j]))
     rng = np.random.default_rng(22)
     for _ in range(5):
-        g = surrogate_gradient(_random_position(rng), ch)
+        g = minorant_at(_random_position(rng), ch)[1]
         assert_allclose(g, [0.0, 0.0], atol=1e-9)
 
 
@@ -112,7 +111,7 @@ def test_gradient_x_component_vanishes_for_broadside_paths():
     rng = np.random.default_rng(23)
     prv = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     ch = UserChannel(angles=angles, prv=prv)
-    g = surrogate_gradient(Position(0.3, -0.4), ch)
+    g = minorant_at(Position(0.3, -0.4), ch)[1]
     assert abs(g[0]) < 1e-12
 
 
@@ -122,7 +121,7 @@ def test_gradient_matches_finite_differences():
     for _ in range(50):
         ch = _random_channel(rng, num_paths=int(rng.integers(2, 7)))
         z = _random_position(rng)
-        g = surrogate_gradient(z, ch)
+        g = minorant_at(z, ch)[1]
         fd = np.array(
             [
                 (
@@ -148,7 +147,7 @@ def test_delta_hand_value():
     # is 2, so the anchor amplitudes are all 1 and delta is 32*pi^2.
     angles = tuple((math.pi / 2, math.pi / 2) for _ in range(4))
     ch = UserChannel(angles=angles, prv=np.full(4, 0.5 + 0j))
-    assert_allclose(lipschitz_delta(Position(0.1, 0.2), ch), 32 * math.pi**2, rtol=1e-12)
+    assert_allclose(minorant_at(Position(0.1, 0.2), ch)[0], 32 * math.pi**2, rtol=1e-12)
 
 
 # --- one vecdot of path rows: the coefficient and the anchor-form minorant ---
@@ -218,8 +217,9 @@ def test_step_kernels_match_the_reference_expressions_bit_for_bit(num_paths, lan
             want_z = reference_newton_step(z, want_delta, want_grad, half)
             for lane, start in enumerate(map(Position, *z.T.tolist())):
                 assert bits(channel_gain(start, ch)) == bits(reference_gains(h)[lane])
-                assert bits(lipschitz_delta(start, ch)) == bits(want_delta[lane])
-                assert bits(surrogate_gradient(start, ch)) == bits(want_grad[lane])
+                delta, grad = minorant_at(start, ch)
+                assert bits(delta) == bits(want_delta[lane])
+                assert bits(grad) == bits(want_grad[lane])
                 step = sca_step(start, ch, MoveRegion(2.0 * half)).as_array()
                 assert bits(step) == bits(want_z[lane])
         for zeros in _ZERO_ANCHORS[lanes]:
@@ -234,19 +234,31 @@ def test_step_kernels_match_the_reference_expressions_bit_for_bit(num_paths, lan
             assert bits(step[list(zeros)]) == bits(z[list(zeros)])
 
 
-@pytest.mark.parametrize("unit", [False, True], ids=["raw", "unit"])
-def test_minorant_matches_the_anchor_form(unit):
-    # The anchor b = coupling_matrix @ field response gives the paper's
-    # curvature 8 pi^2 sum |b_l| and gradient -2 pi sum |b_l| d_l sin(2 pi
-    # rho_l - arg b_l). A gradient component whose terms cancel has no
-    # relative accuracy, so its tolerance is also 1e-12 of the largest
-    # amplitude sum 2 pi sum |b_l| |d_l|.
+@pytest.mark.parametrize("family", ["raw", "unit", "criteria"])
+def test_minorant_matches_the_anchor_form(family):
+    # The engine's one-lane minorant (_path_rows, _path_sums and _step, as
+    # sca_step runs them) against the paper's form: the anchor b =
+    # coupling_matrix @ field response gives the curvature 8 pi^2 sum |b_l|
+    # and the gradient -2 pi sum |b_l| d_l sin(2 pi rho_l - arg b_l). The
+    # channels are sampled ones, raw and at unit power, and the acceptance
+    # criteria's family (1-8 unit-variance paths, positions within +-2). A
+    # gradient component whose terms cancel has no relative accuracy, so its
+    # tolerance is also 1e-12 of the largest amplitude sum 2 pi sum |b_l|
+    # |d_l|.
     rng = np.random.default_rng(29)
     for _ in range(1000):
-        ch = sample_user_channel(ScenarioConfig(paths_per_user=int(rng.integers(1, 9))), rng)
-        if unit:
-            ch = ch.normalized()
-        z = _random_position(rng, span=1.0)
+        num_paths = int(rng.integers(1, 9))
+        if family == "criteria":
+            ch = _random_channel(rng, num_paths)
+            z = _random_position(rng)
+        else:
+            ch = sample_user_channel(ScenarioConfig(paths_per_user=num_paths), rng)
+            if family == "unit":
+                ch = ch.normalized()
+            z = _random_position(rng, span=1.0)
+        rows, curvature = _path_rows(ch.prv, ch.directions)
+        zs = z.as_array()[None]
+        _, delta, grad_engine = _step(zs, _path_sums(zs, rows, ch.directions), curvature, math.inf)
         b = anchor_vector(z, ch)
         theta, phi = ch.angles.T
         d = np.stack((np.sin(theta) * np.cos(phi), np.cos(theta)))
@@ -254,25 +266,23 @@ def test_minorant_matches_the_anchor_form(unit):
         amplitudes = 2 * math.pi * np.abs(b) * d
         grad = -(amplitudes * np.sin(2 * math.pi * rho - np.angle(b))).sum(axis=1)
         atol = 1e-12 * np.abs(amplitudes).sum(axis=1).max()
-        assert_allclose(surrogate_gradient(z, ch), grad, rtol=1e-12, atol=atol)
-        assert_allclose(lipschitz_delta(z, ch), 8 * math.pi**2 * np.abs(b).sum(), rtol=1e-12)
+        assert_allclose(grad_engine[0], grad, rtol=1e-12, atol=atol)
+        assert_allclose(delta[0], 8 * math.pi**2 * np.abs(b).sum(), rtol=1e-12)
 
 
 def test_delta_scales_quadratically_with_prv():
     rng = np.random.default_rng(25)
     ch = _random_channel(rng)
     z = _random_position(rng)
-    base = lipschitz_delta(z, ch)
+    base = minorant_at(z, ch)[0]
     scaled = UserChannel(ch.angles, ch.prv * 3.0, ch.distance)
-    assert_allclose(lipschitz_delta(z, scaled), 9.0 * base, rtol=1e-12)
+    assert_allclose(minorant_at(z, scaled)[0], 9.0 * base, rtol=1e-12)
 
 
 def test_delta_rejects_zero_channel():
     ch = UserChannel(angles=((1.0, 1.0),), prv=np.array([0j]))
     with pytest.raises(DegenerateChannelError):
-        lipschitz_delta(Position(0.0, 0.0), ch)
-    with pytest.raises(DegenerateChannelError):
-        surrogate_gradient(Position(0.0, 0.0), ch)
+        sca_step(Position(0.0, 0.0), ch, MoveRegion(2.0))
 
 
 def _fd_hessian(fun, z, h=1e-4):
@@ -294,7 +304,7 @@ def test_delta_dominates_numerical_hessian():
     rng = np.random.default_rng(26)
     ch = _random_channel(rng, num_paths=5)
     z_ref = _random_position(rng)
-    delta = lipschitz_delta(z_ref, ch)
+    delta = minorant_at(z_ref, ch)[0]
     fun = lambda z: surrogate_value(z, z_ref, ch)
     for _ in range(100):
         z = _random_position(rng)
@@ -313,8 +323,7 @@ def test_minorant_chain_holds_on_random_pairs():
         z_ref = _random_position(rng)
         z = _random_position(rng)
         gain_ref = channel_gain(z_ref, ch)
-        grad = surrogate_gradient(z_ref, ch)
-        delta = lipschitz_delta(z_ref, ch)
+        delta, grad = minorant_at(z_ref, ch)
         sbar_ref = surrogate_value(z_ref, z_ref, ch)
         # First bound: true gain dominates twice the linearized surrogate
         # minus its value at the anchor.
@@ -336,8 +345,7 @@ def test_quadratic_surrogate_is_taylor_bound_up_to_constant():
     rng = np.random.default_rng(28)
     ch = _random_channel(rng)
     z_ref = _random_position(rng)
-    grad = surrogate_gradient(z_ref, ch)
-    delta = lipschitz_delta(z_ref, ch)
+    delta, grad = minorant_at(z_ref, ch)
     sbar_ref = surrogate_value(z_ref, z_ref, ch)
 
     def taylor(z):
@@ -367,8 +375,7 @@ def test_step_matches_newton_point_when_unclamped():
     for _ in range(20):
         ch = _random_channel(rng)
         z = _random_position(rng)
-        grad = surrogate_gradient(z, ch)
-        delta = lipschitz_delta(z, ch)
+        delta, grad = minorant_at(z, ch)
         out = sca_step(z, ch, region)
         expected = z.as_array() + grad / delta
         assert_allclose([out.x, out.y], expected, rtol=1e-12)
@@ -383,8 +390,7 @@ def test_step_clamps_to_boundary_and_dominates_grid():
     for _ in range(20):
         ch = _random_channel(rng)
         z_ref = Position(0.0, 0.0)
-        grad = surrogate_gradient(z_ref, ch)
-        delta = lipschitz_delta(z_ref, ch)
+        delta, grad = minorant_at(z_ref, ch)
         free = np.abs(grad / delta)
         if free.max() <= region.half:
             continue
@@ -708,7 +714,9 @@ def test_engine_zero_anchor_lane_stays_put_and_stops():
     angles = ((0.7, 1.9), (2.1, 0.4))
     ch = UserChannel(angles=angles, prv=np.array([1.0 + 0j, -1.0 + 0j]))
     region = MoveRegion(2.0)
-    assert lipschitz_delta(Position(0.0, 0.0), ch) == 0.0
+    origin = Position(0.0, 0.0)
+    assert minorant_at(origin, ch)[0] == 0.0
+    assert sca_step(origin, ch, region) == origin
     starts = np.array([[0.0, 0.0], [0.3, -0.2]])
     z, gains, iterations = ascend(ch, region, ScaParams(), starts)
     assert z[0].tolist() == [0.0, 0.0]
@@ -718,10 +726,10 @@ def test_engine_zero_anchor_lane_stays_put_and_stops():
     assert z[1].tobytes() == alone[0][0].tobytes()
     assert (gains[1], iterations[1]) == (alone[1][0], alone[2][0])
     assert gains[1] > 0.0
-    states = sca_trajectory(ch, region, ScaParams(), Position(0.0, 0.0))
+    states = sca_trajectory(ch, region, ScaParams(), origin)
     assert [(s.current, s.gain, s.iteration) for s in states] == [
-        (Position(0.0, 0.0), 0.0, 0),
-        (Position(0.0, 0.0), 0.0, 1),
+        (origin, 0.0, 0),
+        (origin, 0.0, 1),
     ]
 
 
