@@ -11,7 +11,10 @@ lane_gains compute each channel quantity over lanes (rows of positions, each
 with its own channel's rows or all with one channel's): dirs is one
 channel's (2, paths) direction rows or each lane's (lanes, 2, paths). The
 scalar helpers field_response_vector, channel_coefficient and channel_gain
-are their one-lane calls.
+are their one-lane calls. lane_coefficients spells h in real products summed
+path by path, the arithmetic of Python's complex numbers, so the
+positioner's scalar loop computes the same h bit for bit, and no bit of h
+depends on numpy's CPU dispatch or BLAS.
 """
 
 from __future__ import annotations
@@ -154,9 +157,24 @@ def lane_field_responses(rho: np.ndarray) -> np.ndarray:
 
 
 def lane_coefficients(rho: np.ndarray, prv: np.ndarray) -> np.ndarray:
-    """Conjugated path responses dotted with each lane's field response; np.vecdot
-    sums each row alone, where a (lanes x paths) @ (paths,) product would not."""
-    return np.vecdot(prv, lane_field_responses(rho))
+    """Conjugated path responses times each lane's field responses, summed
+    over paths: h = sum_l conj(f_l) e_l for (lanes, paths) phases, with prv
+    one channel's (paths,) or each lane's (lanes, paths).
+
+    Each product is spelled in real products, (ac + bd) + j(ad - bc) for
+    f = a + jb and e = c + jd, and each sum runs path by path from path 0
+    (np.add.accumulate). That is the arithmetic of Python's complex numbers,
+    so the positioner's scalar loop gives these bits, and it uses neither
+    numpy's complex multiply nor np.vecdot, whose last bits depend on the
+    CPU (fused multiply-adds, BLAS kernels).
+    """
+    e = lane_field_responses(rho)
+    a, b = prv.real, prv.imag
+    c, d = e.real, e.imag
+    h = np.empty(e.shape[:-1], dtype=complex)
+    h.real = np.add.accumulate(a * c + b * d, axis=-1)[..., -1]
+    h.imag = np.add.accumulate(a * d - b * c, axis=-1)[..., -1]
+    return h
 
 
 def lane_gains(h: np.ndarray) -> np.ndarray:

@@ -6,11 +6,12 @@ quantity the pipeline computes faster:
   channel kernels;
 - reference_phases, reference_path_sums, reference_gains,
   reference_minorant and reference_newton_step spell out the ascent's step
-  kernels a second, independent way (one broadcast per coordinate, path
-  sums and anchors per lane row, the zero-curvature mask built on every
-  step), against which the kernels must agree bit for bit; minorant_at is
-  their one-lane call, the curvature bound and surrogate gradient at one
-  point;
+  over lanes in numpy (one broadcast per coordinate, a loop over paths for
+  the path sums, np.hypot for |h|, the zero-curvature mask built on every
+  step), a third form beside the positioner's scalar loop and
+  channel.lane_coefficients' accumulate, against which both must agree bit
+  for bit; minorant_at is their one-lane call, the curvature bound and
+  surrogate gradient at one point;
 - coupling_matrix, anchor_vector, surrogate_value and quadratic_surrogate
   are the paper-form surrogates, against the ascent's minorant kernel;
 - grid_oracle is an exhaustive position search, against the ascent;
@@ -73,12 +74,25 @@ def reference_phases(xy: np.ndarray, dirs: np.ndarray) -> np.ndarray:
 
 
 def reference_path_sums(xy: np.ndarray, prv: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """Path rows [f, -2 pi f d_x, -2 pi f d_y] dotted with each lane's field
-    responses, shape (lanes, 3); prv is (paths,) with (2, paths) dirs, or
-    (lanes, paths) with (lanes, 2, paths)."""
+    """Conjugated path rows [f, -2 pi f d_x, -2 pi f d_y] times each lane's
+    field responses, summed over paths, shape (lanes, 3); prv is (paths,)
+    with (2, paths) dirs, or (lanes, paths) with (lanes, 2, paths).
+
+    A loop over paths adds each path's product, spelled in real products,
+    to the running sums; the sums start from -0, the identity of IEEE
+    addition, so each is path 0's product plus path 1's and so on."""
     f = prv[..., None, :]
     rows = np.concatenate((f, f * (-TWO_PI * dirs)), axis=-2)
-    return np.vecdot(rows, np.exp(1j * TWO_PI * reference_phases(xy, dirs))[:, None])
+    e = np.exp(1j * TWO_PI * reference_phases(xy, dirs))
+    re = im = -0.0
+    for path in range(rows.shape[-1]):
+        a, b = rows[..., path].real, rows[..., path].imag
+        c, d = e[:, path, None].real, e[:, path, None].imag
+        re = re + (a * c + b * d)
+        im = im + (a * d - b * c)
+    sums = np.empty(np.shape(re), dtype=complex)
+    sums.real, sums.imag = re, im
+    return sums
 
 
 def reference_gains(h: np.ndarray) -> np.ndarray:
@@ -87,11 +101,13 @@ def reference_gains(h: np.ndarray) -> np.ndarray:
 
 
 def reference_minorant(sums: np.ndarray, amplitude_sum: float) -> tuple[np.ndarray, np.ndarray]:
-    """Curvature bounds 8 pi^2 |h| sum |f_l| (lanes,) and surrogate gradients
-    Im(conj(h) sums[:, 1:]) (lanes, 2) from (lanes, 3) path sums."""
-    h = sums[:, 0]
-    grad = (h.conj()[:, None] * sums[:, 1:]).imag
-    return 8.0 * math.pi**2 * amplitude_sum * np.abs(h), grad
+    """Curvature bounds 8 pi^2 |h| sum |f_l| (lanes,), |h| by np.hypot, and
+    surrogate gradients Im(conj(h) sums[:, 1:]) (lanes, 2) in real products,
+    from (lanes, 3) path sums."""
+    h = sums[:, :1]
+    s = sums[:, 1:]
+    grad = h.real * s.imag - h.imag * s.real
+    return 8.0 * math.pi**2 * amplitude_sum * np.hypot(h.real, h.imag)[:, 0], grad
 
 
 def minorant_at(z_ref: Position, ch: UserChannel) -> tuple[float, np.ndarray]:

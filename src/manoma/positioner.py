@@ -13,19 +13,23 @@ The coupling matrix f f^H is rank one, so the anchor at z is b = f h(z) and
 |b_l| = |f_l| |h|. The minorant's curvature 8 pi^2 sum |b_l| is therefore
 8 pi^2 |h| sum |f_l|, and its gradient -2 pi sum |b_l| d_l sin(2 pi rho_l -
 arg b_l) is -2 pi Im(conj(h) sum d_l conj(f_l) e_l), with e_l path l's field
-response and d_l its delay sensitivities. One vecdot of the path rows [f,
--2 pi f d_x, -2 pi f d_y] with a lane's field responses thus gives h, bit for
-bit as lane_coefficients gives it, and the whole minorant: a step costs one
-vecdot.
+response and d_l its delay sensitivities. Three sums over paths of the
+conjugated rows [f, -2 pi f d_x, -2 pi f d_y] times e_l thus give h and the
+whole minorant.
 
-One engine, ascend, runs the loop: every start of one user is a lane of a
-single array program over (starts x paths) arrays, each lane with its own
-stop rule. A multistart search therefore costs a fraction of running its
-starts one after another (ten extra starts take about 1.5 to 2 times as long
-as one start, not eleven times). _path_rows builds a channel's rows and
-curvature factor once per call; each step then runs _step (the minorant and
-its clamped Newton point), _path_sums and lane_gains over lanes, and no
-other helper. sca_step is the one one-lane call of the same helpers.
+One engine, ascend, runs the loop on Python floats and complex numbers: the
+starts run one after another, and a step calls no numpy function. Once per
+call, _path_rows builds the channel's per-path rows and the curvature factor
+in numpy; each step then runs _point_sums (the three path sums at one point)
+and _newton_point (the minorant and its clamped Newton point). Their
+arithmetic is the one channel.lane_coefficients spells in numpy: e_l =
+exp(j 2 pi rho_l), textbook real products, sums taken path by path from path
+0, |h| by hypot. So h is bit for bit the channel's coefficient, and no step
+depends on numpy's CPU dispatch or BLAS (the per-call setup still uses
+numpy's complex abs). Each start is an ascent of its own: at the default 5
+paths one took about 0.3 ms, about 115 steps of 2.5 us, on a 2-core Intel
+Xeon VM, so multistart = 10 costs about eleven single starts. sca_step is
+the one-step call of the same helpers.
 ascend checks its starts against the region and then the channel's energy,
 so optimize_position and sca_trajectory keep no checks of their own;
 sca_step makes the same energy check.
@@ -35,6 +39,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from cmath import rect
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,12 +50,10 @@ from manoma.channel import (
     MoveRegion,
     Position,
     UserChannel,
-    lane_field_responses,
-    lane_gains,
-    lane_phases,
 )
 
 _CURVATURE = 8.0 * math.pi**2
+_NEG_ZERO = complex(-0.0, -0.0)
 
 
 @dataclass(frozen=True)
@@ -96,52 +99,71 @@ def _energy(ch: UserChannel) -> float:
     return power
 
 
-def _path_rows(prv: np.ndarray, dirs: np.ndarray) -> tuple[np.ndarray, float]:
-    """Path responses f and their products with the delay sensitivities, rows
-    [f, -2 pi f d_x, -2 pi f d_y] of shape (3, 1, paths), one lane axis for
-    _path_sums to broadcast, and the curvature factor 8 pi^2 sum |f_l|, its
-    sum as UserChannel.amplitude_sum sums it."""
-    rows = np.concatenate((prv[None], prv * (-TWO_PI * dirs)))[:, None]
-    return rows, _CURVATURE * float(np.sum(np.abs(prv)))
+def _path_rows(prv: np.ndarray, dirs: np.ndarray) -> tuple[tuple, float]:
+    """Per path, the delay sensitivities d_x, d_y and the conjugated rows
+    conj(f), conj(-2 pi f d_x), conj(-2 pi f d_y) as Python numbers, and the
+    curvature factor 8 pi^2 sum |f_l|, its sum as UserChannel.amplitude_sum
+    sums it."""
+    rows = np.concatenate((prv[None], prv * (-TWO_PI * dirs))).conj()
+    paths = tuple(zip(*dirs.tolist(), *rows.tolist()))
+    return paths, _CURVATURE * float(np.sum(np.abs(prv)))
 
 
-def _path_sums(z: np.ndarray, rows: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """Each (lanes, 2) position's path rows dotted with its field responses e,
-    shape (3, lanes): row 0 is h, as lane_coefficients returns it, and rows
-    1-2 are -2 pi sum d_l conj(f_l) e_l. Each row is contiguous, which keeps
-    the step's ufuncs on their one-dimensional fast path at any lane count."""
-    return np.vecdot(rows, lane_field_responses(lane_phases(z, dirs)))
+def _point_sums(x: float, y: float, paths: tuple) -> tuple[complex, complex, complex]:
+    """The rows of paths times the field responses e_l at (x, y), each summed
+    over paths: h, as lane_coefficients returns it, and -2 pi sum d_l conj(f_l)
+    e_l per axis.
 
-
-def _step(
-    z: np.ndarray, sums: np.ndarray, curvature: float, half: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each lane's minorant from its path sums and the minorant's maximizer:
-    the Newton points z + grad/delta clamped to the box (lanes, 2), the
-    curvature bounds delta (lanes,) and the surrogate gradients grad
-    (lanes, 2).
-
-    The anchor b = f h has |b_l| = |f_l| |h|, so delta is 8 pi^2 |h| sum
-    |f_l| and grad is -2 pi Im(conj(h) sum d_l conj(f_l) e_l). A lane with
-    zero curvature (zero anchor) stays put, divided by 1 to keep out 0/0;
-    the mask is built only when such a lane exists.
+    e_l is cmath.rect(1, t), bit for bit numpy's exp(j 2 pi rho_l); the 0.0 +
+    turns a phase of -0 into +0, as the imaginary part of numpy's product j 2
+    pi rho does. The sums start from -0, the identity of IEEE addition, so
+    each is path 0's product plus path 1's and so on, as np.add.accumulate
+    sums them.
     """
-    h = sums[0]
-    delta = curvature * np.abs(h)
-    grad = (h.conj() * sums[1:]).imag
-    if np.count_nonzero(delta) < len(delta):
-        flat = delta == 0.0
-        z_new = (z + (grad / np.where(flat, 1.0, delta)).T).clip(-half, half)
-        return np.where(flat[:, None], z, z_new), delta, grad.T
-    return (z + (grad / delta).T).clip(-half, half), delta, grad.T
+    h = sx = sy = _NEG_ZERO
+    for dx, dy, c0, c1, c2 in paths:
+        e = rect(1.0, 0.0 + TWO_PI * (x * dx + y * dy))
+        h += c0 * e
+        sx += c1 * e
+        sy += c2 * e
+    return h, sx, sy
+
+
+def _newton_point(
+    x: float, y: float, sums: tuple, curvature: float, half: float
+) -> tuple[float, float, float, float, float]:
+    """The minorant at (x, y) from its path sums and the minorant's maximizer:
+    the Newton point (x, y) + grad / delta clamped to the box, the curvature
+    bound delta and the surrogate gradient grad, as (x, y, delta, grad_x,
+    grad_y).
+
+    The anchor b = f h has |b_l| = |f_l| |h|, so delta is 8 pi^2 |h| sum |f_l|
+    and grad is -2 pi Im(conj(h) sum d_l conj(f_l) e_l), in real products. A
+    point with zero curvature (zero anchor) stays put. The clamp sets a
+    coordinate past a bound to that bound and leaves the rest, as numpy's
+    clip does, sign of zero included.
+    """
+    h, sx, sy = sums
+    hr, hi = h.real, h.imag
+    delta = curvature * abs(h)
+    gx = hr * sx.imag - hi * sx.real
+    gy = hr * sy.imag - hi * sy.real
+    if delta:
+        low = -half
+        x += gx / delta
+        x = low if x < low else half if x > half else x
+        y += gy / delta
+        y = low if y < low else half if y > half else y
+    return x, y, delta, gx, gy
 
 
 def sca_step(z_ref: Position, ch: UserChannel, region: MoveRegion) -> Position:
-    """Exact maximizer of the quadratic minorant over the box: ascend's step
-    as one lane, on the channel as passed. Unlike ascend it does not rescale
-    to unit power, so on a channel that is not at unit power its last bits
-    may differ from the step ascend takes (the Newton point itself does not
-    depend on the scale). An all-zero channel raises DegenerateChannelError.
+    """Exact maximizer of the quadratic minorant over the box: one step of
+    ascend's loop, on the channel as passed. Unlike ascend it does not
+    rescale to unit power, so on a channel that is not at unit power its last
+    bits may differ from the step ascend takes (the Newton point itself does
+    not depend on the scale). An all-zero channel raises
+    DegenerateChannelError.
 
     The quadratic is separable, so the box-constrained maximum is the
     unconstrained Newton point clamped per coordinate. A vanishing curvature
@@ -149,11 +171,10 @@ def sca_step(z_ref: Position, ch: UserChannel, region: MoveRegion) -> Position:
     point is stationary and is returned unchanged.
     """
     _energy(ch)
-    dirs = ch.directions
-    rows, curvature = _path_rows(ch.prv, dirs)
-    z = z_ref.as_array()[None]
-    z = _step(z, _path_sums(z, rows, dirs), curvature, region.half)[0]
-    return Position(float(z[0, 0]), float(z[0, 1]))
+    paths, curvature = _path_rows(ch.prv, ch.directions)
+    x, y = z_ref.x, z_ref.y
+    x, y, _, _, _ = _newton_point(x, y, _point_sums(x, y, paths), curvature, region.half)
+    return Position(x, y)
 
 
 def ascend(
@@ -163,11 +184,12 @@ def ascend(
     starts: np.ndarray,
     history: list | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run the ascent from every start at once, one lane per start.
+    """Run the ascent from every start, one start after another.
 
-    starts has shape (lanes, 2), and ascend checks them: a start outside the
-    region by MoveRegion.contains raises ValueError, then an all-zero channel
-    raises DegenerateChannelError.
+    starts has shape (2,) for one start or (lanes, 2) with at least one
+    lane, and ascend checks it: any other shape raises ValueError naming
+    starts, a start outside the region by MoveRegion.contains raises
+    ValueError, then an all-zero channel raises DegenerateChannelError.
 
     The loop runs on the channel rescaled to unit power, prv / sqrt(power),
     as UserChannel.normalized() rescales it. Scaling the path responses
@@ -176,66 +198,68 @@ def ascend(
     the unit-power gains times the channel's power.
 
     Every lane takes the steps sca_step takes from its start on the
-    unit-power channel, and each iterate's coefficient gives its gain and its
+    unit-power channel, and each iterate's path sums give its gain and its
     next step. A lane stops once its gain improves by less than the threshold
     (the accepted step is kept), when a step would lower its gain (the step
     is dropped; this guards floating-point edge cases), or at the iteration
-    cap. A stopped lane is written out and removed from the working arrays,
-    so no lane depends on which others run beside it.
+    cap. Lanes share nothing but the channel's rows, so no lane depends on
+    which others run beside it.
 
     Returns the final positions (lanes, 2), gains (lanes,) and iteration
     counts (lanes,). When history is a list, one (iteration, lanes,
-    positions, gains) entry is appended per step, holding the lanes whose
-    step was accepted; iteration 0 holds the starts.
+    positions, gains) entry is appended per step up to the last step any lane
+    takes, holding the lanes whose step was accepted; iteration 0 holds the
+    starts.
     """
-    z = np.array(starts, dtype=float).reshape(-1, 2)
-    for start in map(Position, *z.T.tolist()):
+    z = np.array(starts, dtype=float)
+    if z.shape != (2,) and (z.ndim != 2 or z.shape[1] != 2 or len(z) == 0):
+        raise ValueError(
+            f"starts must have shape (2,) or (lanes, 2) with at least one lane, got {z.shape}"
+        )
+    points = z.reshape(-1, 2).tolist()
+    for start in (Position(x, y) for x, y in points):
         if not region.contains(start):
             raise ValueError(f"initial position {start} lies outside the region")
     power = _energy(ch)
-    dirs = ch.directions
-    rows, curvature = _path_rows(ch.prv / math.sqrt(power), dirs)
+    paths, curvature = _path_rows(ch.prv / math.sqrt(power), ch.directions)
     half = region.half
     threshold = params.threshold
     last = params.max_iterations
 
-    num_lanes = len(z)
-    final_z = np.empty_like(z)
-    final_gain = np.empty(num_lanes)
-    final_iteration = np.empty(num_lanes, dtype=int)
-    live = np.arange(num_lanes)
-
-    sums = _path_sums(z, rows, dirs)
-    gain = lane_gains(sums[0])
-    if history is not None:
-        history.append((0, live, z, gain * power))
-    for i in range(1, last + 1):
-        # sca_step and channel_gain of every live lane.
-        z_new = _step(z, sums, curvature, half)[0]
-        sums_new = _path_sums(z_new, rows, dirs)
-        gain_new = lane_gains(sums_new[0])
-        increase = gain_new - gain
-        if history is not None:
-            kept = ~(increase < 0.0)
-            history.append((i, live[kept], z_new[kept], gain_new[kept] * power))
-        # threshold >= 0, so a step that lowers the gain also stops its lane,
-        # and so does a zero increase, which threshold 0 needs tested apart.
-        done = increase < threshold if threshold else increase <= 0.0
-        if i == last:
-            done[:] = True
-        if np.count_nonzero(done):
-            out = live[done]
-            dropped = increase[done] < 0.0
-            final_z[out] = np.where(dropped[:, None], z[done], z_new[done])
-            final_gain[out] = np.where(dropped, gain[done], gain_new[done])
-            final_iteration[out] = i - dropped
-            go = ~done
-            live = live[go]
-            if len(live) == 0:
+    finals = []
+    traces = []
+    for x, y in points:
+        sums = _point_sums(x, y, paths)
+        h = sums[0]
+        gain = h.real * h.real + h.imag * h.imag
+        trace = [(x, y, gain)]
+        for i in range(1, last + 1):
+            x_new, y_new, _, _, _ = _newton_point(x, y, sums, curvature, half)
+            sums_new = _point_sums(x_new, y_new, paths)
+            h = sums_new[0]
+            gain_new = h.real * h.real + h.imag * h.imag
+            increase = gain_new - gain
+            if increase < 0.0:
+                finals.append((x, y, gain, i - 1))
                 break
-            z_new, sums_new, gain_new = z_new[go], sums_new[:, go], gain_new[go]
-        z, sums, gain = z_new, sums_new, gain_new
-    return final_z, final_gain * power, final_iteration
+            x, y, sums, gain = x_new, y_new, sums_new, gain_new
+            if history is not None:
+                trace.append((x, y, gain))
+            # threshold >= 0, so a zero increase stops the lane at any
+            # threshold, and threshold 0 stops on nothing else.
+            if increase < threshold or increase == 0.0 or i == last:
+                finals.append((x, y, gain, i))
+                break
+        if history is not None:
+            traces.append((trace, i))
+    if history is not None:
+        for i in range(max(steps for _, steps in traces) + 1):
+            kept = [(lane, trace[i]) for lane, (trace, _) in enumerate(traces) if i < len(trace)]
+            lanes = np.array([lane for lane, _ in kept], dtype=int)
+            xyg = np.array([state for _, state in kept]).reshape(-1, 3)
+            history.append((i, lanes, xyg[:, :2], xyg[:, 2] * power))
+    x, y, gain, iterations = zip(*finals)
+    return np.column_stack((x, y)), np.array(gain) * power, np.array(iterations)
 
 
 def sca_trajectory(
@@ -274,9 +298,9 @@ def optimize_position(
     steps taken. With multistart > 0, also starts from that many extra
     uniform random points inside the region and keeps the highest-gain
     result (the supplied init wins ties, then earlier draws). All starts run
-    as lanes of one ascend call, so extra starts cost far less than extra
-    sequential runs. The rng only feeds the multistart draws; omitting it
-    gives a fixed seed so results stay reproducible.
+    in one ascend call, one after another, so each extra start costs about
+    as much as the first. The rng only feeds the multistart draws; omitting
+    it gives a fixed seed so results stay reproducible.
     """
     starts = init.as_array()[None, :]
     if params.multistart > 0:

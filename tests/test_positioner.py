@@ -1,16 +1,21 @@
+import cmath
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from manoma.channel import (
+    TWO_PI,
     DegenerateChannelError,
     MoveRegion,
     Position,
     UserChannel,
     channel_gain,
     lane_coefficients,
+    lane_field_responses,
     lane_gains,
     lane_phases,
     sample_user_channel,
@@ -32,9 +37,9 @@ from manoma.oracles import (
 from manoma.positioner import (
     ScaParams,
     ScaState,
+    _newton_point,
     _path_rows,
-    _path_sums,
-    _step,
+    _point_sums,
     ascend,
     optimize_position,
     sca_step,
@@ -150,27 +155,58 @@ def test_delta_hand_value():
     assert_allclose(minorant_at(Position(0.1, 0.2), ch)[0], 32 * math.pi**2, rtol=1e-12)
 
 
-# --- one vecdot of path rows: the coefficient and the anchor-form minorant ---
+# --- the scalar loop's path sums: the coefficient and the anchor-form minorant ---
 
 
 @pytest.mark.bitwise
 @pytest.mark.parametrize("num_paths", range(1, 18))
 def test_path_sums_coefficient_is_lane_coefficients_bit_for_bit(num_paths):
-    # Column 0 of the path-row sums is the channel coefficient h the channel
-    # kernel computes, on one lane and on multistart lanes, raw and at unit
-    # power; hex keeps the sign of zero apart.
+    # The first path sum of the scalar point evaluation is the channel
+    # coefficient h the channel kernel computes, at one point and at eleven,
+    # raw and at unit power; hex keeps the sign of zero apart.
     cfg = ScenarioConfig(paths_per_user=num_paths)
     rng = np.random.default_rng(40 + num_paths)
-    bits = lambda c: [(v.real.hex(), v.imag.hex()) for v in c.tolist()]
+    bits = lambda c: [(v.real.hex(), v.imag.hex()) for v in c]
     for _ in range(5):
         raw = sample_user_channel(cfg, rng)
         for ch in (raw, raw.normalized()):
             dirs = ch.directions
+            paths = _path_rows(ch.prv, dirs)[0]
             for lanes in (1, 11):
                 z = rng.uniform(-1.0, 1.0, (lanes, 2))
-                h = _path_sums(z, _path_rows(ch.prv, dirs)[0], dirs)[0]
+                h = [_point_sums(x, y, paths)[0] for x, y in z.tolist()]
                 want = lane_coefficients(lane_phases(z, dirs), ch.prv)
-                assert bits(h) == bits(want)
+                assert bits(h) == bits(want.tolist())
+
+
+@pytest.mark.bitwise
+@pytest.mark.parametrize("num_paths", range(1, 18))
+def test_lane_coefficients_is_a_python_sum_of_complex_products(num_paths):
+    # The arithmetic contract of h: each field response is cmath.rect(1, 2 pi
+    # rho) (a phase of -0 taken as +0), and h is the path-by-path sum from
+    # path 0 of Python's complex products conj(f_l) e_l, on one channel's rows
+    # and on each lane's own. A pairwise, blocked or fused sum fails it. The
+    # origin gives phases of -0 wherever both direction cosines are negative.
+    cfg = ScenarioConfig(paths_per_user=num_paths)
+    rng = np.random.default_rng(700 + num_paths)
+    bits = lambda c: [(v.real.hex(), v.imag.hex()) for v in c]
+    for _ in range(5):
+        channels = [sample_user_channel(cfg, rng) for _ in range(11)]
+        z = np.concatenate((np.zeros((1, 2)), rng.uniform(-1.0, 1.0, (10, 2))))
+        prv = np.array([ch.prv for ch in channels])
+        dirs = np.array([ch.directions for ch in channels])
+        for rows, lane_dirs in ((channels[0].prv, channels[0].directions), (prv, dirs)):
+            rho = lane_phases(z, lane_dirs)
+            e = lane_field_responses(rho).tolist()
+            assert bits(sum(e, [])) == bits(
+                cmath.rect(1.0, 0.0 + TWO_PI * r) for r in rho.ravel().tolist()
+            )
+            lane_rows = np.broadcast_to(rows, rho.shape).tolist()
+            want = [
+                functools.reduce(operator.add, map(operator.mul, np.conj(f).tolist(), el))
+                for f, el in zip(lane_rows, e)
+            ]
+            assert bits(lane_coefficients(rho, rows).tolist()) == bits(want)
 
 
 # Lanes with an exact zero anchor: none, one that is not lane 0, and two.
@@ -182,11 +218,11 @@ _ZERO_ANCHORS = {1: [(), (0,)], 2: [(), (1,), (0, 1)], 11: [(), (5,), (3, 10)]}
 @pytest.mark.parametrize("lanes", [1, 2, 11])
 @pytest.mark.parametrize("num_paths", [1, 2, 3, 8, 9, 17])
 def test_step_kernels_match_the_reference_expressions_bit_for_bit(num_paths, lanes, per_lane):
-    # The phases, path sums, gains, and the step's minorant and Newton point
-    # over lanes give the bits of the independent expressions in
-    # manoma.oracles, on one channel's direction rows and on each lane's own,
-    # and so do the one-lane calls; tobytes keeps the sign of zero apart. The
-    # step acts on path sums alone, so per-lane sums take the first
+    # The phases over lanes, and at each point the scalar path sums, gain,
+    # minorant and Newton point, give the bits of the independent expressions
+    # in manoma.oracles, on one channel and on each lane's own, and so do
+    # the one-point calls; tobytes keeps the sign of zero apart. The Newton
+    # point acts on path sums alone, so per-lane sums take the first
     # channel's curvature.
     cfg = ScenarioConfig(paths_per_user=num_paths)
     rng = np.random.default_rng(1000 * lanes + num_paths)
@@ -197,15 +233,18 @@ def test_step_kernels_match_the_reference_expressions_bit_for_bit(num_paths, lan
         if per_lane:
             prv = np.array([ch.prv for ch in channels])
             dirs = np.array([ch.directions for ch in channels])
-            rows = np.concatenate([_path_rows(ch.prv, ch.directions)[0] for ch in channels], 1)
+            lane_channels = channels
         else:
             prv, dirs = channels[0].prv, channels[0].directions
-            rows = _path_rows(prv, dirs)[0]
+            lane_channels = channels * lanes
         z = rng.uniform(-half, half, (lanes, 2))
         assert bits(lane_phases(z, dirs)) == bits(reference_phases(z, dirs))
-        sums = _path_sums(z, rows, dirs)
-        assert bits(sums.T) == bits(reference_path_sums(z, prv, dirs))
-        h = sums[0]
+        sums = np.array([
+            _point_sums(x, y, _path_rows(ch.prv, ch.directions)[0])
+            for (x, y), ch in zip(z.tolist(), lane_channels)
+        ])
+        assert bits(sums) == bits(reference_path_sums(z, prv, dirs))
+        h = sums[:, 0]
         assert bits(lane_gains(h)) == bits(reference_gains(h))
         want_h = lane_coefficients(lane_phases(z, dirs), prv)
         assert bits(lane_gains(want_h)) == bits(reference_gains(want_h))
@@ -213,7 +252,7 @@ def test_step_kernels_match_the_reference_expressions_bit_for_bit(num_paths, lan
         amplitude_sum = ch.amplitude_sum
         curvature = _path_rows(ch.prv, ch.directions)[1]
         if not per_lane:
-            want_delta, want_grad = reference_minorant(sums.T, amplitude_sum)
+            want_delta, want_grad = reference_minorant(sums, amplitude_sum)
             want_z = reference_newton_step(z, want_delta, want_grad, half)
             for lane, start in enumerate(map(Position, *z.T.tolist())):
                 assert bits(channel_gain(start, ch)) == bits(reference_gains(h)[lane])
@@ -224,9 +263,13 @@ def test_step_kernels_match_the_reference_expressions_bit_for_bit(num_paths, lan
                 assert bits(step) == bits(want_z[lane])
         for zeros in _ZERO_ANCHORS[lanes]:
             anchored = sums.copy()
-            anchored[0, list(zeros)] = 0.0
-            step, delta, grad = _step(z, anchored, curvature, half)
-            want_delta, want_grad = reference_minorant(anchored.T, amplitude_sum)
+            anchored[list(zeros), 0] = 0.0
+            out = np.array([
+                _newton_point(x, y, tuple(point_sums), curvature, half)
+                for (x, y), point_sums in zip(z.tolist(), anchored.tolist())
+            ])
+            step, delta, grad = out[:, :2], out[:, 2], out[:, 3:]
+            want_delta, want_grad = reference_minorant(anchored, amplitude_sum)
             assert bits(delta) == bits(want_delta)
             assert bits(grad) == bits(want_grad)
             assert np.count_nonzero(want_delta == 0.0) == len(zeros)
@@ -236,8 +279,8 @@ def test_step_kernels_match_the_reference_expressions_bit_for_bit(num_paths, lan
 
 @pytest.mark.parametrize("family", ["raw", "unit", "criteria"])
 def test_minorant_matches_the_anchor_form(family):
-    # The engine's one-lane minorant (_path_rows, _path_sums and _step, as
-    # sca_step runs them) against the paper's form: the anchor b =
+    # The engine's minorant at one point (_path_rows, _point_sums and
+    # _newton_point, as sca_step runs them) against the paper's form: the anchor b =
     # coupling_matrix @ field response gives the curvature 8 pi^2 sum |b_l|
     # and the gradient -2 pi sum |b_l| d_l sin(2 pi rho_l - arg b_l). The
     # channels are sampled ones, raw and at unit power, and the acceptance
@@ -256,9 +299,9 @@ def test_minorant_matches_the_anchor_form(family):
             if family == "unit":
                 ch = ch.normalized()
             z = _random_position(rng, span=1.0)
-        rows, curvature = _path_rows(ch.prv, ch.directions)
-        zs = z.as_array()[None]
-        _, delta, grad_engine = _step(zs, _path_sums(zs, rows, ch.directions), curvature, math.inf)
+        paths, curvature = _path_rows(ch.prv, ch.directions)
+        sums = _point_sums(z.x, z.y, paths)
+        _, _, delta, *grad_engine = _newton_point(z.x, z.y, sums, curvature, math.inf)
         b = anchor_vector(z, ch)
         theta, phi = ch.angles.T
         d = np.stack((np.sin(theta) * np.cos(phi), np.cos(theta)))
@@ -266,8 +309,8 @@ def test_minorant_matches_the_anchor_form(family):
         amplitudes = 2 * math.pi * np.abs(b) * d
         grad = -(amplitudes * np.sin(2 * math.pi * rho - np.angle(b))).sum(axis=1)
         atol = 1e-12 * np.abs(amplitudes).sum(axis=1).max()
-        assert_allclose(grad_engine[0], grad, rtol=1e-12, atol=atol)
-        assert_allclose(delta[0], 8 * math.pi**2 * np.abs(b).sum(), rtol=1e-12)
+        assert_allclose(grad_engine, grad, rtol=1e-12, atol=atol)
+        assert_allclose(delta, 8 * math.pi**2 * np.abs(b).sum(), rtol=1e-12)
 
 
 def test_delta_scales_quadratically_with_prv():
@@ -755,6 +798,15 @@ def test_engine_rejects_start_outside_region(lane):
     # Corners within MoveRegion.contains's tolerance are inside.
     corners = np.array([[1.0, -1.0], [-1.0 - 1e-13, 1.0]])
     ascend(_random_channel(np.random.default_rng(36)), MoveRegion(2.0), ScaParams(), corners)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (0, 2), (3,), (1, 2, 2), ()])
+def test_engine_rejects_starts_of_any_other_shape(shape):
+    # A (2, 3) array used to run as three scrambled starts, (0, 2) as an
+    # empty ascent, and (3,) failed inside a reshape.
+    ch = _random_channel(np.random.default_rng(36))
+    with pytest.raises(ValueError, match=r"^starts must have shape \(2,\) or \(lanes, 2\)"):
+        ascend(ch, MoveRegion(2.0), ScaParams(), np.zeros(shape))
 
 
 # --- grid oracle ---
