@@ -6,27 +6,23 @@ the complex channel coefficient is a function of the 2-D antenna position.
 All lengths are measured in carrier wavelengths (the physics depends only
 on position/wavelength, so the wavelength is normalized to 1 throughout).
 
-lane_phases(xy, dirs), lane_field_responses, lane_coefficients and
-lane_gains compute each channel quantity over lanes (rows of positions, each
-with its own channel's rows or all with one channel's): dirs is one
-channel's (2, paths) direction rows or each lane's (lanes, 2, paths). The
-scalar helpers field_response_vector, channel_coefficient and channel_gain
-are their one-lane calls. lane_coefficients spells h in real products summed
-path by path, the arithmetic of Python's complex numbers, so the
-positioner's scalar loop computes the same h bit for bit, and no bit of h
-depends on numpy's CPU dispatch or BLAS.
+field_response_vector, channel_coefficient and channel_gain are the one
+definition of the channel at a point, in Python's complex arithmetic: e_l =
+cmath.rect(1, 2 pi rho_l), h = sum_l conj(f_l) e_l summed path by path from
+-0, and the gain hr*hr + hi*hi. The positioner's scalar loop computes the
+same h bit for bit, and no bit of h depends on numpy's CPU dispatch or BLAS.
 """
 
 from __future__ import annotations
 
 import copy
 import math
+from cmath import rect
 from dataclasses import dataclass
 
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
-_J_TWO_PI = 1j * TWO_PI  # the factor of every field response exp(j*2*pi*rho)
 
 
 class DegenerateChannelError(ValueError):
@@ -143,48 +139,12 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def lane_phases(xy: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """Per-path travel distances rho (lanes, paths) of (lanes, 2) positions:
-    x d_x + y d_y, with dirs one channel's (2, paths) direction rows or each
-    lane's own (lanes, 2, paths). Both products come from one broadcast."""
-    t = xy[:, :, None] * dirs
-    return t[:, 0] + t[:, 1]
-
-
-def lane_field_responses(rho: np.ndarray) -> np.ndarray:
-    """Unit-modulus field responses exp(j*2*pi*rho) of (lanes, paths) phases."""
-    return np.exp(_J_TWO_PI * rho)
-
-
-def lane_coefficients(rho: np.ndarray, prv: np.ndarray) -> np.ndarray:
-    """Conjugated path responses times each lane's field responses, summed
-    over paths: h = sum_l conj(f_l) e_l for (lanes, paths) phases, with prv
-    one channel's (paths,) or each lane's (lanes, paths).
-
-    Each product is spelled in real products, (ac + bd) + j(ad - bc) for
-    f = a + jb and e = c + jd, and each sum runs path by path from path 0
-    (np.add.accumulate). That is the arithmetic of Python's complex numbers,
-    so the positioner's scalar loop gives these bits, and it uses neither
-    numpy's complex multiply nor np.vecdot, whose last bits depend on the
-    CPU (fused multiply-adds, BLAS kernels).
-    """
-    e = lane_field_responses(rho)
-    a, b = prv.real, prv.imag
-    c, d = e.real, e.imag
-    h = np.empty(e.shape[:-1], dtype=complex)
-    h.real = np.add.accumulate(a * c + b * d, axis=-1)[..., -1]
-    h.imag = np.add.accumulate(a * d - b * c, axis=-1)[..., -1]
-    return h
-
-
-def lane_gains(h: np.ndarray) -> np.ndarray:
-    """Squared modulus of every lane's channel coefficient."""
-    re, im = h.real, h.imag
-    return re * re + im * im
-
-
-def _phases_at(z: Position, ch: UserChannel) -> np.ndarray:
-    return lane_phases(z.as_array()[None], ch.directions)
+def _field_responses(z: Position, ch: UserChannel) -> list[complex]:
+    """exp(j*2*pi*rho_l) per path as cmath.rect(1, t); the 0.0 + turns a
+    phase of -0 into +0."""
+    x, y = z.x, z.y
+    dirs = ch.directions.tolist()
+    return [rect(1.0, 0.0 + TWO_PI * (x * dx + y * dy)) for dx, dy in zip(*dirs)]
 
 
 def field_response_vector(z: Position, ch: UserChannel) -> np.ndarray:
@@ -192,18 +152,27 @@ def field_response_vector(z: Position, ch: UserChannel) -> np.ndarray:
 
     Entry p is exp(j*2*pi*rho_p(z)); at the origin it is the all-ones vector.
     """
-    return lane_field_responses(_phases_at(z, ch))[0]
+    return np.array(_field_responses(z, ch))
 
 
 def channel_coefficient(z: Position, ch: UserChannel) -> complex:
-    """Complex channel response: conjugated path responses dotted with the
-    field-response vector at z."""
-    return complex(lane_coefficients(_phases_at(z, ch), ch.prv)[0])
+    """Complex channel response h = sum_l conj(f_l) e_l at z.
+
+    Each product is Python's complex product and the sum runs path by path
+    from -0, the identity of IEEE addition, so it is path 0's product plus
+    path 1's and so on. Python's complex multiply is textbook real products,
+    with no fused multiply-add, so no bit depends on the CPU.
+    """
+    h = complex(-0.0, -0.0)
+    for f, e in zip(ch.prv.tolist(), _field_responses(z, ch)):
+        h += f.conjugate() * e
+    return h
 
 
 def channel_gain(z: Position, ch: UserChannel) -> float:
     """Squared modulus of the channel coefficient at z."""
-    return float(lane_gains(lane_coefficients(_phases_at(z, ch), ch.prv))[0])
+    h = channel_coefficient(z, ch)
+    return h.real * h.real + h.imag * h.imag
 
 
 def sample_user_channel(cfg, rng: np.random.Generator) -> UserChannel:

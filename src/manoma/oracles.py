@@ -8,13 +8,15 @@ quantity the pipeline computes faster:
   reference_minorant and reference_newton_step spell out the ascent's step
   over lanes in numpy (one broadcast per coordinate, a loop over paths for
   the path sums, np.hypot for |h|, the zero-curvature mask built on every
-  step), a third form beside the positioner's scalar loop and
-  channel.lane_coefficients' accumulate, against which both must agree bit
-  for bit; minorant_at is their one-lane call, the curvature bound and
-  surrogate gradient at one point;
+  step), the numpy form of the channel's and the positioner's scalar
+  arithmetic, against which both must agree bit for bit; minorant_at is
+  their one-lane call, the curvature bound and surrogate gradient at one
+  point;
 - coupling_matrix, anchor_vector, surrogate_value and quadratic_surrogate
   are the paper-form surrogates, against the ascent's minorant kernel;
-- grid_oracle is an exhaustive position search, against the ascent;
+- grid_oracle is an exhaustive position search, against the ascent; it
+  scores its grid by reference_path_sums, so its gain is channel_gain at
+  the point it returns, bit for bit;
 - fixed_order_lp_powers and brute_force_allocation solve the power problem
   as linear programs, per decoding order and over all orders, against the
   closed-form power control;
@@ -39,9 +41,6 @@ from manoma.channel import (
     UserChannel,
     channel_coefficient,
     field_response_vector,
-    lane_coefficients,
-    lane_gains,
-    lane_phases,
 )
 from manoma.noma import (
     NomaSolution,
@@ -196,7 +195,7 @@ def grid_oracle(
         if ticks[-1] < half - 1e-12 * max(half, 1.0):
             ticks = np.concatenate((ticks, [half]))
     points = np.stack([axis.ravel() for axis in np.meshgrid(ticks, ticks, indexing="ij")], 1)
-    gains = lane_gains(lane_coefficients(lane_phases(points, ch.directions), ch.prv))
+    gains = reference_gains(reference_path_sums(points, ch.prv, ch.directions)[:, 0])
     best = int(np.argmax(gains))
     return Position(float(points[best, 0]), float(points[best, 1])), float(gains[best])
 

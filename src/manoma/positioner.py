@@ -17,22 +17,21 @@ response and d_l its delay sensitivities. Three sums over paths of the
 conjugated rows [f, -2 pi f d_x, -2 pi f d_y] times e_l thus give h and the
 whole minorant.
 
-One engine, ascend, runs the loop on Python floats and complex numbers: the
-starts run one after another, and a step calls no numpy function. Once per
-call, _path_rows builds the channel's per-path rows and the curvature factor
-in numpy; each step then runs _point_sums (the three path sums at one point)
-and _newton_point (the minorant and its clamped Newton point). Their
-arithmetic is the one channel.lane_coefficients spells in numpy: e_l =
-exp(j 2 pi rho_l), textbook real products, sums taken path by path from path
-0, |h| by hypot. So h is bit for bit the channel's coefficient, and no step
-depends on numpy's CPU dispatch or BLAS (the per-call setup still uses
-numpy's complex abs). Each start is an ascent of its own: at the default 5
-paths one took about 0.3 ms, about 115 steps of 2.5 us, on a 2-core Intel
-Xeon VM, so multistart = 10 costs about eleven single starts. sca_step is
-the one-step call of the same helpers.
-ascend checks its starts against the region and then the channel's energy,
-so optimize_position and sca_trajectory keep no checks of their own;
-sca_step makes the same energy check.
+The loop runs on Python floats and complex numbers, and a step calls no
+numpy function. Once per call, _checked_rows checks the starts against the
+region and then the channel's energy, and _path_rows builds the unit-power
+channel's per-path rows and curvature factor in numpy. _ascent runs one
+start: each step takes _point_sums (the three path sums at one point) and
+_newton_point (the minorant and its clamped Newton point). ascend runs every
+start through _ascent, one after another, sca_trajectory runs one start and
+keeps its iterates, and sca_step is one step of the same helpers, with the
+same energy check. The arithmetic is the channel's: e_l = cmath.rect(1, 2 pi
+rho_l), Python's complex products summed path by path from path 0, |h| by
+hypot. So h is bit for bit channel.channel_coefficient, and no step depends
+on numpy's CPU dispatch or BLAS (the per-call setup still uses numpy's
+complex abs). At the default 5 paths one start took about 0.3 ms, about 115
+steps of 2.5 us, on a 2-core Intel Xeon VM, so multistart = 10 costs about
+eleven single starts.
 """
 
 from __future__ import annotations
@@ -111,14 +110,12 @@ def _path_rows(prv: np.ndarray, dirs: np.ndarray) -> tuple[tuple, float]:
 
 def _point_sums(x: float, y: float, paths: tuple) -> tuple[complex, complex, complex]:
     """The rows of paths times the field responses e_l at (x, y), each summed
-    over paths: h, as lane_coefficients returns it, and -2 pi sum d_l conj(f_l)
-    e_l per axis.
+    over paths: h, as channel.channel_coefficient returns it, and -2 pi sum
+    d_l conj(f_l) e_l per axis.
 
-    e_l is cmath.rect(1, t), bit for bit numpy's exp(j 2 pi rho_l); the 0.0 +
-    turns a phase of -0 into +0, as the imaginary part of numpy's product j 2
-    pi rho does. The sums start from -0, the identity of IEEE addition, so
-    each is path 0's product plus path 1's and so on, as np.add.accumulate
-    sums them.
+    e_l is cmath.rect(1, t) as the channel takes it; the 0.0 + turns a phase
+    of -0 into +0. The sums start from -0, the identity of IEEE addition, so
+    each is path 0's product plus path 1's and so on.
     """
     h = sx = sy = _NEG_ZERO
     for dx, dy, c0, c1, c2 in paths:
@@ -177,12 +174,70 @@ def sca_step(z_ref: Position, ch: UserChannel, region: MoveRegion) -> Position:
     return Position(x, y)
 
 
+def _checked_rows(
+    ch: UserChannel, region: MoveRegion, starts
+) -> tuple[list, tuple, float, float]:
+    """The starts as [x, y] lists, and the unit-power channel's path rows,
+    curvature factor and power, after the checks of ascend's docstring."""
+    z = np.array(starts, dtype=float)
+    if z.shape != (2,) and (z.ndim != 2 or z.shape[1] != 2 or len(z) == 0):
+        raise ValueError(
+            f"starts must have shape (2,) or (lanes, 2) with at least one lane, got {z.shape}"
+        )
+    points = z.reshape(-1, 2).tolist()
+    for start in (Position(x, y) for x, y in points):
+        if not region.contains(start):
+            raise ValueError(f"initial position {start} lies outside the region")
+    power = _energy(ch)
+    paths, curvature = _path_rows(ch.prv / math.sqrt(power), ch.directions)
+    return points, paths, curvature, power
+
+
+def _ascent(
+    x: float,
+    y: float,
+    paths: tuple,
+    curvature: float,
+    half: float,
+    params: ScaParams,
+    trace: list | None = None,
+) -> tuple[float, float, float, int]:
+    """One start's ascent on the rows of _path_rows, each iterate's path
+    sums giving its gain and its next step. It stops once the gain improves
+    by less than the threshold (the accepted step is kept), when a step
+    would lower the gain (the step is dropped; this guards floating-point
+    edge cases), or at the iteration cap. Returns the final x, y, gain and
+    step count; a trace list gets the start and every accepted iterate as
+    (x, y, gain)."""
+    threshold = params.threshold
+    last = params.max_iterations
+    sums = _point_sums(x, y, paths)
+    h = sums[0]
+    gain = h.real * h.real + h.imag * h.imag
+    if trace is not None:
+        trace.append((x, y, gain))
+    for i in range(1, last + 1):
+        x_new, y_new, _, _, _ = _newton_point(x, y, sums, curvature, half)
+        sums_new = _point_sums(x_new, y_new, paths)
+        h = sums_new[0]
+        gain_new = h.real * h.real + h.imag * h.imag
+        increase = gain_new - gain
+        if increase < 0.0:
+            return x, y, gain, i - 1
+        x, y, sums, gain = x_new, y_new, sums_new, gain_new
+        if trace is not None:
+            trace.append((x, y, gain))
+        # threshold >= 0, so a zero increase stops the start at any
+        # threshold, and threshold 0 stops on nothing else.
+        if increase < threshold or increase == 0.0 or i == last:
+            return x, y, gain, i
+
+
 def ascend(
     ch: UserChannel,
     region: MoveRegion,
     params: ScaParams,
     starts: np.ndarray,
-    history: list | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run the ascent from every start, one start after another.
 
@@ -197,67 +252,14 @@ def ascend(
     increase of the unit-power gain at any channel scale. Reported gains are
     the unit-power gains times the channel's power.
 
-    Every lane takes the steps sca_step takes from its start on the
-    unit-power channel, and each iterate's path sums give its gain and its
-    next step. A lane stops once its gain improves by less than the threshold
-    (the accepted step is kept), when a step would lower its gain (the step
-    is dropped; this guards floating-point edge cases), or at the iteration
-    cap. Lanes share nothing but the channel's rows, so no lane depends on
-    which others run beside it.
-
-    Returns the final positions (lanes, 2), gains (lanes,) and iteration
-    counts (lanes,). When history is a list, one (iteration, lanes,
-    positions, gains) entry is appended per step up to the last step any lane
-    takes, holding the lanes whose step was accepted; iteration 0 holds the
-    starts.
+    Every start takes the steps sca_step takes on the unit-power channel,
+    on its own, so no start depends on which others run beside it. Returns
+    the final positions (lanes, 2), gains (lanes,) and iteration counts
+    (lanes,).
     """
-    z = np.array(starts, dtype=float)
-    if z.shape != (2,) and (z.ndim != 2 or z.shape[1] != 2 or len(z) == 0):
-        raise ValueError(
-            f"starts must have shape (2,) or (lanes, 2) with at least one lane, got {z.shape}"
-        )
-    points = z.reshape(-1, 2).tolist()
-    for start in (Position(x, y) for x, y in points):
-        if not region.contains(start):
-            raise ValueError(f"initial position {start} lies outside the region")
-    power = _energy(ch)
-    paths, curvature = _path_rows(ch.prv / math.sqrt(power), ch.directions)
+    points, paths, curvature, power = _checked_rows(ch, region, starts)
     half = region.half
-    threshold = params.threshold
-    last = params.max_iterations
-
-    finals = []
-    traces = []
-    for x, y in points:
-        sums = _point_sums(x, y, paths)
-        h = sums[0]
-        gain = h.real * h.real + h.imag * h.imag
-        trace = [(x, y, gain)]
-        for i in range(1, last + 1):
-            x_new, y_new, _, _, _ = _newton_point(x, y, sums, curvature, half)
-            sums_new = _point_sums(x_new, y_new, paths)
-            h = sums_new[0]
-            gain_new = h.real * h.real + h.imag * h.imag
-            increase = gain_new - gain
-            if increase < 0.0:
-                finals.append((x, y, gain, i - 1))
-                break
-            x, y, sums, gain = x_new, y_new, sums_new, gain_new
-            if history is not None:
-                trace.append((x, y, gain))
-            # threshold >= 0, so a zero increase stops the lane at any
-            # threshold, and threshold 0 stops on nothing else.
-            if increase < threshold or increase == 0.0 or i == last:
-                finals.append((x, y, gain, i))
-                break
-        if history is not None:
-            traces.append((trace, i))
-    if history is not None:
-        for i in range(max(steps for _, steps in traces) + 1):
-            kept = [(lane, trace[i]) for lane, (trace, _) in enumerate(traces) if i < len(trace)]
-            lanes = np.array([lane for lane, _ in kept], dtype=int)
-            xyg = np.array([state for _, state in kept]).reshape(-1, 3)
-            history.append((i, lanes, xyg[:, :2], xyg[:, 2] * power))
+    finals = [_ascent(x, y, paths, curvature, half, params) for x, y in points]
     x, y, gain, iterations = zip(*finals)
     return np.column_stack((x, y)), np.array(gain) * power, np.array(iterations)
 
@@ -274,14 +276,15 @@ def sca_trajectory(
     surrogate maximization re-anchored at the previous point. Stops once the
     true gain improves by less than the threshold (the accepted step is still
     recorded) or the iteration cap is reached. The gain sequence is
-    non-decreasing by construction. This is the one-lane case of ascend.
+    non-decreasing by construction. This is ascend's loop on one start, with
+    ascend's checks and gains.
     """
-    history: list = []
-    ascend(ch, region, params, init.as_array(), history)
+    [(x, y)], paths, curvature, power = _checked_rows(ch, region, init.as_array())
+    trace: list = []
+    _ascent(x, y, paths, curvature, region.half, params, trace)
     return [
-        ScaState(current=Position(float(z[0, 0]), float(z[0, 1])), gain=float(g[0]), iteration=i)
-        for i, lanes, z, g in history
-        if len(lanes)
+        ScaState(current=Position(x, y), gain=gain * power, iteration=i)
+        for i, (x, y, gain) in enumerate(trace)
     ]
 
 

@@ -8,11 +8,11 @@ every user could be phase-aligned simultaneously (UPPER-BOUND).
 
 One pipeline serves every entry point, in stages. `draw_users` spawns one
 child stream per user, samples every user's channel, positions every
-antenna, and takes every gain there and at the region center in one lane
-call, into one record of arrays with a row per user. `_realization_table`
-computes the five scheme rates on one draw of the largest user count for
-every (user count, power cap) pair, a smaller count on the first rows, and
-knows no sweep axis.
+antenna, and takes every gain there and at the region center by
+`channel_gain`, into one record of arrays with a row per user.
+`_realization_table` computes the five scheme rates on one draw of the
+largest user count for every (user count, power cap) pair, a smaller count
+on the first rows, and knows no sweep axis.
 `sweep_power` and `sweep_users` check their points before any draw, by
 the one rule per axis (`power_points`, `user_counts`), and aggregate the
 realizations into `SweepRow`s. A one-point `sweep_power` at the config's
@@ -35,9 +35,7 @@ from functools import partial
 
 import numpy as np
 
-from manoma.channel import (
-    MoveRegion, Position, lane_coefficients, lane_gains, lane_phases, sample_user_channel,
-)
+from manoma.channel import MoveRegion, Position, channel_gain, sample_user_channel
 from manoma.noma import GAIN_FLOOR, RateRequirement, aligned_sum_rate, oma_sum_rate, solve
 from manoma.positioner import ScaParams, optimize_position
 
@@ -150,12 +148,9 @@ def _check_finite_mw(name: str, dbm: float) -> None:
 
 @dataclass(frozen=True, eq=False)
 class DrawSet:
-    """One draw set, row k for user k: raw path responses (users, paths) and
-    directions (users, 2, paths) as UserChannel holds them, positions (users,
-    2), and the raw gains there, at the region center and aligned (users,)."""
+    """One draw set, row k for user k: positions (users, 2), and the raw
+    gains there, at the region center and aligned (users,)."""
 
-    prv: np.ndarray
-    directions: np.ndarray
     positions: np.ndarray
     ma_gains: np.ndarray
     fpa_gains: np.ndarray
@@ -165,31 +160,32 @@ class DrawSet:
 def draw_users(cfg: ScenarioConfig, index: int, count: int) -> DrawSet:
     """The first `count` users of realization `index`, antennas positioned.
 
-    The realization's generator depends on (cfg.seed, index) only, so worker
+    index and count must be integers of at least 0, other than bools. The
+    realization's generator depends on (cfg.seed, index) only, so worker
     scheduling cannot change a draw. Each user then gets its own child
     stream, which makes user k's draw independent of how many users follow:
     a smaller count is an exact prefix of a larger one. A stream draws its
     user's channel and then the multistart starts, so running each stage
-    over all users before the next changes no draw.
+    over all users before the next changes no draw. The gains are
+    channel_gain at each user's position and at the center, and the aligned
+    amplitude sums UserChannel.amplitude_sum.
     """
+    for name, value in (("index", index), ("count", count)):
+        if not (_is_integer(value) and value >= 0):
+            raise ValueError(f"{name} must be an integer of at least 0, got {value!r}")
     streams = np.random.default_rng(np.random.SeedSequence((cfg.seed, index))).spawn(count)
     channels = [sample_user_channel(cfg, rng) for rng in streams]
     region, origin = MoveRegion(cfg.region_side), Position(0.0, 0.0)
-    positions = np.array([
-        optimize_position(ch, region, cfg.sca, origin, rng=rng)[0].as_array()
+    placed = [
+        optimize_position(ch, region, cfg.sca, origin, rng=rng)[0]
         for ch, rng in zip(channels, streams)
-    ]).reshape(count, 2)
-    paths = cfg.paths_per_user
-    prv = np.array([ch.prv for ch in channels]).reshape(count, paths)
-    directions = np.array([ch.directions for ch in channels]).reshape(count, 2, paths)
-    # One lane per user at its position, then one per user at the center.
-    rho = lane_phases(
-        np.concatenate((positions, np.zeros_like(positions))),
-        np.concatenate((directions, directions)),
+    ]
+    return DrawSet(
+        np.array([(z.x, z.y) for z in placed]).reshape(count, 2),
+        np.array([channel_gain(z, ch) for z, ch in zip(placed, channels)]),
+        np.array([channel_gain(origin, ch) for ch in channels]),
+        np.array([ch.amplitude_sum for ch in channels]),
     )
-    gains = lane_gains(lane_coefficients(rho, np.concatenate((prv, prv))))
-    sums = np.sum(np.abs(prv), axis=1)
-    return DrawSet(prv, directions, positions, gains[:count], gains[count:], sums)
 
 
 def _scheme_rates(draws: DrawSet, k: int, r_min: float, p_max_values, noise: float) -> np.ndarray:
@@ -280,18 +276,23 @@ def _reject_bool(name: str, value) -> None:
         raise ValueError(f"{name} must be a number, not a bool, got {value}")
 
 
-def _numbers(axis: str, values) -> list:
-    """An axis's values as a list, rejecting bools."""
-    values = list(values)
+def _numbers(axis: str, values) -> list[float]:
+    """An axis's values as floats, rejecting bools and numbers too large for
+    a float."""
+    points = []
     for v in values:
         _reject_bool(axis, v)
-    return values
+        try:
+            points.append(float(v))
+        except OverflowError:
+            raise ValueError(f"{axis} must fit in a float, got a larger number") from None
+    return points
 
 
 def power_points(values) -> list[float]:
     """The power axis's rule: at least one point, each a number other than a
     bool and finite in dBm and in mW, as cfg.p_max_dbm must be."""
-    points = [float(v) for v in _numbers("power point", values)]
+    points = _numbers("power point", values)
     if not points:
         raise ValueError("at least one power value is required")
     for point in points:
@@ -303,7 +304,7 @@ def user_counts(values) -> list[int]:
     """The user axis's rule: at least one count, each an integer of at least
     1 other than a bool; 4.0 is the count 4, and 2.5 is rejected, not
     truncated."""
-    counts = [float(k) for k in _numbers("user count", values)]
+    counts = _numbers("user count", values)
     if not counts:
         raise ValueError("at least one user count is required")
     for k in counts:

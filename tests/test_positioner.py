@@ -13,11 +13,9 @@ from manoma.channel import (
     MoveRegion,
     Position,
     UserChannel,
+    channel_coefficient,
     channel_gain,
-    lane_coefficients,
-    lane_field_responses,
-    lane_gains,
-    lane_phases,
+    field_response_vector,
     sample_user_channel,
 )
 from manoma.oracles import (
@@ -160,53 +158,47 @@ def test_delta_hand_value():
 
 @pytest.mark.bitwise
 @pytest.mark.parametrize("num_paths", range(1, 18))
-def test_path_sums_coefficient_is_lane_coefficients_bit_for_bit(num_paths):
+def test_path_sums_coefficient_is_channel_coefficient_bit_for_bit(num_paths):
     # The first path sum of the scalar point evaluation is the channel
-    # coefficient h the channel kernel computes, at one point and at eleven,
-    # raw and at unit power; hex keeps the sign of zero apart.
+    # coefficient h the channel computes, at one point and at eleven, raw
+    # and at unit power; hex keeps the sign of zero apart.
     cfg = ScenarioConfig(paths_per_user=num_paths)
     rng = np.random.default_rng(40 + num_paths)
     bits = lambda c: [(v.real.hex(), v.imag.hex()) for v in c]
     for _ in range(5):
         raw = sample_user_channel(cfg, rng)
         for ch in (raw, raw.normalized()):
-            dirs = ch.directions
-            paths = _path_rows(ch.prv, dirs)[0]
+            paths = _path_rows(ch.prv, ch.directions)[0]
             for lanes in (1, 11):
-                z = rng.uniform(-1.0, 1.0, (lanes, 2))
-                h = [_point_sums(x, y, paths)[0] for x, y in z.tolist()]
-                want = lane_coefficients(lane_phases(z, dirs), ch.prv)
-                assert bits(h) == bits(want.tolist())
+                z = rng.uniform(-1.0, 1.0, (lanes, 2)).tolist()
+                h = [_point_sums(x, y, paths)[0] for x, y in z]
+                want = [channel_coefficient(Position(x, y), ch) for x, y in z]
+                assert bits(h) == bits(want)
 
 
 @pytest.mark.bitwise
 @pytest.mark.parametrize("num_paths", range(1, 18))
-def test_lane_coefficients_is_a_python_sum_of_complex_products(num_paths):
+def test_channel_coefficient_is_a_python_sum_of_complex_products(num_paths):
     # The arithmetic contract of h: each field response is cmath.rect(1, 2 pi
     # rho) (a phase of -0 taken as +0), and h is the path-by-path sum from
-    # path 0 of Python's complex products conj(f_l) e_l, on one channel's rows
-    # and on each lane's own. A pairwise, blocked or fused sum fails it. The
-    # origin gives phases of -0 wherever both direction cosines are negative.
+    # path 0 of Python's complex products conj(f_l) e_l, for every channel
+    # at every point. A pairwise, blocked or fused sum fails it. The origin
+    # gives phases of -0 wherever both direction cosines are negative.
     cfg = ScenarioConfig(paths_per_user=num_paths)
     rng = np.random.default_rng(700 + num_paths)
     bits = lambda c: [(v.real.hex(), v.imag.hex()) for v in c]
     for _ in range(5):
         channels = [sample_user_channel(cfg, rng) for _ in range(11)]
         z = np.concatenate((np.zeros((1, 2)), rng.uniform(-1.0, 1.0, (10, 2))))
-        prv = np.array([ch.prv for ch in channels])
-        dirs = np.array([ch.directions for ch in channels])
-        for rows, lane_dirs in ((channels[0].prv, channels[0].directions), (prv, dirs)):
-            rho = lane_phases(z, lane_dirs)
-            e = lane_field_responses(rho).tolist()
-            assert bits(sum(e, [])) == bits(
-                cmath.rect(1.0, 0.0 + TWO_PI * r) for r in rho.ravel().tolist()
-            )
-            lane_rows = np.broadcast_to(rows, rho.shape).tolist()
-            want = [
-                functools.reduce(operator.add, map(operator.mul, np.conj(f).tolist(), el))
-                for f, el in zip(lane_rows, e)
-            ]
-            assert bits(lane_coefficients(rho, rows).tolist()) == bits(want)
+        for ch in channels:
+            rho = reference_phases(z, ch.directions).tolist()
+            for (x, y), point_rho in zip(z.tolist(), rho):
+                point = Position(x, y)
+                e = [cmath.rect(1.0, 0.0 + TWO_PI * r) for r in point_rho]
+                assert bits(field_response_vector(point, ch).tolist()) == bits(e)
+                products = map(operator.mul, np.conj(ch.prv).tolist(), e)
+                want = functools.reduce(operator.add, products)
+                assert bits([channel_coefficient(point, ch)]) == bits([want])
 
 
 # Lanes with an exact zero anchor: none, one that is not lane 0, and two.
@@ -218,10 +210,10 @@ _ZERO_ANCHORS = {1: [(), (0,)], 2: [(), (1,), (0, 1)], 11: [(), (5,), (3, 10)]}
 @pytest.mark.parametrize("lanes", [1, 2, 11])
 @pytest.mark.parametrize("num_paths", [1, 2, 3, 8, 9, 17])
 def test_step_kernels_match_the_reference_expressions_bit_for_bit(num_paths, lanes, per_lane):
-    # The phases over lanes, and at each point the scalar path sums, gain,
-    # minorant and Newton point, give the bits of the independent expressions
-    # in manoma.oracles, on one channel and on each lane's own, and so do
-    # the one-point calls; tobytes keeps the sign of zero apart. The Newton
+    # At each point the scalar path sums, gain, minorant and Newton point
+    # give the bits of the independent expressions in manoma.oracles, on one
+    # channel and on each lane's own, and so do the one-point calls; tobytes
+    # keeps the sign of zero apart. The Newton
     # point acts on path sums alone, so per-lane sums take the first
     # channel's curvature.
     cfg = ScenarioConfig(paths_per_user=num_paths)
@@ -238,16 +230,12 @@ def test_step_kernels_match_the_reference_expressions_bit_for_bit(num_paths, lan
             prv, dirs = channels[0].prv, channels[0].directions
             lane_channels = channels * lanes
         z = rng.uniform(-half, half, (lanes, 2))
-        assert bits(lane_phases(z, dirs)) == bits(reference_phases(z, dirs))
         sums = np.array([
             _point_sums(x, y, _path_rows(ch.prv, ch.directions)[0])
             for (x, y), ch in zip(z.tolist(), lane_channels)
         ])
         assert bits(sums) == bits(reference_path_sums(z, prv, dirs))
         h = sums[:, 0]
-        assert bits(lane_gains(h)) == bits(reference_gains(h))
-        want_h = lane_coefficients(lane_phases(z, dirs), prv)
-        assert bits(lane_gains(want_h)) == bits(reference_gains(want_h))
         ch = channels[0]
         amplitude_sum = ch.amplitude_sum
         curvature = _path_rows(ch.prv, ch.directions)[1]
@@ -844,8 +832,8 @@ def test_grid_oracle_step_validation():
 
 @pytest.mark.bitwise
 def test_grid_oracle_gain_is_channel_gain_at_its_point():
-    # The oracle evaluates its grid through the same phase and coefficient
-    # kernels as channel_gain, so its reported gain is that gain, bit for bit.
+    # The oracle scores its grid by reference_path_sums, whose h is
+    # channel_coefficient's bit for bit, so its reported gain is channel_gain.
     cfg = ScenarioConfig()
     region = MoveRegion(cfg.region_side)
     rng = np.random.default_rng(0)
@@ -853,6 +841,20 @@ def test_grid_oracle_gain_is_channel_gain_at_its_point():
         ch = sample_user_channel(cfg, rng).normalized()
         pos, gain = grid_oracle(ch, region, step=0.05)
         assert float(gain).hex() == float(channel_gain(pos, ch)).hex()
+
+
+@pytest.mark.bitwise
+@pytest.mark.parametrize("num_paths", [1, 5, 17])
+def test_grid_oracle_gain_is_channel_gain_at_any_path_count(num_paths):
+    # Raw sampled channels at 1, 5 and 17 paths: the gain grid_oracle scores
+    # by reference_path_sums is channel_gain at the point it returns.
+    cfg = ScenarioConfig(paths_per_user=num_paths)
+    region = MoveRegion(cfg.region_side)
+    rng = np.random.default_rng(60 + num_paths)
+    for _ in range(20):
+        ch = sample_user_channel(cfg, rng)
+        pos, gain = grid_oracle(ch, region, step=0.05)
+        assert gain.hex() == channel_gain(pos, ch).hex()
 
 
 def test_multistart_tracks_grid_oracle():

@@ -8,14 +8,7 @@ from numpy.testing import assert_allclose
 import manoma
 import manoma.noma as noma
 import manoma.sim as sim
-from manoma.channel import (
-    Position,
-    UserChannel,
-    channel_gain,
-    lane_coefficients,
-    lane_gains,
-    lane_phases,
-)
+from manoma.channel import Position, UserChannel, channel_gain
 from manoma.noma import RateRequirement, aligned_sum_rate, solve
 from manoma.positioner import ScaParams
 from manoma.sim import (
@@ -253,8 +246,8 @@ def test_draw_users_samples_every_channel_before_positioning(monkeypatch):
 @pytest.mark.bitwise
 @pytest.mark.parametrize("num_users,paths", [(1, 1), (6, 5), (32, 5), (8, 17)])
 def test_draw_set_matches_per_user_channel_gain_bitwise(monkeypatch, num_users, paths):
-    # draw_users takes every gain in one lane call over all users at their
-    # positions and at the center; each must be the per-user scalar result.
+    # draw_users takes every user's gain at its position and at the center
+    # and its amplitude sum from the user's own channel, bit for bit.
     channels, positions = [], []
 
     def sample_spy(*args, _fn=sim.sample_user_channel):
@@ -270,8 +263,6 @@ def test_draw_set_matches_per_user_channel_gain_bitwise(monkeypatch, num_users, 
     monkeypatch.setattr(sim, "optimize_position", position_spy)
     draws = draw_users(ScenarioConfig(num_users=num_users, paths_per_user=paths), 0, num_users)
     assert draws.positions.tolist() == [[z.x, z.y] for z in positions]
-    assert np.array_equal(draws.prv, [ch.prv for ch in channels])
-    assert np.array_equal(draws.directions, [ch.directions for ch in channels])
     origin = Position(0.0, 0.0)
     assert draws.ma_gains.tolist() == [
         channel_gain(Position(*draws.positions[k]), ch) for k, ch in enumerate(channels)
@@ -309,9 +300,26 @@ def test_sweep_calls_the_traced_layers_once_per_instance(monkeypatch):
 
 def test_draw_users_of_no_users_is_an_empty_record():
     draws = draw_users(_small_cfg(), 0, 0)
-    assert draws.prv.shape == (0, 3) and draws.directions.shape == (0, 2, 3)
     assert draws.positions.shape == (0, 2)
     assert draws.ma_gains.shape == draws.fpa_gains.shape == draws.amplitude_sums.shape == (0,)
+
+
+@pytest.mark.parametrize(
+    "index, count, name",
+    [(-1, 2, "index"), (1.0, 2, "index"), (True, 2, "index"),
+     (0, -1, "count"), (0, 2.0, "count"), (0, np.True_, "count")],
+    ids=["index-1", "index1.0", "indexTrue", "count-1", "count2.0", "countnp.True_"],
+)
+def test_draw_users_rejects_bad_index_and_count(index, count, name):
+    # Each used to reach numpy's seeding or spawn and fail there, with an
+    # OverflowError, a TypeError or a message naming neither argument.
+    with pytest.raises(ValueError, match=f"^{name} must be an integer of at least 0, got "):
+        draw_users(_small_cfg(), index, count)
+
+
+def test_run_realization_rejects_a_negative_index():
+    with pytest.raises(ValueError, match="^index must be an integer of at least 0, got -1"):
+        run_realization(_small_cfg(), -1)
 
 
 def test_realization_deterministic():
@@ -363,11 +371,18 @@ def test_per_realization_scheme_ordering():
     assert checked_noma >= 10
 
 
-def test_gain_first_pipeline_beats_random_positions():
+def test_gain_first_pipeline_beats_random_positions(monkeypatch):
     # Decoupling check: optimizing each user's gain first is never worse
     # than any alternative position set with powers re-optimized.
     from manoma.channel import MoveRegion
 
+    channels = []
+
+    def sample_spy(*args, _fn=sim.sample_user_channel):
+        channels.append(_fn(*args))
+        return channels[-1]
+
+    monkeypatch.setattr(sim, "sample_user_channel", sample_spy)
     cfg = _small_cfg(sca=ScaParams(multistart=8))
     region = MoveRegion(cfg.region_side)
     noise = dbm_to_mw(cfg.noise_dbm)
@@ -375,13 +390,14 @@ def test_gain_first_pipeline_beats_random_positions():
     reqs = [RateRequirement(cfg.r_min)] * cfg.num_users
     compared = 0
     for r in range(10):
+        channels.clear()
         draws = draw_users(cfg, r, cfg.num_users)
         pipeline = solve(draws.ma_gains, reqs, p_max, noise)
         alt_rng = np.random.default_rng(1000 + r)
         for _ in range(5):
-            # One random position per user, each a lane of the user's channel.
+            # One random position per user, on the user's channel.
             xy = alt_rng.uniform(-region.half, region.half, (cfg.num_users, 2))
-            alt_gains = lane_gains(lane_coefficients(lane_phases(xy, draws.directions), draws.prv))
+            alt_gains = [channel_gain(Position(*z), ch) for z, ch in zip(xy.tolist(), channels)]
             alt = solve(alt_gains, reqs, p_max, noise)
             if alt.feasible:
                 assert pipeline.feasible
@@ -533,6 +549,20 @@ def test_sweep_input_validation():
     for counts, value in (([True, 3], True), ([np.True_], True), ([2, np.False_], False)):
         with pytest.raises(ValueError, match=f"user count must be a number, not a bool, got {value}"):
             sweep_users(cfg, counts)
+
+
+def test_sweep_axes_reject_numbers_too_large_for_a_float(positioned):
+    # float(10**400) raises OverflowError; each axis names itself instead,
+    # before any draw.
+    cfg = _small_cfg()
+    for check, axis in ((sim.power_points, "power point"), (sim.user_counts, "user count")):
+        with pytest.raises(ValueError, match=f"^{axis} must fit in a float"):
+            check([10**400])
+    with pytest.raises(ValueError, match="^power point must fit in a float"):
+        sweep_power(cfg, [10.0, -10**400])
+    with pytest.raises(ValueError, match="^user count must fit in a float"):
+        sweep_users(cfg, [1, 10**400])
+    assert positioned == []
 
 
 @pytest.fixture
