@@ -29,6 +29,18 @@ class DegenerateChannelError(ValueError):
     """Channel carries no energy (all-zero path responses); gain is identically 0."""
 
 
+def as_float(name: str, value) -> float:
+    """The rule for a float field or sweep value: float(value), where a bool
+    (which float() reads as 0.0 or 1.0) or a number too large for a float
+    raises ValueError naming the field."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a number, not a bool, got {value}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must fit in a float, got a larger number") from None
+
+
 @dataclass(frozen=True)
 class Position:
     """2-D antenna coordinate in wavelengths, relative to the region center."""
@@ -37,6 +49,8 @@ class Position:
     y: float
 
     def __post_init__(self) -> None:
+        as_float("position x", self.x)
+        as_float("position y", self.y)
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError(f"position coordinates must be finite, got ({self.x}, {self.y})")
 
@@ -51,8 +65,7 @@ class MoveRegion:
     side: float
 
     def __post_init__(self) -> None:
-        if isinstance(self.side, (bool, np.bool_)):
-            raise ValueError(f"region_side must be a number, not a bool, got {self.side}")
+        as_float("region_side", self.side)
         # A point of the region lies within half * sqrt(2) < side of its
         # center, so a finite 2 pi side bounds every phase 2 pi d . rho.
         if not (0.0 <= self.side and TWO_PI * self.side < math.inf):

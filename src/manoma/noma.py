@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from manoma.channel import DegenerateChannelError
+from manoma.channel import DegenerateChannelError, as_float
 
 GAIN_FLOOR = 1e-30
 RATE_SLACK = 1e-9
@@ -76,8 +76,7 @@ class RateRequirement:
     alpha: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if isinstance(self.r_min, (bool, np.bool_)):
-            raise ValueError(f"r_min must be a number, not a bool, got {self.r_min}")
+        as_float("r_min", self.r_min)
         # 2**1024 is the first power of two that a float cannot hold.
         if not 0.0 <= self.r_min < 1024.0:
             raise ValueError(f"r_min must be finite and in [0, 1024) bps/Hz, got {self.r_min}")

@@ -18,20 +18,20 @@ conjugated rows [f, -2 pi f d_x, -2 pi f d_y] times e_l thus give h and the
 whole minorant.
 
 The loop runs on Python floats and complex numbers, and a step calls no
-numpy function. Once per call, _checked_rows checks the starts against the
-region and then the channel's energy, and _path_rows builds the unit-power
-channel's per-path rows and curvature factor in numpy. _ascent runs one
-start: each step takes _point_sums (the three path sums at one point) and
-_newton_point (the minorant and its clamped Newton point). ascend runs every
-start through _ascent, one after another, sca_trajectory runs one start and
-keeps its iterates, and sca_step is one step of the same helpers, with the
-same energy check. The arithmetic is the channel's: e_l = cmath.rect(1, 2 pi
-rho_l), Python's complex products summed path by path from path 0, |h| by
-hypot. So h is bit for bit channel.channel_coefficient, and no step depends
-on numpy's CPU dispatch or BLAS (the per-call setup still uses numpy's
-complex abs). At the default 5 paths one start took about 0.3 ms, about 115
-steps of 2.5 us, on a 2-core Intel Xeon VM, so multistart = 10 costs about
-eleven single starts.
+numpy function. Once per call, _checked_rows checks the initial point
+against the region and then the channel's energy, and _path_rows builds the
+unit-power channel's per-path rows and curvature factor in numpy. _ascent
+is the one per-start loop: each step takes _point_sums (the three path sums
+at one point) and _newton_point (the minorant and its clamped Newton point).
+optimize_position runs each of its starts through _ascent, one after
+another, sca_trajectory runs one start and keeps its iterates, and sca_step
+is one step of the same helpers, with the same energy check. The arithmetic
+is the channel's: e_l = cmath.rect(1, 2 pi rho_l), Python's complex
+products summed path by path from path 0, |h| by hypot. So h is bit for bit
+channel.channel_coefficient, and no step depends on numpy's CPU dispatch or
+BLAS (the per-call setup still uses numpy's complex abs). At the default 5
+paths one start took about 0.3 ms, about 115 steps of 2.5 us, on a 2-core
+Intel Xeon VM, so multistart = 10 costs about eleven single starts.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from manoma.channel import (
     MoveRegion,
     Position,
     UserChannel,
+    as_float,
 )
 
 _CURVATURE = 8.0 * math.pi**2
@@ -70,8 +71,7 @@ class ScaParams:
     multistart: int = 0
 
     def __post_init__(self) -> None:
-        if isinstance(self.threshold, (bool, np.bool_)):
-            raise ValueError(f"threshold must be a number, not a bool, got {self.threshold}")
+        as_float("threshold", self.threshold)
         if not 0.0 <= self.threshold < math.inf:
             raise ValueError(f"threshold must be finite and nonnegative, got {self.threshold}")
         for name, low in (("max_iterations", 1), ("multistart", 0)):
@@ -156,11 +156,11 @@ def _newton_point(
 
 def sca_step(z_ref: Position, ch: UserChannel, region: MoveRegion) -> Position:
     """Exact maximizer of the quadratic minorant over the box: one step of
-    ascend's loop, on the channel as passed. Unlike ascend it does not
-    rescale to unit power, so on a channel that is not at unit power its last
-    bits may differ from the step ascend takes (the Newton point itself does
-    not depend on the scale). An all-zero channel raises
-    DegenerateChannelError.
+    _ascent's loop, on the channel as passed. Unlike optimize_position and
+    sca_trajectory it does not rescale to unit power, so on a channel that is
+    not at unit power its last bits may differ from the step they take (the
+    Newton point itself does not depend on the scale). An all-zero channel
+    raises DegenerateChannelError.
 
     The quadratic is separable, so the box-constrained maximum is the
     unconstrained Newton point clamped per coordinate. A vanishing curvature
@@ -175,22 +175,21 @@ def sca_step(z_ref: Position, ch: UserChannel, region: MoveRegion) -> Position:
 
 
 def _checked_rows(
-    ch: UserChannel, region: MoveRegion, starts
-) -> tuple[list, tuple, float, float]:
-    """The starts as [x, y] lists, and the unit-power channel's path rows,
-    curvature factor and power, after the checks of ascend's docstring."""
-    z = np.array(starts, dtype=float)
-    if z.shape != (2,) and (z.ndim != 2 or z.shape[1] != 2 or len(z) == 0):
-        raise ValueError(
-            f"starts must have shape (2,) or (lanes, 2) with at least one lane, got {z.shape}"
-        )
-    points = z.reshape(-1, 2).tolist()
-    for start in (Position(x, y) for x, y in points):
-        if not region.contains(start):
-            raise ValueError(f"initial position {start} lies outside the region")
+    ch: UserChannel, region: MoveRegion, init: Position
+) -> tuple[tuple, float, float]:
+    """The unit-power channel's path rows, curvature factor and power.
+
+    An init outside the region (by MoveRegion.contains) raises ValueError,
+    then an all-zero channel raises DegenerateChannelError. The loop runs on
+    prv / sqrt(power), as UserChannel.normalized() rescales it: scaling the
+    path responses scales the gain but moves no iterate, so the threshold
+    bounds the increase of the unit-power gain at any channel scale.
+    """
+    if not region.contains(init):
+        raise ValueError(f"initial position {init} lies outside the region")
     power = _energy(ch)
     paths, curvature = _path_rows(ch.prv / math.sqrt(power), ch.directions)
-    return points, paths, curvature, power
+    return paths, curvature, power
 
 
 def _ascent(
@@ -233,37 +232,6 @@ def _ascent(
             return x, y, gain, i
 
 
-def ascend(
-    ch: UserChannel,
-    region: MoveRegion,
-    params: ScaParams,
-    starts: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run the ascent from every start, one start after another.
-
-    starts has shape (2,) for one start or (lanes, 2) with at least one
-    lane, and ascend checks it: any other shape raises ValueError naming
-    starts, a start outside the region by MoveRegion.contains raises
-    ValueError, then an all-zero channel raises DegenerateChannelError.
-
-    The loop runs on the channel rescaled to unit power, prv / sqrt(power),
-    as UserChannel.normalized() rescales it. Scaling the path responses
-    scales the gain but moves no iterate, so the threshold bounds the
-    increase of the unit-power gain at any channel scale. Reported gains are
-    the unit-power gains times the channel's power.
-
-    Every start takes the steps sca_step takes on the unit-power channel,
-    on its own, so no start depends on which others run beside it. Returns
-    the final positions (lanes, 2), gains (lanes,) and iteration counts
-    (lanes,).
-    """
-    points, paths, curvature, power = _checked_rows(ch, region, starts)
-    half = region.half
-    finals = [_ascent(x, y, paths, curvature, half, params) for x, y in points]
-    x, y, gain, iterations = zip(*finals)
-    return np.column_stack((x, y)), np.array(gain) * power, np.array(iterations)
-
-
 def sca_trajectory(
     ch: UserChannel,
     region: MoveRegion,
@@ -276,12 +244,13 @@ def sca_trajectory(
     surrogate maximization re-anchored at the previous point. Stops once the
     true gain improves by less than the threshold (the accepted step is still
     recorded) or the iteration cap is reached. The gain sequence is
-    non-decreasing by construction. This is ascend's loop on one start, with
-    ascend's checks and gains.
+    non-decreasing by construction. This is _ascent on one start, with
+    optimize_position's checks and gains: the unit-power gains times the
+    channel's power.
     """
-    [(x, y)], paths, curvature, power = _checked_rows(ch, region, init.as_array())
+    paths, curvature, power = _checked_rows(ch, region, init)
     trace: list = []
-    _ascent(x, y, paths, curvature, region.half, params, trace)
+    _ascent(float(init.x), float(init.y), paths, curvature, region.half, params, trace)
     return [
         ScaState(current=Position(x, y), gain=gain * power, iteration=i)
         for i, (x, y, gain) in enumerate(trace)
@@ -300,18 +269,22 @@ def optimize_position(
     Returns the final position, its true gain, and the number of surrogate
     steps taken. With multistart > 0, also starts from that many extra
     uniform random points inside the region and keeps the highest-gain
-    result (the supplied init wins ties, then earlier draws). All starts run
-    in one ascend call, one after another, so each extra start costs about
-    as much as the first. The rng only feeds the multistart draws; omitting
-    it gives a fixed seed so results stay reproducible.
+    result (the supplied init wins ties, then earlier draws). Each start runs
+    through _ascent on its own, one after another, so each extra start costs
+    about as much as the first. The rng only feeds the multistart draws;
+    omitting it gives a fixed seed so results stay reproducible. The checks
+    and the unit-power rescale are _checked_rows', and the gains are on the
+    channel as passed.
     """
-    starts = init.as_array()[None, :]
+    paths, curvature, power = _checked_rows(ch, region, init)
+    half = region.half
+    starts = [(float(init.x), float(init.y))]
     if params.multistart > 0:
         if rng is None:
             rng = np.random.default_rng(0)
-        half = region.half
-        starts = np.concatenate((starts, rng.uniform(-half, half, (params.multistart, 2))))
-    z, gains, iterations = ascend(ch, region, params, starts)
-    best = int(np.argmax(gains))
-    position = Position(float(z[best, 0]), float(z[best, 1]))
-    return position, float(gains[best]), int(iterations[best])
+        starts += rng.uniform(-half, half, (params.multistart, 2)).tolist()
+    finals = [_ascent(x, y, paths, curvature, half, params) for x, y in starts]
+    # max keeps the first of equal gains: init, then earlier draws. It
+    # compares the gains as reported, on the channel as passed.
+    x, y, gain, iterations = max(finals, key=lambda final: final[2] * power)
+    return Position(x, y), gain * power, iterations

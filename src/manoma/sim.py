@@ -35,7 +35,7 @@ from functools import partial
 
 import numpy as np
 
-from manoma.channel import MoveRegion, Position, channel_gain, sample_user_channel
+from manoma.channel import MoveRegion, Position, as_float, channel_gain, sample_user_channel
 from manoma.noma import GAIN_FLOOR, RateRequirement, aligned_sum_rate, oma_sum_rate, solve
 from manoma.positioner import ScaParams, optimize_position
 
@@ -74,11 +74,11 @@ class ScenarioConfig:
             if not (_is_integer(value) and value >= 1):
                 raise ValueError(f"{name} must be an integer of at least 1, got {value}")
         for name in ("p_max_dbm", "noise_dbm", "pathloss_exponent"):
-            _reject_bool(name, getattr(self, name))
+            as_float(name, getattr(self, name))
         span = self.distance_range
         if isinstance(span, tuple):
             for d in span:
-                _reject_bool("distance_range", d)
+                as_float("distance_range", d)
         if not (isinstance(span, tuple) and len(span) == 2 and 0.0 < span[0] <= span[1] < math.inf):
             rule = "must be finite, a (min, max) tuple with 0 < min <= max"
             raise ValueError(f"distance_range {rule}, got {span}")
@@ -269,30 +269,10 @@ def _aggregate(tables: np.ndarray, values) -> list[SweepRow]:
     return rows
 
 
-def _reject_bool(name: str, value) -> None:
-    """The rule for a float field or axis value: not a bool, which float()
-    would read as 0.0 or 1.0."""
-    if isinstance(value, (bool, np.bool_)):
-        raise ValueError(f"{name} must be a number, not a bool, got {value}")
-
-
-def _numbers(axis: str, values) -> list[float]:
-    """An axis's values as floats, rejecting bools and numbers too large for
-    a float."""
-    points = []
-    for v in values:
-        _reject_bool(axis, v)
-        try:
-            points.append(float(v))
-        except OverflowError:
-            raise ValueError(f"{axis} must fit in a float, got a larger number") from None
-    return points
-
-
 def power_points(values) -> list[float]:
     """The power axis's rule: at least one point, each a number other than a
     bool and finite in dBm and in mW, as cfg.p_max_dbm must be."""
-    points = _numbers("power point", values)
+    points = [as_float("power point", v) for v in values]
     if not points:
         raise ValueError("at least one power value is required")
     for point in points:
@@ -304,7 +284,7 @@ def user_counts(values) -> list[int]:
     """The user axis's rule: at least one count, each an integer of at least
     1 other than a bool; 4.0 is the count 4, and 2.5 is rejected, not
     truncated."""
-    counts = _numbers("user count", values)
+    counts = [as_float("user count", v) for v in values]
     if not counts:
         raise ValueError("at least one user count is required")
     for k in counts:

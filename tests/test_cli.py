@@ -784,11 +784,19 @@ def test_users_sweep_reproduces_pinned_csv(tmp_path, capsys):
     assert filecmp.cmp(out_csv, PINNED_DIR / "users_sweep-n4-seed0.csv", shallow=False)
 
 
+OPTIMIZE_RUNS = [
+    pytest.param("optimize-default.txt", [], id="default"),
+    pytest.param("optimize-multistart3.txt", ["--multistart", "3"], id="multistart3"),
+]
+
+
 @pytest.mark.bitwise
-def test_optimize_reproduces_pinned_output(capsys):
-    code, out, _ = run_cli(["optimize"], capsys)
+@pytest.mark.parametrize("pinned, flags", OPTIMIZE_RUNS)
+def test_optimize_reproduces_pinned_output(capsys, pinned, flags):
+    # With extra starts, users 1, 4 and 5 keep a random start over the origin.
+    code, out, _ = run_cli(["optimize", *flags], capsys)
     assert code == 0
-    assert out.encode() == (PINNED_DIR / "optimize-default.txt").read_bytes()
+    assert out.encode() == (PINNED_DIR / pinned).read_bytes()
 
 
 @pytest.mark.bitwise
@@ -810,8 +818,10 @@ def test_pinned_outputs_under_baseline_cpu_dispatch(tmp_path):
     out_csv = tmp_path / "users.csv"
     runs.append([*USERS_SWEEP, "--out", str(out_csv)])
     pinned.append((out_csv, PINNED_DIR / "users_sweep-n4-seed0.csv"))
-    runs.append(["optimize"])
-    pinned.append((tmp_path / f"{len(runs) - 1}.out", PINNED_DIR / "optimize-default.txt"))
+    for param in OPTIMIZE_RUNS:
+        reference, flags = param.values
+        runs.append(["optimize", *flags])
+        pinned.append((tmp_path / f"{len(runs) - 1}.out", PINNED_DIR / reference))
     probe = """
 import contextlib, json, sys
 from manoma.cli import main

@@ -38,7 +38,6 @@ from manoma.positioner import (
     _newton_point,
     _path_rows,
     _point_sums,
-    ascend,
     optimize_position,
     sca_step,
     sca_trajectory,
@@ -550,7 +549,7 @@ def test_param_counts_are_integers(field):
     assert getattr(ScaParams(**{field: np.int64(3)}), field) == 3
 
 
-# --- lockstep ascent engine ---
+# --- the ascent loop against a reference loop ---
 
 
 def _reference_lane(ch, region, params, init):
@@ -581,9 +580,18 @@ def _bits(z, gain, iteration):
     return (float(z.x).hex(), float(z.y).hex(), float(gain).hex(), int(iteration))
 
 
+def _first_best(finals):
+    """The first reference final state with the strictly largest gain."""
+    best = finals[0]
+    for final in finals[1:]:
+        if final[1] > best[1]:
+            best = final
+    return best
+
+
 def _on_channel(state, ch):
-    """A reference state of ch.normalized() as ascend reports it on ch: the
-    unit-power gain times the channel's power."""
+    """A reference state of ch.normalized() as the positioner reports it on
+    ch: the unit-power gain times the channel's power."""
     z, gain, iteration = state
     return z, gain * ch.power, iteration
 
@@ -593,7 +601,7 @@ def test_engine_matches_sequential_loop_bit_for_bit():
     # Raw default-scenario channels, as the simulator optimizes them, at
     # multistart 0 and 10. Every start is first run alone through the
     # reference loop on the unit-power channel; multistart keeps the first
-    # strictly best lane.
+    # strictly best start.
     cfg = ScenarioConfig()
     region = MoveRegion(cfg.region_side)
     params = ScaParams(multistart=10)
@@ -618,19 +626,15 @@ def test_engine_matches_sequential_loop_bit_for_bit():
         alone = optimize_position(ch, region, ScaParams(), origin)
         assert _bits(*alone) == _bits(*_on_channel(finals[0], ch))
 
-        best = finals[0]
-        for final in finals[1:]:
-            if final[1] > best[1]:
-                best = final
         got = optimize_position(ch, region, params, origin, rng=np.random.default_rng(k))
-        assert _bits(*got) == _bits(*_on_channel(best, ch))
+        assert _bits(*got) == _bits(*_on_channel(_first_best(finals), ch))
     assert capped >= 10  # the iteration cap is exercised, not just early stops
 
 
 @pytest.mark.bitwise
 @pytest.mark.parametrize("multistart", [0, 10])
 def test_engine_matches_sequential_loop_at_zero_threshold(multistart):
-    # At threshold 0 a lane stops only on a zero gain increase (the step is
+    # At threshold 0 a start stops only on a zero gain increase (the step is
     # kept), a gain decrease (the step is dropped) or the iteration cap.
     cfg = ScenarioConfig()
     region = MoveRegion(cfg.region_side)
@@ -644,14 +648,19 @@ def test_engine_matches_sequential_loop_at_zero_threshold(multistart):
             Position(*(float(v) for v in draws.uniform(-region.half, region.half, 2)))
             for _ in range(multistart)
         ]
-        z, gains, iterations = ascend(ch, region, params, np.array([s.as_array() for s in starts]))
-        for lane, start in enumerate(starts):
+        finals = []
+        for start in starts:
             states = _reference_lane(ch.normalized(), region, params, start)
-            expected = _bits(*_on_channel(states[-1], ch))
-            assert _bits(Position(*z[lane]), gains[lane], iterations[lane]) == expected
+            final = sca_trajectory(ch, region, params, start)[-1]
+            assert _bits(final.current, final.gain, final.iteration) == _bits(
+                *_on_channel(states[-1], ch)
+            )
+            finals.append(states[-1])
             last, before = states[-1], states[-2] if len(states) > 1 else None
             if last[2] < params.max_iterations and before and last[1] == before[1]:
                 zero_increase_stops += 1
+        got = optimize_position(ch, region, params, starts[0], rng=np.random.default_rng(k))
+        assert _bits(*got) == _bits(*_on_channel(_first_best(finals), ch))
         trajectory = sca_trajectory(ch, region, params, starts[0])
         assert [_bits(s.current, s.gain, s.iteration) for s in trajectory] == [
             _bits(*_on_channel(state, ch))
@@ -672,11 +681,11 @@ def test_engine_matches_sequential_loop_for_any_path_count(num_paths):
     for _ in range(5):
         ch = _random_channel(rng, num_paths=num_paths)
         starts = [Position(0.0, 0.0)] + [_random_position(rng, span=1.0) for _ in range(2)]
-        z, gains, iterations = ascend(ch, region, params, np.array([s.as_array() for s in starts]))
-        for lane, start in enumerate(starts):
+        for start in starts:
             final = _reference_lane(ch.normalized(), region, params, start)[-1]
             expected = _bits(*_on_channel(final, ch))
-            assert _bits(Position(*z[lane]), gains[lane], iterations[lane]) == expected
+            got = sca_trajectory(ch, region, params, start)[-1]
+            assert _bits(got.current, got.gain, got.iteration) == expected
             alone = optimize_position(ch, region, params, start)
             assert _bits(*alone) == expected
 
@@ -719,44 +728,18 @@ def test_trajectory_on_a_raw_draw_runs_the_full_ascent():
 
 
 @pytest.mark.bitwise
-def test_engine_lanes_do_not_depend_on_batch_partition():
-    cfg = ScenarioConfig()
-    region = MoveRegion(cfg.region_side)
-    params = ScaParams()
-    rng = np.random.default_rng(77)
-    for _ in range(30):
-        ch = sample_user_channel(cfg, rng).normalized()
-        starts = rng.uniform(-region.half, region.half, (11, 2))
-        together = ascend(ch, region, params, starts)
-        halves = [ascend(ch, region, params, part) for part in (starts[:4], starts[4:])]
-        for lane, start in enumerate(starts):
-            alone = ascend(ch, region, params, start[None, :])
-            expected = [np.asarray(out[lane]).tobytes() for out in together]
-            assert [np.asarray(out[0]).tobytes() for out in alone] == expected
-            part, row = (0, lane) if lane < 4 else (1, lane - 4)
-            assert [np.asarray(out[row]).tobytes() for out in halves[part]] == expected
-
-
-@pytest.mark.bitwise
 def test_engine_zero_anchor_lane_stays_put_and_stops():
     # prv = (1, -1) cancels exactly at the origin: the anchor vector is zero,
-    # so the curvature bound is zero and the step must leave the lane alone
-    # (without a 0/0 warning) while the other lane ascends normally.
+    # so the curvature bound is zero and the step must leave the start alone
+    # (without a 0/0 warning) while another start ascends normally.
     angles = ((0.7, 1.9), (2.1, 0.4))
     ch = UserChannel(angles=angles, prv=np.array([1.0 + 0j, -1.0 + 0j]))
     region = MoveRegion(2.0)
     origin = Position(0.0, 0.0)
     assert minorant_at(origin, ch)[0] == 0.0
     assert sca_step(origin, ch, region) == origin
-    starts = np.array([[0.0, 0.0], [0.3, -0.2]])
-    z, gains, iterations = ascend(ch, region, ScaParams(), starts)
-    assert z[0].tolist() == [0.0, 0.0]
-    assert gains[0] == 0.0
-    assert iterations[0] == 1
-    alone = ascend(ch, region, ScaParams(), starts[1:])
-    assert z[1].tobytes() == alone[0][0].tobytes()
-    assert (gains[1], iterations[1]) == (alone[1][0], alone[2][0])
-    assert gains[1] > 0.0
+    assert optimize_position(ch, region, ScaParams(), origin) == (origin, 0.0, 1)
+    assert sca_trajectory(ch, region, ScaParams(), Position(0.3, -0.2))[-1].gain > 0.0
     states = sca_trajectory(ch, region, ScaParams(), origin)
     assert [(s.current, s.gain, s.iteration) for s in states] == [
         (origin, 0.0, 0),
@@ -766,35 +749,27 @@ def test_engine_zero_anchor_lane_stays_put_and_stops():
 
 def test_engine_rejects_all_zero_channel():
     ch = UserChannel(angles=((1.0, 1.0),), prv=np.array([0j]))
-    with pytest.raises(DegenerateChannelError):
-        ascend(ch, MoveRegion(1.0), ScaParams(), np.zeros((1, 2)))
+    for run in (optimize_position, sca_trajectory):
+        with pytest.raises(DegenerateChannelError):
+            run(ch, MoveRegion(1.0), ScaParams(), Position(0.0, 0.0))
 
 
-@pytest.mark.parametrize("lane", [0, 2])
-def test_engine_rejects_start_outside_region(lane):
-    # A start outside the box fails in ascend itself, as lane 0 or a later
-    # lane, and before the channel's energy is judged.
-    starts = np.zeros((3, 2))
-    starts[lane] = (3.0, -2.5)
+def test_engine_rejects_start_outside_region():
+    # An init outside the box fails before the channel's energy is judged;
+    # every multistart start is drawn inside the box.
+    init = Position(3.0, -2.5)
     message = r"initial position Position\(x=3.0, y=-2.5\) lies outside the region"
     for ch in (
         _random_channel(np.random.default_rng(36)),
         UserChannel(angles=((1.0, 1.0),), prv=np.array([0j])),
     ):
-        with pytest.raises(ValueError, match=message):
-            ascend(ch, MoveRegion(2.0), ScaParams(), starts)
+        for run in (optimize_position, sca_trajectory):
+            with pytest.raises(ValueError, match=message):
+                run(ch, MoveRegion(2.0), ScaParams(), init)
     # Corners within MoveRegion.contains's tolerance are inside.
-    corners = np.array([[1.0, -1.0], [-1.0 - 1e-13, 1.0]])
-    ascend(_random_channel(np.random.default_rng(36)), MoveRegion(2.0), ScaParams(), corners)
-
-
-@pytest.mark.parametrize("shape", [(2, 3), (0, 2), (3,), (1, 2, 2), ()])
-def test_engine_rejects_starts_of_any_other_shape(shape):
-    # A (2, 3) array used to run as three scrambled starts, (0, 2) as an
-    # empty ascent, and (3,) failed inside a reshape.
     ch = _random_channel(np.random.default_rng(36))
-    with pytest.raises(ValueError, match=r"^starts must have shape \(2,\) or \(lanes, 2\)"):
-        ascend(ch, MoveRegion(2.0), ScaParams(), np.zeros(shape))
+    for corner in (Position(1.0, -1.0), Position(-1.0 - 1e-13, 1.0)):
+        optimize_position(ch, MoveRegion(2.0), ScaParams(), corner)
 
 
 # --- grid oracle ---

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 import manoma
 import manoma.noma as noma
 import manoma.sim as sim
-from manoma.channel import Position, UserChannel, channel_gain
+from manoma.channel import MoveRegion, Position, UserChannel, channel_gain
 from manoma.noma import RateRequirement, aligned_sum_rate, solve
 from manoma.positioner import ScaParams
 from manoma.sim import (
@@ -139,6 +139,33 @@ def test_float_fields_reject_bools_named_by_field(build, field):
     for value in (True, False, np.True_, np.False_):
         message = f"^{field} must be a number, not a bool, got {value}"
         with pytest.raises(ValueError, match=message):
+            build(value)
+
+
+@pytest.mark.parametrize(
+    "build,field",
+    [
+        (lambda v: ScenarioConfig(p_max_dbm=v), "p_max_dbm"),
+        (lambda v: ScenarioConfig(noise_dbm=v), "noise_dbm"),
+        (lambda v: ScenarioConfig(pathloss_exponent=v), "pathloss_exponent"),
+        (lambda v: ScenarioConfig(region_side=v), "region_side"),
+        (lambda v: ScenarioConfig(distance_range=(80.0, v)), "distance_range"),
+        (lambda v: MoveRegion(v), "region_side"),
+        (lambda v: Position(v, 0.0), "position x"),
+        (lambda v: Position(0.0, v), "position y"),
+        (lambda v: ScaParams(threshold=v), "threshold"),
+    ],
+    ids=[
+        "p_max_dbm", "noise_dbm", "pathloss_exponent", "region_side", "distance_range",
+        "move_region", "position_x", "position_y", "threshold",
+    ],
+)
+def test_float_fields_reject_numbers_too_large_for_a_float(build, field):
+    # float(10**400) raised OverflowError, or a message naming another field;
+    # ScaParams took the threshold, and serializing the config then raised
+    # OverflowError. Each names its field, as the sweep axes do.
+    for value in (10**400, -(10**400)):
+        with pytest.raises(ValueError, match=f"^{field} must fit in a float"):
             build(value)
 
 
