@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import copy
 import math
+import numbers
 from cmath import rect
 from dataclasses import dataclass
 
@@ -30,15 +31,27 @@ class DegenerateChannelError(ValueError):
 
 
 def as_float(name: str, value) -> float:
-    """The rule for a float field or sweep value: float(value), where a bool
-    (which float() reads as 0.0 or 1.0) or a number too large for a float
-    raises ValueError naming the field."""
+    """The rule for a float field or sweep value: float(value) of a real
+    number other than a bool. A bool (which float() reads as 0.0 or 1.0), a
+    non-number such as a str (which float() parses) or None, or a number too
+    large for a float raises ValueError naming the field."""
     if isinstance(value, (bool, np.bool_)):
         raise ValueError(f"{name} must be a number, not a bool, got {value}")
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
     try:
         return float(value)
     except OverflowError:
         raise ValueError(f"{name} must fit in a float, got a larger number") from None
+
+
+def as_count(name: str, value, low: int) -> int:
+    """The rule for a count: int(value) of an integral number other than a
+    bool (whose True would pass as 1) that is at least low; anything else,
+    4.0 included, raises ValueError naming the field."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low:
+        return int(value)
+    raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -111,8 +124,9 @@ class UserChannel:
             raise ValueError(f"path responses prv must be finite, got {prv}")
         if not self.distance > 0.0:
             raise ValueError(f"distance must be positive, got {self.distance}")
-        # Direction cosines that map a position to per-path travel distances;
-        # cached because every optimizer iteration re-evaluates the phases.
+        # Direction cosines that map a position to per-path travel distances,
+        # computed once: each positioning call (in _path_rows) and each
+        # channel_gain call reads them, three reads per user of a sweep draw.
         theta, phi = angles.T
         dirs = np.stack((np.sin(theta) * np.cos(phi), np.cos(theta)))
         object.__setattr__(self, "_dirs", _read_only(dirs))

@@ -103,7 +103,7 @@ _RANGE_RE = re.compile(r"^\[\s*([^\s,\]]+)\s*,\s*([^\s,\]]+)\s*\]\s*(\S+)$")
 
 
 def _format_value(kind: type, unit: str | None, value) -> str:
-    text = f"[{value[0]!r}, {value[1]!r}]" if kind is tuple else repr(kind(value))
+    text = f"[{value[0]!r}, {value[1]!r}]" if kind is tuple else repr(value)
     return f"{text} {unit}" if unit else text
 
 

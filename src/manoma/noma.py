@@ -28,8 +28,9 @@ Margins taken as differences of prefix sums of all gains would err by eps
 times the whole prefix, so a large gain decoded early could erase the cap
 of a small user decoded later.
 
-solve and power_allocation share one chain for the powers, and solve plans
-its decoding sequence, minimum-rate powers and cap terms on every call.
+solve and power_allocation share one function for the powers,
+_sequence_powers, and solve plans its decoding sequence, minimum-rate powers
+and caps on every call.
 
 The rate, order and power functions check their inputs by one rule per
 quantity, and a ValueError names the quantity that breaks it:
@@ -305,44 +306,6 @@ def check_allocation_inputs(gains, alphas, p_max: float, noise: float):
     return g, a
 
 
-def _cap_terms(g: np.ndarray, a: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The terms of the power caps that no power cap enters, on gains,
-    alphas and minimum-rate powers in decoding sequence: margin[k] = min(g_i
-    / a_i - sum(g[i+1:k])) over the constrained users i < k (inf if there is
-    none), and later[k] = sum(g c) over the users after k. A sum too large
-    for a float is inf; solve reports the cap that reads it.
-    """
-    margin, least = [], math.inf
-    # An overflowed g / alpha stays inf less any gain and bounds nobody.
-    for gain, alpha in zip(g.tolist(), a.tolist()):
-        margin.append(least)
-        least = min(least - gain, gain / alpha if alpha > 0.0 else math.inf)
-    with np.errstate(over="ignore"):
-        later = _after(np.add, g * c)
-    return np.array(margin), later
-
-
-def _saturating_powers(g, c, margin, later, p_max: float, noise: float) -> np.ndarray:
-    """power_allocation on validated inputs, their minimum-rate powers c and
-    _cap_terms: the one place that decides a power cap.
-
-    Every constrained user decoded before user k keeps its rate while k
-    sends at most cap[k] = (p_max margin[k] - later[k] - noise) / g_k, the
-    headroom p_max margin[k] less the interference and noise. Nothing warns:
-    an infinite headroom caps nobody, nor does a NaN cap (inf - inf), and a
-    cap that reads an overflowed sum is -inf.
-    """
-    p = np.full(len(g), p_max, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        cap = ((p_max * margin - later) - noise) / g
-    backs_off = np.flatnonzero(cap < p_max)  # never user 0: its margin is inf
-    if len(backs_off):
-        k = int(backs_off[0])
-        p[k] = cap[k]
-        p[k + 1 :] = c[k + 1 :]
-    return p
-
-
 def power_allocation(gains_in_order, alphas_in_order, p_max: float, noise: float) -> np.ndarray:
     """Optimal transmit powers, inputs relabeled so index 0 is decoded first.
 
@@ -360,9 +323,32 @@ def power_allocation(gains_in_order, alphas_in_order, p_max: float, noise: float
 def _sequence_powers(g: np.ndarray, a: np.ndarray, p_max: float, noise: float) -> tuple:
     """The minimum-rate powers c and the optimal powers p of checked gains
     and alphas in decoding sequence: the powers of solve and
-    power_allocation."""
+    power_allocation, and the one place that decides a power cap.
+
+    Every constrained user i decoded before user k keeps its rate while k
+    sends at most cap[k] = (p_max margin[k] - later[k] - noise) / g_k, the
+    headroom p_max margin[k] less the interference and noise. margin[k] is
+    the least g_i / a_i - sum(g[i+1:k]) over those i (inf if there is none),
+    and later[k] = sum(g c) over the users after k. Nothing warns: an
+    overflowed g / alpha stays inf less any gain and bounds nobody, a NaN cap
+    (inf - inf) caps nobody, and a cap that reads an overflowed sum is -inf,
+    which solve reports.
+    """
     c = _minimum_rate_powers(g, a, noise)
-    return c, _saturating_powers(g, c, *_cap_terms(g, a, c), p_max, noise)
+    p = np.full(len(g), p_max, dtype=float)
+    margin, least = [], math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        for gain, alpha in zip(g.tolist(), a.tolist()):
+            margin.append(least)
+            least = min(least - gain, gain / alpha if alpha > 0.0 else math.inf)
+        later = _after(np.add, g * c)
+        cap = ((p_max * np.array(margin) - later) - noise) / g
+        backs_off = np.flatnonzero(cap < p_max)  # never user 0: its margin is inf
+    if len(backs_off):
+        k = int(backs_off[0])
+        p[k] = cap[k]
+        p[k + 1 :] = c[k + 1 :]
+    return c, p
 
 
 def check_feasibility(powers, rates, reqs, p_max: float) -> tuple[bool, str | None]:

@@ -37,7 +37,6 @@ Intel Xeon VM, so multistart = 10 costs about eleven single starts.
 from __future__ import annotations
 
 import math
-import numbers
 from cmath import rect
 from dataclasses import dataclass
 
@@ -49,6 +48,7 @@ from manoma.channel import (
     MoveRegion,
     Position,
     UserChannel,
+    as_count,
     as_float,
 )
 
@@ -71,13 +71,11 @@ class ScaParams:
     multistart: int = 0
 
     def __post_init__(self) -> None:
-        as_float("threshold", self.threshold)
+        object.__setattr__(self, "threshold", as_float("threshold", self.threshold))
         if not 0.0 <= self.threshold < math.inf:
             raise ValueError(f"threshold must be finite and nonnegative, got {self.threshold}")
         for name, low in (("max_iterations", 1), ("multistart", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-                raise ValueError(f"{name} must be an integer of at least {low}, got {value}")
+            object.__setattr__(self, name, as_count(name, getattr(self, name), low))
 
 
 @dataclass(frozen=True)

@@ -29,13 +29,19 @@ worker count or sweep shape.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
-from manoma.channel import MoveRegion, Position, as_float, channel_gain, sample_user_channel
+from manoma.channel import (
+    MoveRegion,
+    Position,
+    as_count,
+    as_float,
+    channel_gain,
+    sample_user_channel,
+)
 from manoma.noma import GAIN_FLOOR, RateRequirement, aligned_sum_rate, oma_sum_rate, solve
 from manoma.positioner import ScaParams, optimize_position
 
@@ -69,16 +75,17 @@ class ScenarioConfig:
     sca: ScaParams = field(default_factory=ScaParams)
 
     def __post_init__(self) -> None:
+        # Each field holds the value its rule returns, so serialize_config
+        # writes what resolve_config reads back.
+        store = partial(object.__setattr__, self)
         for name in ("num_users", "paths_per_user", "realizations"):
-            value = getattr(self, name)
-            if not (_is_integer(value) and value >= 1):
-                raise ValueError(f"{name} must be an integer of at least 1, got {value}")
-        for name in ("p_max_dbm", "noise_dbm", "pathloss_exponent"):
-            as_float(name, getattr(self, name))
+            store(name, as_count(name, getattr(self, name), 1))
+        for name in ("p_max_dbm", "noise_dbm", "pathloss_exponent", "region_side", "r_min"):
+            store(name, as_float(name, getattr(self, name)))
         span = self.distance_range
         if isinstance(span, tuple):
-            for d in span:
-                as_float("distance_range", d)
+            span = tuple(as_float("distance_range", d) for d in span)
+            store("distance_range", span)
         if not (isinstance(span, tuple) and len(span) == 2 and 0.0 < span[0] <= span[1] < math.inf):
             rule = "must be finite, a (min, max) tuple with 0 < min <= max"
             raise ValueError(f"distance_range {rule}, got {span}")
@@ -88,7 +95,8 @@ class ScenarioConfig:
             raise ValueError(
                 f"pathloss_exponent must be finite and positive, got {self.pathloss_exponent}"
             )
-        if not (_is_integer(self.seed) and 0 <= self.seed < _MAX_SEED):
+        store("seed", as_count("seed", self.seed, 0))
+        if not self.seed < _MAX_SEED:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if not isinstance(self.sca, ScaParams):
             raise ValueError(f"sca must be a ScaParams, got {self.sca!r}")
@@ -118,11 +126,6 @@ class SweepRow:
     @property
     def infeasible_fraction(self) -> float:
         return self.infeasible_count / self.realizations
-
-
-def _is_integer(value) -> bool:
-    """An integral number other than a bool, whose True would pass as 1."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _pow(base: float, exponent: float) -> float:
@@ -170,9 +173,7 @@ def draw_users(cfg: ScenarioConfig, index: int, count: int) -> DrawSet:
     channel_gain at each user's position and at the center, and the aligned
     amplitude sums UserChannel.amplitude_sum.
     """
-    for name, value in (("index", index), ("count", count)):
-        if not (_is_integer(value) and value >= 0):
-            raise ValueError(f"{name} must be an integer of at least 0, got {value!r}")
+    index, count = as_count("index", index, 0), as_count("count", count, 0)
     streams = np.random.default_rng(np.random.SeedSequence((cfg.seed, index))).spawn(count)
     channels = [sample_user_channel(cfg, rng) for rng in streams]
     region, origin = MoveRegion(cfg.region_side), Position(0.0, 0.0)
@@ -225,8 +226,7 @@ def _realization_table(cfg: ScenarioConfig, counts, p_max_dbm_values, index: int
 
 def _collect(cfg: ScenarioConfig, counts, p_max_dbm_values, workers: int) -> np.ndarray:
     """All realizations' rate tables, shape (realizations, points, schemes)."""
-    if not (_is_integer(workers) and workers >= 1):
-        raise ValueError(f"workers must be at least 1, got {workers}, and an integer")
+    workers = as_count("workers", workers, 1)
     job = partial(_realization_table, cfg, tuple(counts), tuple(p_max_dbm_values))
     indices = range(cfg.realizations)
     # A pool starts all its processes at the first task, so it gets no more

@@ -5,14 +5,17 @@ import os
 import re
 import subprocess
 import sys
+from operator import attrgetter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import manoma.cli as cli
 import manoma.sim as sim
 
 from manoma.cli import CSV_HEADER, main, serialize_config
+from manoma.positioner import ScaParams
 from manoma.sim import SCHEMES, ScenarioConfig
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -209,6 +212,25 @@ def test_readme_defaults_table_matches_schema():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     rows = re.findall(r"^\| `(\w+)` \| `([^`]*)` \|", readme, flags=re.MULTILINE)
     assert rows == list(serialize_config(ScenarioConfig()).items())
+
+
+def test_config_round_trips_holding_what_each_rule_returns():
+    # 2**53 + 1 used to be kept as an int and serialized as the float
+    # 9007199254740992.0, which resolved to another config; a numpy seed,
+    # count or range end was kept as numpy's type and its repr.
+    cfg = ScenarioConfig(
+        region_side=2**53 + 1,
+        seed=np.uint64(5),
+        distance_range=(np.float64(80.0), 100),
+        sca=ScaParams(multistart=np.int64(2)),
+    )
+    assert cli.resolve_config(serialize_config(cfg)) == cfg
+    for _, field, kind, _ in cli.SCHEMA:
+        value = attrgetter(field)(cfg)
+        if kind is tuple:
+            assert [type(end) for end in value] == [float, float], field
+        else:
+            assert type(value) is kind, field
 
 
 def test_validate_rejects_missing_file(capsys):

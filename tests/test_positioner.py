@@ -542,9 +542,10 @@ def test_param_validation():
 @pytest.mark.parametrize("field", ["max_iterations", "multistart"])
 def test_param_counts_are_integers(field):
     # 2.5 iterations and 1.5 extra starts used to construct and then fail
-    # mid-run with a TypeError; numpy integers are integers, bools are not.
-    for value in (2.5, True, False):
-        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+    # mid-run with a TypeError; numpy integers are integers, bools, strings
+    # and 6.0 are not.
+    for value in (2.5, True, False, "6", 6.0):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
             ScaParams(**{field: value})
     assert getattr(ScaParams(**{field: np.int64(3)}), field) == 3
 

@@ -109,9 +109,9 @@ def test_config_shapes_are_named_by_field(field, value):
 @pytest.mark.parametrize("field", ["num_users", "paths_per_user", "realizations", "seed"])
 def test_config_counts_are_integers_named_by_field(field):
     # The message starts with the field, so resolve_config names the key;
-    # numpy integers are integers, and a bool is not a count.
-    for value in (2.5, True, False):
-        with pytest.raises(ValueError, match=f"^{field} must be a"):
+    # numpy integers are integers; a bool, a string and 6.0 are not counts.
+    for value in (2.5, True, False, "6", 6.0):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
             ScenarioConfig(**{field: value})
     assert getattr(ScenarioConfig(**{field: np.int64(3)}), field) == 3
 
@@ -127,10 +127,12 @@ def test_config_counts_are_integers_named_by_field(field):
         (lambda v: ScenarioConfig(r_min=v), "r_min"),
         (lambda v: ScenarioConfig(distance_range=(v, 2.0)), "distance_range"),
         (lambda v: RateRequirement(v), "r_min"),
+        (lambda v: MoveRegion(v), "region_side"),
+        (lambda v: Position(0.0, v), "position y"),
     ],
     ids=[
         "threshold", "p_max_dbm", "noise_dbm", "pathloss_exponent", "region_side",
-        "config_r_min", "distance_range", "rate_requirement",
+        "config_r_min", "distance_range", "rate_requirement", "move_region", "position_y",
     ],
 )
 def test_float_fields_reject_bools_named_by_field(build, field):
@@ -139,6 +141,11 @@ def test_float_fields_reject_bools_named_by_field(build, field):
     for value in (True, False, np.True_, np.False_):
         message = f"^{field} must be a number, not a bool, got {value}"
         with pytest.raises(ValueError, match=message):
+            build(value)
+    # float() parses a string, so a string field used to fail later with a
+    # TypeError naming no field; None did the same.
+    for value in ("2", b"2", None):
+        with pytest.raises(ValueError, match=f"^{field} must be a number, got "):
             build(value)
 
 
@@ -333,9 +340,11 @@ def test_draw_users_of_no_users_is_an_empty_record():
 
 @pytest.mark.parametrize(
     "index, count, name",
-    [(-1, 2, "index"), (1.0, 2, "index"), (True, 2, "index"),
-     (0, -1, "count"), (0, 2.0, "count"), (0, np.True_, "count")],
-    ids=["index-1", "index1.0", "indexTrue", "count-1", "count2.0", "countnp.True_"],
+    [(-1, 2, "index"), (1.0, 2, "index"), (True, 2, "index"), ("1", 2, "index"),
+     (0, -1, "count"), (0, 2.0, "count"), (0, np.True_, "count"), (0, "2", "count"),
+     (0, 6.0, "count")],
+    ids=["index-1", "index1.0", "indexTrue", "index'1'", "count-1", "count2.0",
+         "countnp.True_", "count'2'", "count6.0"],
 )
 def test_draw_users_rejects_bad_index_and_count(index, count, name):
     # Each used to reach numpy's seeding or spawn and fail there, with an
@@ -627,8 +636,9 @@ def test_sweep_power_rejects_points_before_any_draw(positioned, point, message):
 @pytest.mark.parametrize("workers", [0, -4, 2.5, 2.0, True])
 def test_sweeps_reject_workers_below_one_before_any_draw(positioned, workers):
     cfg = _small_cfg()
-    with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+    message = f"^workers must be an integer of at least 1, got {workers!r}$"
+    with pytest.raises(ValueError, match=message):
         sweep_power(cfg, [0.0], workers=workers)
-    with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+    with pytest.raises(ValueError, match=message):
         sweep_users(cfg, [1], workers=workers)
     assert positioned == []
