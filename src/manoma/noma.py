@@ -19,18 +19,22 @@ user k allows it at most (p_max (g_i / a_i - sum(g between i and k)) -
 later[k] - noise) / g_k, later[k] being the received power of the users
 after k at their minimum-rate powers. So user k's cap reads one margin,
 the least of g_i / a_i - sum(g between) over those i, and the margins
-follow margin[k+1] = min(margin[k] - g_k, g_k / a_k): one pass over the
-users, and a reverse np.cumsum for later. Rounding is monotone, so taking
-the minimum before a subtraction rounds as taking it after: each margin is
-its pair's difference summed term by term, with that difference's
-conditioning (an error of about K eps (g_i / a_i + sum(g between))).
-Margins taken as differences of prefix sums of all gains would err by eps
-times the whole prefix, so a large gain decoded early could erase the cap
-of a small user decoded later.
+follow margin[k+1] = min(margin[k] - g_k, g_k / a_k). One pass from the
+last user takes the minimum-rate powers and later, and one pass from the
+first takes the margins and caps up to the first user that backs off.
+Rounding is monotone, so taking the minimum before a subtraction rounds as
+taking it after: each margin is its pair's difference summed term by term,
+with that difference's conditioning (an error of about K eps (g_i / a_i +
+sum(g between))). Margins taken as differences of prefix sums of all gains
+would err by eps times the whole prefix, so a large gain decoded early
+could erase the cap of a small user decoded later.
 
-solve and power_allocation share one function for the powers,
-_sequence_powers, and solve plans its decoding sequence, minimum-rate powers
-and caps on every call.
+Each call checks its inputs as numpy arrays, then computes on Python
+floats, one user at a time: a numpy call costs more than the arithmetic on
+a few users. A float that overflows is inf or NaN, never an exception or a
+warning. Running sums and products start from the last user, as numpy's
+accumulate does, and the rates take one np.log2 over all users, so every
+result is bit for bit the array form's. solve keeps no state between calls.
 
 The rate, order and power functions check their inputs by one rule per
 quantity, and a ValueError names the quantity that breaks it:
@@ -39,6 +43,7 @@ quantity, and a ValueError names the quantity that breaks it:
   GAIN_FLOOR where the power formulas divide (DegenerateChannelError);
 - noise: positive and finite; p_max: finite and >= 0;
 - r_min: in [0, 1024), so a RateRequirement's alpha = 2**r_min - 1 is finite;
+- reqs: RateRequirement entries; order: integer ranks 1..K;
 - the powers and rates check_feasibility judges: one-dimensional, one entry
   per requirement, and powers finite (a negative one is a verdict).
 """
@@ -50,7 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from manoma.channel import DegenerateChannelError, as_float
+from manoma.channel import DegenerateChannelError, as_count, as_float
 
 GAIN_FLOOR = 1e-30
 RATE_SLACK = 1e-9
@@ -112,14 +117,19 @@ def sinr_and_rates(gains, order, powers, noise: float) -> np.ndarray:
     sees noise only.
     """
     g, p = check_rate_inputs(gains, powers, noise)
-    ranks = np.asarray(order, dtype=int)
-    if ranks.shape != (len(g),) or not np.array_equal(np.sort(ranks), np.arange(1, len(g) + 1)):
+    try:
+        ranks = [as_count("order", rank, 1) for rank in order]
+    except TypeError:  # not a sequence
+        ranks = None
+    if ranks is None or sorted(ranks) != list(range(1, len(g) + 1)):
         raise ValueError(f"order {order!r} is not a permutation of 1..{len(g)}")
-    seq = np.argsort(ranks)
-    rate_seq, interference = _sequence_rates(g[seq], p[seq], noise)
-    _raise_not_finite(seq, ((rate_seq, _RATIO), (interference, _INTERFERENCE)))
-    rates = np.empty(len(g))
-    rates[seq] = rate_seq
+    seq = [0] * len(ranks)
+    for user, rank in enumerate(ranks):
+        seq[rank - 1] = user
+    g, p = g.tolist(), p.tolist()
+    rates, overflow = _sequence_rates(seq, [g[k] for k in seq], [p[k] for k in seq], float(noise))
+    if overflow:
+        raise OverflowError(overflow)
     return rates
 
 
@@ -130,19 +140,24 @@ def check_rate_inputs(gains, powers, noise: float) -> tuple[np.ndarray, np.ndarr
     return g, p
 
 
-def _sequence_rates(g_seq: np.ndarray, p_seq: np.ndarray, noise: float):
-    """sinr_and_rates on gains and powers already in decoding sequence, and
-    each user's interference, which never increases; overflow stays inf or NaN."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        received = g_seq * p_seq
-        tail = _after(np.add, received)
-        return np.log2(1.0 + received / (tail + noise)), tail
-
-
-def _after(op: np.ufunc, x: np.ndarray) -> np.ndarray:
-    """op.reduce(x[k+1:]) for every k (sum or product), each taken in
-    sequence from the last entry."""
-    return np.concatenate((op.accumulate(x[::-1])[::-1][1:], [float(op.identity)]))
+def _sequence_rates(seq: list, g_seq: list, p_seq: list, noise: float):
+    """Rates in user order of gains and powers in decoding sequence seq, and
+    None; or None and the overflow verdict, when a received-power ratio or an
+    interference is not finite."""
+    num = len(seq)
+    ratio, interference, tail = [0.0] * num, [0.0] * num, 0.0
+    for k in range(num - 1, -1, -1):
+        received = g_seq[k] * p_seq[k]
+        interference[k] = tail
+        ratio[k] = received / (tail + noise)
+        tail += received
+    overflow = _first_not_finite(seq, ((ratio, _RATIO), (interference, _INTERFERENCE)))
+    if overflow:
+        return None, overflow
+    snr = [0.0] * num  # 1 + SINR, in user order
+    for user, x in zip(seq, ratio):
+        snr[user] = 1.0 + x
+    return np.log2(snr), None
 
 
 def oma_sum_rate(gains, p_max: float, noise: float) -> float:
@@ -152,12 +167,13 @@ def oma_sum_rate(gains, p_max: float, noise: float) -> float:
     _check_users(g)
     _check_p_max(p_max)
     _check_noise(noise)
-    with np.errstate(over="ignore"):
-        ratio = g * p_max / noise
-        rate = float(np.mean(np.log2(1.0 + ratio)))
-    if not math.isfinite(rate):
-        _raise_not_finite(np.arange(len(g)), ((ratio, _RATIO),))
-    return rate
+    p_max, noise = float(p_max), float(noise)
+    ratio = [gain * p_max / noise for gain in g.tolist()]
+    overflow = _first_not_finite(range(len(ratio)), ((ratio, _RATIO),))
+    if overflow:
+        raise OverflowError(overflow)
+    # np.mean's sum and division: pairwise from 8 users on, unlike sum().
+    return float(np.add.reduce(np.log2([1.0 + x for x in ratio]))) / len(ratio)
 
 
 def aligned_sum_rate(amplitude_sums, p_max: float, noise: float) -> float:
@@ -180,20 +196,17 @@ def aligned_sum_rate(amplitude_sums, p_max: float, noise: float) -> float:
     return math.log2(1.0 + ratio)
 
 
-def _first_not_finite(seq: np.ndarray, checks) -> str | None:
+def _first_not_finite(seq, checks) -> str | None:
     """`user k <quantity>` for the first (values, quantity) pair in checks with
     a non-finite value, values in decoding sequence seq; else None."""
     for values, quantity in checks:
-        finite = np.isfinite(values)
-        if np.count_nonzero(finite) < len(finite):  # cheaper than .all() at small K
-            return f"user {seq[~finite].min() + 1} {quantity}"
+        # A value that is not finite makes the sum so: a finite sum clears all.
+        if math.isfinite(sum(values)):
+            continue
+        users = [user for user, x in zip(seq, values) if not math.isfinite(x)]
+        if users:
+            return f"user {min(users) + 1} {quantity}"
     return None
-
-
-def _raise_not_finite(seq: np.ndarray, checks) -> None:
-    verdict = _first_not_finite(seq, checks)
-    if verdict:
-        raise OverflowError(verdict)
 
 
 def _check_per_user(label: str, values, floor: float = 0.0) -> np.ndarray:
@@ -235,30 +248,47 @@ def _check_p_max(p_max: float) -> None:
         raise ValueError(f"power cap p_max must be finite and nonnegative, got {p_max}")
 
 
-def _decoding_sequence(g: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """User indices in decoding order, on checked inputs; see decoding_order."""
-    constrained = a > 0.0
-    g_c = g[constrained]
-    key = -g
-    with np.errstate(over="ignore", invalid="ignore"):
-        weight = 1.0 + 1.0 / a[constrained]
-        key_c = -g_c * weight
-        if np.isinf(key_c).any():
-            # Scaling the gains by a power of two scales every key exactly, so
-            # keys brought under 2**1023 sort as the exact products would.
-            exponent = int(np.max(np.frexp(g_c)[1] + np.frexp(weight)[1]))
-            key_c = -np.ldexp(g_c, min(0, 1023 - exponent)) * weight
-    # A zero gain's key is -0 whatever its weight: times an infinite weight
-    # (alpha below about 5.6e-309) it would be NaN, sorted after every key.
-    key[constrained] = np.where(g_c == 0.0, -0.0, key_c)
-    # lexsort is stable, so equal keys keep the lower user index first.
-    return np.lexsort((key, ~constrained))
+def _check_reqs(reqs) -> list:
+    reqs = list(reqs)
+    for req in reqs:
+        if not isinstance(req, RateRequirement):
+            raise ValueError(f"reqs must hold a RateRequirement per user, got {req!r}")
+    return reqs
 
 
-def _ranks(seq: np.ndarray) -> tuple[int, ...]:
-    ranks = np.empty(len(seq), dtype=int)
-    ranks[seq] = np.arange(1, len(seq) + 1)
-    return tuple(ranks.tolist())
+def _decoding_sequence(g: list, a: list) -> list:
+    """User indices in decoding order, on checked gains and alphas; see
+    decoding_order."""
+    # An unconstrained user's weight 1 leaves its key -g.
+    weight = [1.0 + 1.0 / alpha if alpha > 0.0 else 1.0 for alpha in a]
+    key = [-gain * w for gain, w in zip(g, weight)]
+    if -math.inf in key:
+        # Scaling the gains by a power of two scales every key exactly, so
+        # keys brought under 2**1023 sort as the exact products would.
+        constrained = [k for k, alpha in enumerate(a) if alpha > 0.0]
+        exponent = max(math.frexp(g[k])[1] + math.frexp(weight[k])[1] for k in constrained)
+        for k in constrained:
+            x = -math.ldexp(g[k], min(0, 1023 - exponent)) * weight[k]
+            # A gain scaled to 0 times an infinite weight is NaN, which the
+            # array form's lexsort put after every key; so does inf here.
+            key[k] = math.inf if math.isnan(x) else x
+    if 0.0 in g:
+        # A zero gain's key is -0 whatever its weight: times an infinite
+        # weight (alpha below about 5.6e-309) it would be NaN, which no
+        # sort orders.
+        key = [-0.0 if gain == 0.0 else x for gain, x in zip(g, key)]
+    # Both sorts are stable, so equal keys keep the lower user index first.
+    seq = sorted(range(len(g)), key=key.__getitem__)
+    if 0.0 in a:
+        seq.sort(key=[alpha == 0.0 for alpha in a].__getitem__)
+    return seq
+
+
+def _ranks(seq: list) -> tuple[int, ...]:
+    ranks = [0] * len(seq)
+    for rank, user in enumerate(seq, 1):
+        ranks[user] = rank
+    return tuple(ranks)
 
 
 def decoding_order(gains, alphas) -> tuple[int, ...]:
@@ -269,7 +299,8 @@ def decoding_order(gains, alphas) -> tuple[int, ...]:
     key in the limit yet impose no constraint, so they are ranked after all
     constrained users, in decreasing gain order.
     """
-    return _ranks(_decoding_sequence(*_per_user(gains, "alphas", alphas)))
+    g, a = _per_user(gains, "alphas", alphas)
+    return _ranks(_decoding_sequence(g.tolist(), a.tolist()))
 
 
 def minimum_rate_powers(gains, alphas, noise: float) -> np.ndarray:
@@ -283,17 +314,31 @@ def minimum_rate_powers(gains, alphas, noise: float) -> np.ndarray:
     """
     g, a = _per_user(gains, "alphas", alphas, GAIN_FLOOR)
     _check_noise(noise)
-    return _minimum_rate_powers(g, a, noise)
+    return np.array(_minimum_rate_powers(g.tolist(), a.tolist(), float(noise))[0])
 
 
-def _minimum_rate_powers(g: np.ndarray, a: np.ndarray, noise: float) -> np.ndarray:
-    c = np.zeros(len(g))
-    k = a > 0.0
-    # Many large factors overflow to inf, which times a prefactor noise *
-    # alpha / g that underflows to 0 is NaN; solve reports either infeasible.
-    with np.errstate(over="ignore", invalid="ignore"):
-        c[k] = noise * a[k] / g[k] * _after(np.multiply, a + 1.0)[k]
-    return c
+def _minimum_rate_powers(g: list, a: list, noise: float) -> tuple[list, list]:
+    """The minimum-rate powers c of checked gains and alphas in decoding
+    sequence, and later[k] = sum(g c) over the users after k.
+
+    One pass from the last user keeps the product of (1 + alpha) and the sum
+    of g c over the users behind it. A running product from 1 and a sum from
+    0 equal the product or sum started from the last user's term (g c is
+    never -0), so both are bit for bit the array form's accumulate. Many
+    large factors overflow to inf, which times a prefactor noise * alpha / g
+    that underflows to 0 is NaN; solve reports either infeasible.
+    """
+    num = len(g)
+    c, later = [0.0] * num, [0.0] * num
+    product, total = 1.0, 0.0
+    for k in range(num - 1, -1, -1):
+        later[k] = total
+        alpha = a[k]
+        if alpha > 0.0:  # otherwise the factor is 1 and the term 0
+            c[k] = need = noise * alpha / g[k] * product
+            total += g[k] * need
+            product *= alpha + 1.0
+    return c, later
 
 
 def check_allocation_inputs(gains, alphas, p_max: float, noise: float):
@@ -317,10 +362,10 @@ def power_allocation(gains_in_order, alphas_in_order, p_max: float, noise: float
     feasibility, nothing is clipped here.
     """
     g, a = check_allocation_inputs(gains_in_order, alphas_in_order, p_max, noise)
-    return _sequence_powers(g, a, p_max, noise)[1]
+    return np.array(_sequence_powers(g.tolist(), a.tolist(), float(p_max), float(noise))[1])
 
 
-def _sequence_powers(g: np.ndarray, a: np.ndarray, p_max: float, noise: float) -> tuple:
+def _sequence_powers(g: list, a: list, p_max: float, noise: float) -> tuple[list, list]:
     """The minimum-rate powers c and the optimal powers p of checked gains
     and alphas in decoding sequence: the powers of solve and
     power_allocation, and the one place that decides a power cap.
@@ -328,26 +373,22 @@ def _sequence_powers(g: np.ndarray, a: np.ndarray, p_max: float, noise: float) -
     Every constrained user i decoded before user k keeps its rate while k
     sends at most cap[k] = (p_max margin[k] - later[k] - noise) / g_k, the
     headroom p_max margin[k] less the interference and noise. margin[k] is
-    the least g_i / a_i - sum(g[i+1:k]) over those i (inf if there is none),
-    and later[k] = sum(g c) over the users after k. Nothing warns: an
-    overflowed g / alpha stays inf less any gain and bounds nobody, a NaN cap
-    (inf - inf) caps nobody, and a cap that reads an overflowed sum is -inf,
-    which solve reports.
+    the least g_i / a_i - sum(g[i+1:k]) over those i (inf if there is none).
+    An overflowed g / alpha stays inf less any gain and bounds nobody, a NaN
+    cap (inf - inf) caps nobody, and a cap that reads an overflowed sum is
+    -inf, which solve reports. User 0's margin is inf, so it never backs off.
     """
-    c = _minimum_rate_powers(g, a, noise)
-    p = np.full(len(g), p_max, dtype=float)
-    margin, least = [], math.inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        for gain, alpha in zip(g.tolist(), a.tolist()):
-            margin.append(least)
-            least = min(least - gain, gain / alpha if alpha > 0.0 else math.inf)
-        later = _after(np.add, g * c)
-        cap = ((p_max * np.array(margin) - later) - noise) / g
-        backs_off = np.flatnonzero(cap < p_max)  # never user 0: its margin is inf
-    if len(backs_off):
-        k = int(backs_off[0])
-        p[k] = cap[k]
-        p[k + 1 :] = c[k + 1 :]
+    c, later = _minimum_rate_powers(g, a, noise)
+    p = [p_max] * len(g)
+    margin = math.inf
+    for k, (gain, alpha, interference) in enumerate(zip(g, a, later)):
+        cap = ((p_max * margin - interference) - noise) / gain
+        if cap < p_max:
+            p[k:] = [cap, *c[k + 1 :]]
+            break
+        margin -= gain
+        if alpha > 0.0 and gain / alpha < margin:
+            margin = gain / alpha
     return c, p
 
 
@@ -359,7 +400,7 @@ def check_feasibility(powers, rates, reqs, p_max: float) -> tuple[bool, str | No
     Powers and rates are one-dimensional with one entry per requirement, and
     powers are finite; a negative power or a NaN rate is a verdict, not an
     input error."""
-    reqs = list(reqs)
+    reqs = _check_reqs(reqs)
     _check_p_max(p_max)
     p, r = (np.asarray(x, dtype=float) for x in (powers, rates))
     for label, arr in (("powers", p), ("rates", r)):
@@ -370,34 +411,32 @@ def check_feasibility(powers, rates, reqs, p_max: float) -> tuple[bool, str | No
             )
     if not np.isfinite(p).all():
         raise ValueError("powers must be finite")
-    return _feasibility(p, r, reqs, p_max)
+    return _feasibility(p.tolist(), r.tolist(), reqs, p_max)
 
 
-def _feasibility(p: np.ndarray, rates: np.ndarray, reqs: list, p_max: float):
+def _feasibility(p: list, rates: list, reqs: list, p_max: float):
     """check_feasibility on checked inputs. A power is negative below 0, the
     rule by which solve decides whether rates exist."""
-    negative = p < 0.0
-    outside = negative | (p > p_max + 1e-12 * max(1.0, p_max))
-    if outside.any():
-        k = int(np.argmax(outside))
-        if negative[k]:
-            return False, f"user {k + 1} power {p[k]:.6g} mW is negative"
-        return False, f"user {k + 1} power {p[k]:.6g} mW exceeds the {p_max:.6g} mW cap"
-    short = ~(rates >= np.array([req.r_min for req in reqs]) - RATE_SLACK)
-    if short.any():
-        k = int(np.argmax(short))
-        msg = f"user {k + 1} rate {rates[k]:.6g} bps/Hz is below the required {reqs[k].r_min:.6g}"
-        if p[k] >= p_max * (1.0 - 1e-12):
-            msg += "; min-rate power exceeds P_max"
-        return False, msg
+    high = p_max + 1e-12 * max(1.0, p_max)
+    for k, power in enumerate(p):
+        if power < 0.0:
+            return False, f"user {k + 1} power {power:.6g} mW is negative"
+        if power > high:
+            return False, f"user {k + 1} power {power:.6g} mW exceeds the {p_max:.6g} mW cap"
+    for k, (rate, req) in enumerate(zip(rates, reqs)):
+        if not rate >= req.r_min - RATE_SLACK:
+            msg = f"user {k + 1} rate {rate:.6g} bps/Hz is below the required {req.r_min:.6g}"
+            if p[k] >= p_max * (1.0 - 1e-12):
+                msg += "; min-rate power exceeds P_max"
+            return False, msg
     return True, None
 
 
 def solve(gains, reqs, p_max: float, noise: float) -> NomaSolution:
     """Order selection, closed-form powers, rates, and feasibility in one call.
 
-    Validates and plans on every call, then works in decoding sequence until
-    it scatters powers and rates back to user order. Infeasible draws are
+    Validates on every call, then works in decoding sequence until it
+    scatters powers and rates back to user order. Infeasible draws are
     flagged, never clipped. One test decides overflow and words it: the
     checked quantities are, in this order, the minimum-rate power; then the
     power cap if some power is negative, or else the received-power ratio
@@ -405,27 +444,32 @@ def solve(gains, reqs, p_max: float, noise: float) -> NomaSolution:
     finite, with its lowest-indexed user, is the diagnostic, and then powers
     and rates are NaN.
     """
-    reqs = list(reqs)
-    g, alphas = check_allocation_inputs(gains, [r.alpha for r in reqs], p_max, noise)
-    seq = _decoding_sequence(g, alphas)
-    ranks, g_seq = _ranks(seq), g[seq]
-    c_seq, p_seq = _sequence_powers(g_seq, alphas[seq], p_max, noise)
-    rates, sum_rate = np.full(len(g), np.nan), math.nan
-    checks = [(c_seq, _MIN_RATE_POWER)]
-    if p_seq.min() >= 0.0:
-        rate_seq, interference = _sequence_rates(g_seq, p_seq, noise)
-        rates[seq] = rate_seq
-        sum_rate = float(np.sum(rates))
-        checks += [(rate_seq, _RATIO), (interference, _INTERFERENCE)]
-    else:
-        # Only the first user to back off takes its cap, and every later one
-        # its c, so a cap that reads an overflowed sum is the one -inf power.
-        checks.append((p_seq, _POWER_CAP))
-    overflow = _first_not_finite(seq, checks)
+    reqs = _check_reqs(reqs)
+    g, a = check_allocation_inputs(gains, [r.alpha for r in reqs], p_max, noise)
+    g, a, p_max, noise = g.tolist(), a.tolist(), float(p_max), float(noise)
+    seq = _decoding_sequence(g, a)
+    g_seq = [g[k] for k in seq]
+    c_seq, p_seq = _sequence_powers(g_seq, [a[k] for k in seq], p_max, noise)
+    rates = None
+    overflow = _first_not_finite(seq, ((c_seq, _MIN_RATE_POWER),))
+    if overflow is None:
+        # With every c finite, no power is NaN.
+        if min(p_seq) >= 0.0:
+            rates, overflow = _sequence_rates(seq, g_seq, p_seq, noise)
+        else:
+            # Only the first user to back off takes its cap, and every later
+            # one its c, so a cap that reads an overflowed sum is the one -inf
+            # power.
+            overflow = _first_not_finite(seq, ((p_seq, _POWER_CAP),))
     if overflow:
         nan = np.full(len(g), np.nan)
-        return NomaSolution(ranks, nan, nan.copy(), math.nan, False, overflow)
-    powers = np.empty(len(g))
-    powers[seq] = p_seq
-    feasible, diagnostic = _feasibility(powers, rates, reqs, p_max)
-    return NomaSolution(ranks, powers, rates, sum_rate, feasible, diagnostic)
+        return NomaSolution(_ranks(seq), nan, nan.copy(), math.nan, False, overflow)
+    powers = [0.0] * len(g)
+    for user, power in zip(seq, p_seq):
+        powers[user] = power
+    if rates is None:  # some power is negative
+        rates, sum_rate = np.full(len(g), np.nan), math.nan
+    else:
+        sum_rate = float(np.add.reduce(rates))  # as np.sum: pairwise from 8 users on
+    feasible, diagnostic = _feasibility(powers, rates.tolist(), reqs, p_max)
+    return NomaSolution(_ranks(seq), np.array(powers), rates, sum_rate, feasible, diagnostic)

@@ -145,6 +145,14 @@ def test_invalid_permutation_rejected():
         sinr_and_rates([1.0], (1,), [-1.0], 1.0)
 
 
+@pytest.mark.parametrize("order", [(1.7, 2.2), (True, 2), ("1", "2"), (1.0, 2.0)])
+def test_ranks_that_are_not_integers_are_rejected(order):
+    # Each was taken as the ranks (1, 2): truncated, a bool read as 1, or a
+    # string parsed.
+    with pytest.raises(ValueError, match="order"):
+        sinr_and_rates([1.0, 2.0], order, [1.0, 1.0], 1.0)
+
+
 # --- decoding order ---
 
 
@@ -624,6 +632,52 @@ def test_array_code_matches_loops_bitwise_on_a_cap_below_large_gains(
         assert_allclose(got, powers, rtol=1e-12)
 
 
+# --- return types ---
+
+
+@pytest.mark.parametrize(
+    "gains, r_min, p_max, noise, diagnostic",
+    [
+        ([2.0, 1.0, 0.5], [0.5] * 3, 4.0, 1.0, None),
+        ([1.0, 0.5], [1.0] * 2, 1.0, 1.0 + 2.2e-16, "user 2 power -4.44089e-16 mW is negative"),
+        ([0.5], [3.0], 10.0, 1.0, "user 1 rate 2.58496 bps/Hz is below the required 3"),
+        ([1e300, 2e300], [0.5] * 2, 1e5, 1e-300, "user 1 received-power ratio"),
+    ],
+    ids=["feasible", "negative-power", "short-rate", "overflow"],
+)
+def test_entry_points_return_python_scalars_and_float_arrays(
+    gains, r_min, p_max, noise, diagnostic
+):
+    # The tracer reads .feasible as a bool; no list or numpy scalar leaks.
+    def is_float_array(x):
+        return type(x) is np.ndarray and x.dtype == np.float64 and x.shape == (len(gains),)
+
+    reqs = [RateRequirement(r) for r in r_min]
+    alphas = [r.alpha for r in reqs]
+    sol = solve(np.array(gains), reqs, p_max, noise)
+    assert type(sol.order) is tuple and all(type(rank) is int for rank in sol.order)
+    assert is_float_array(sol.powers) and is_float_array(sol.rates)
+    assert type(sol.sum_rate) is float
+    assert type(sol.feasible) is bool and sol.feasible is (diagnostic is None)
+    if diagnostic is None:
+        assert sol.diagnostic is None
+    else:
+        assert type(sol.diagnostic) is str and sol.diagnostic.startswith(diagnostic)
+    order = decoding_order(gains, alphas)
+    assert order == sol.order and all(type(rank) is int for rank in order)
+    seq = np.argsort(np.asarray(order))
+    g_seq, a_seq = np.asarray(gains)[seq], np.asarray(alphas)[seq]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert is_float_array(minimum_rate_powers(g_seq, a_seq, noise))
+        assert is_float_array(power_allocation(g_seq, a_seq, p_max, noise))
+    if sol.feasible:
+        assert is_float_array(sinr_and_rates(gains, order, sol.powers, noise))
+        verdict = check_feasibility(sol.powers, sol.rates, reqs, p_max)
+        assert verdict == (True, None) and type(verdict[0]) is bool
+    assert type(oma_sum_rate([1.0, 2.0], p_max, 1.0)) is float
+
+
 # --- solve keeps no state between calls ---
 
 
@@ -783,6 +837,16 @@ def _invalid_input_cases():
         for shape, reshape in (("2d", lambda x: [x, x]), ("0d", lambda x: x[0])):
             overrides = {q: reshape(_VALID[q]) for q in arrays}
             yield pytest.param(entry, overrides, rule, id=f"{entry}-{shape}")
+
+
+@pytest.mark.parametrize("bad", [0.5, None, "0.5"], ids=["float", "none", "string"])
+def test_requirements_that_are_not_rate_requirements_are_rejected(bad):
+    # Each raised AttributeError for the missing alpha or r_min.
+    reqs = [RateRequirement(0.5), bad]
+    with pytest.raises(ValueError, match="reqs"):
+        solve([1.0, 2.0], reqs, 4.0, 1.0)
+    with pytest.raises(ValueError, match="reqs"):
+        check_feasibility([1.0, 1.0], [1.0, 1.0], reqs, 4.0)
 
 
 @pytest.mark.parametrize("entry, overrides, quantity", _invalid_input_cases())
@@ -1079,7 +1143,7 @@ def test_overflowing_cap_sums_keep_the_verdict_of_the_scaled_instance():
 
 def test_power_allocation_overflow_needs_no_warning():
     # The headroom 1e10 * 2e300 / 0.414 overflows to inf, which caps nobody:
-    # power_allocation finishes under the same errstate as solve.
+    # power_allocation, like solve, finishes without a warning.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         powers = power_allocation([2e300, 1e300], [0.414, 0.414], 1e10, 1e-300)
