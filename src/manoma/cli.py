@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 
 from manoma import __version__
+from manoma.channel import as_count
 from manoma.noma import RateRequirement, solve
 from manoma.positioner import ScaParams
 from manoma.sim import (
@@ -310,8 +311,10 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.workers < 1:
-        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
+    try:
+        workers = as_count("--workers", args.workers, 1)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     loaded = load_config(args.config)
     cfg = resolve_config(_apply_flag_overrides(loaded.raw, args))
     sweep = args.sweep or loaded.sweep or "power"
@@ -337,12 +340,12 @@ def cmd_sweep(args) -> int:
 
     print(
         f"{sweep} sweep: {len(points)} points, {cfg.realizations} realizations, "
-        f"{args.workers} worker(s)",
+        f"{workers} worker(s)",
         file=sys.stderr,
     )
     start = time.monotonic()
     run = sweep_users if sweep == "users" else sweep_power
-    rows = run(cfg, points, workers=args.workers)
+    rows = run(cfg, points, workers=workers)
     duration = time.monotonic() - start
     worst = max(rows, key=attrgetter("infeasible_fraction"))
     print(
@@ -357,7 +360,7 @@ def cmd_sweep(args) -> int:
         "command": "sweep",
         "sweep": sweep,
         "points": points,
-        "workers": args.workers,
+        "workers": workers,
         "duration_seconds": round(duration, 3),
         "csv": args.out,
         "config": serialize_config(cfg),

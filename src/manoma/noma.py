@@ -29,21 +29,24 @@ sum(g between))). Margins taken as differences of prefix sums of all gains
 would err by eps times the whole prefix, so a large gain decoded early
 could erase the cap of a small user decoded later.
 
-Each call checks its inputs as numpy arrays, then computes on Python
-floats, one user at a time: a numpy call costs more than the arithmetic on
-a few users. A float that overflows is inf or NaN, never an exception or a
-warning. Running sums and products start from the last user, as numpy's
-accumulate does, and the rates take one np.log2 over all users, so every
-result is bit for bit the array form's. solve keeps no state between calls.
+Each call checks its inputs into Python floats, then computes on them one
+user at a time: a numpy call costs more than the arithmetic on a few users.
+A float that overflows is inf or NaN, never an exception or a warning.
+Running sums and products start from the last user, as numpy's accumulate
+does, and the rates take one np.log2 over all users, so every result is bit
+for bit the array form's. solve keeps no state between calls.
 
 The rate, order and power functions check their inputs by one rule per
-quantity, and a ValueError names the quantity that breaks it:
+quantity, and a ValueError names the quantity that breaks it. Every number
+is real, not a bool, and fits in a float (channel.as_float's rule, which an
+int or float array meets), and comes back as a Python float:
 - gains, alphas, powers and amplitude_sums: one-dimensional, one entry per
   user, finite and >= 0, one alpha or power per gain, and gains >=
   GAIN_FLOOR where the power formulas divide (DegenerateChannelError);
-- noise: positive and finite; p_max: finite and >= 0;
+- noise: positive and finite; p_max: finite and >= 0, with at least one user;
 - r_min: in [0, 1024), so a RateRequirement's alpha = 2**r_min - 1 is finite;
-- reqs: RateRequirement entries; order: integer ranks 1..K;
+- reqs: RateRequirement entries, one per gain in solve, which takes their
+  alphas unchecked; order: integer ranks 1..K;
 - the powers and rates check_feasibility judges: one-dimensional, one entry
   per requirement, and powers finite (a negative one is a verdict).
 """
@@ -82,7 +85,7 @@ class RateRequirement:
     alpha: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        as_float("r_min", self.r_min)
+        object.__setattr__(self, "r_min", as_float("r_min", self.r_min))
         # 2**1024 is the first power of two that a float cannot hold.
         if not 0.0 <= self.r_min < 1024.0:
             raise ValueError(f"r_min must be finite and in [0, 1024) bps/Hz, got {self.r_min}")
@@ -116,7 +119,7 @@ def sinr_and_rates(gains, order, powers, noise: float) -> np.ndarray:
     its interference is the received power of ranks above r. The last user
     sees noise only.
     """
-    g, p = check_rate_inputs(gains, powers, noise)
+    g, p, noise = check_rate_inputs(gains, powers, noise)
     try:
         ranks = [as_count("order", rank, 1) for rank in order]
     except TypeError:  # not a sequence
@@ -126,18 +129,17 @@ def sinr_and_rates(gains, order, powers, noise: float) -> np.ndarray:
     seq = [0] * len(ranks)
     for user, rank in enumerate(ranks):
         seq[rank - 1] = user
-    g, p = g.tolist(), p.tolist()
-    rates, overflow = _sequence_rates(seq, [g[k] for k in seq], [p[k] for k in seq], float(noise))
+    rates, overflow = _sequence_rates(seq, [g[k] for k in seq], [p[k] for k in seq], noise)
     if overflow:
         raise OverflowError(overflow)
     return rates
 
 
-def check_rate_inputs(gains, powers, noise: float) -> tuple[np.ndarray, np.ndarray]:
-    """The rate functions' input rule, returning the checked gains and powers."""
+def check_rate_inputs(gains, powers, noise) -> tuple[list, list, float]:
+    """The rate functions' input rule, returning the checked gains, powers
+    and noise as Python floats."""
     g, p = _per_user(gains, "powers", powers)
-    _check_noise(noise)
-    return g, p
+    return g, p, _check_noise(noise)
 
 
 def _sequence_rates(seq: list, g_seq: list, p_seq: list, noise: float):
@@ -163,12 +165,8 @@ def _sequence_rates(seq: list, g_seq: list, p_seq: list, noise: float):
 def oma_sum_rate(gains, p_max: float, noise: float) -> float:
     """Orthogonal time sharing: each user sends at full power in its 1/K slot.
     Raises OverflowError naming the first user whose g p_max / noise overflows."""
-    g = _check_per_user("gains", gains)
-    _check_users(g)
-    _check_p_max(p_max)
-    _check_noise(noise)
-    p_max, noise = float(p_max), float(noise)
-    ratio = [gain * p_max / noise for gain in g.tolist()]
+    g, p_max, noise = _power_inputs("gains", gains, p_max, noise)
+    ratio = [gain * p_max / noise for gain in g]
     overflow = _first_not_finite(range(len(ratio)), ((ratio, _RATIO),))
     if overflow:
         raise OverflowError(overflow)
@@ -180,14 +178,11 @@ def aligned_sum_rate(amplitude_sums, p_max: float, noise: float) -> float:
     """Sum rate with every path of every user phase-aligned at full power:
     log2(1 + sum(a_k**2) p_max / noise) over the users' path-amplitude sums
     a_k. Raises OverflowError if that total or the ratio does."""
-    a = _check_per_user("amplitude_sums", amplitude_sums)
-    _check_users(a)
-    _check_p_max(p_max)
-    _check_noise(noise)
+    a, p_max, noise = _power_inputs("amplitude_sums", amplitude_sums, p_max, noise)
     try:
         # Python's ** in user order, summed left to right: a * a or np.square
         # would differ from a**2 in the last bit on some floats.
-        total = sum(x**2 for x in a.tolist())
+        total = sum(x**2 for x in a)
     except OverflowError:
         total = math.inf
     ratio = total * p_max / noise
@@ -209,50 +204,70 @@ def _first_not_finite(seq, checks) -> str | None:
     return None
 
 
-def _check_per_user(label: str, values, floor: float = 0.0) -> np.ndarray:
+def _floats(label: str, values, num: int | None = None) -> list:
+    """values as Python floats: one-dimensional (num entries, if given), each
+    entry a number by channel.as_float's rule. An int or float array, or a
+    sequence numpy reads as one and that holds no bool, converts at once."""
+    arr = np.asarray(values)
+    if arr.ndim != 1 or num not in (None, len(arr)):
+        count = "" if num is None else f" for {num}"
+        raise ValueError(f"{label} must be one-dimensional, one per user, got {arr.shape}{count}")
+    # numpy reads a bool among numbers as 0 or 1, so a sequence with one goes
+    # entry by entry, as does an array of any dtype but int or float.
+    whole = isinstance(values, np.ndarray) or {bool, np.bool_}.isdisjoint(map(type, values))
+    if whole and arr.dtype.kind in "fiu":
+        return arr.astype(float, copy=False).tolist()
+    return [as_float(label, x) for x in values]
+
+
+def _check_per_user(label: str, values, floor: float = 0.0, num: int | None = None) -> list:
     """The rule for gains, alphas, powers and amplitude sums, returning the
-    checked float array."""
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"{label} must be one-dimensional, one entry per user, got {arr.shape}")
-    if arr.size:
-        low, high = arr.min(), arr.max()  # NaN if any entry is, failing both tests
-        if not (0.0 <= low and high < math.inf):
-            raise ValueError(f"{label} must be finite and nonnegative")
-        if low < floor:
-            msg = f"gains below {floor} would make the power formulas divide by zero"
-            raise DegenerateChannelError(msg)
-    return arr
+    checked values as Python floats."""
+    x = _floats(label, values, num)
+    if not all(0.0 <= v < math.inf for v in x):  # NaN fails too
+        raise ValueError(f"{label} must be finite and nonnegative")
+    if x and min(x) < floor:
+        msg = f"gains below {floor} would make the power formulas divide by zero"
+        raise DegenerateChannelError(msg)
+    return x
 
 
-def _per_user(gains, name: str, values, floor: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Checked float arrays of the gains and of one alpha or power per gain."""
-    g, x = _check_per_user("gains", gains, floor), _check_per_user(name, values)
-    if g.shape != x.shape:
-        raise ValueError(f"{name} must have one entry per gain, got {x.shape} for {g.shape}")
-    return g, x
+def _per_user(gains, name: str, values, floor: float = 0.0) -> tuple[list, list]:
+    """The checked gains and one checked alpha or power per gain."""
+    g = _check_per_user("gains", gains, floor)
+    return g, _check_per_user(name, values, num=len(g))
 
 
-def _check_users(g: np.ndarray) -> None:
-    if g.size == 0:
+def _power_inputs(label: str, values, p_max, noise, floor: float = 0.0):
+    """The rule of the functions that take a value per user, a power cap and
+    noise: the checked values, at least one, and the checked p_max and noise."""
+    x = _check_per_user(label, values, floor)
+    if not x:
         raise ValueError("at least one user is required")
+    return x, _check_p_max(p_max), _check_noise(noise)
 
 
-def _check_noise(noise: float) -> None:
+def _check_noise(noise) -> float:
+    noise = as_float("noise", noise)
     if not 0.0 < noise < math.inf:
         raise ValueError(f"noise power must be positive and finite, got {noise}")
+    return noise
 
 
-def _check_p_max(p_max: float) -> None:
+def _check_p_max(p_max) -> float:
+    p_max = as_float("p_max", p_max)
     if not 0.0 <= p_max < math.inf:
         raise ValueError(f"power cap p_max must be finite and nonnegative, got {p_max}")
+    return p_max
 
 
-def _check_reqs(reqs) -> list:
+def _check_reqs(reqs, num: int | None = None) -> list:
     reqs = list(reqs)
     for req in reqs:
         if not isinstance(req, RateRequirement):
             raise ValueError(f"reqs must hold a RateRequirement per user, got {req!r}")
+    if num not in (None, len(reqs)):
+        raise ValueError(f"reqs must hold one RateRequirement per gain, got {len(reqs)} for {num}")
     return reqs
 
 
@@ -299,8 +314,7 @@ def decoding_order(gains, alphas) -> tuple[int, ...]:
     key in the limit yet impose no constraint, so they are ranked after all
     constrained users, in decreasing gain order.
     """
-    g, a = _per_user(gains, "alphas", alphas)
-    return _ranks(_decoding_sequence(g.tolist(), a.tolist()))
+    return _ranks(_decoding_sequence(*_per_user(gains, "alphas", alphas)))
 
 
 def minimum_rate_powers(gains, alphas, noise: float) -> np.ndarray:
@@ -313,8 +327,7 @@ def minimum_rate_powers(gains, alphas, noise: float) -> np.ndarray:
     or NaN where noise * alpha / g underflows to 0.
     """
     g, a = _per_user(gains, "alphas", alphas, GAIN_FLOOR)
-    _check_noise(noise)
-    return np.array(_minimum_rate_powers(g.tolist(), a.tolist(), float(noise))[0])
+    return np.array(_minimum_rate_powers(g, a, _check_noise(noise))[0])
 
 
 def _minimum_rate_powers(g: list, a: list, noise: float) -> tuple[list, list]:
@@ -341,14 +354,11 @@ def _minimum_rate_powers(g: list, a: list, noise: float) -> tuple[list, list]:
     return c, later
 
 
-def check_allocation_inputs(gains, alphas, p_max: float, noise: float):
-    """Power control's input rule, returning the checked gains and alphas;
-    no check depends on the order of the users."""
-    g, a = _per_user(gains, "alphas", alphas, GAIN_FLOOR)
-    _check_users(g)
-    _check_p_max(p_max)
-    _check_noise(noise)
-    return g, a
+def check_allocation_inputs(gains, alphas, p_max, noise) -> tuple[list, list, float, float]:
+    """Power control's input rule, returning the checked gains, alphas, p_max
+    and noise as Python floats; no check depends on the order of the users."""
+    g, p_max, noise = _power_inputs("gains", gains, p_max, noise, GAIN_FLOOR)
+    return g, _check_per_user("alphas", alphas, num=len(g)), p_max, noise
 
 
 def power_allocation(gains_in_order, alphas_in_order, p_max: float, noise: float) -> np.ndarray:
@@ -361,8 +371,8 @@ def power_allocation(gains_in_order, alphas_in_order, p_max: float, noise: float
     come out negative or above p_max on infeasible instances; callers decide
     feasibility, nothing is clipped here.
     """
-    g, a = check_allocation_inputs(gains_in_order, alphas_in_order, p_max, noise)
-    return np.array(_sequence_powers(g.tolist(), a.tolist(), float(p_max), float(noise))[1])
+    g, a, p_max, noise = check_allocation_inputs(gains_in_order, alphas_in_order, p_max, noise)
+    return np.array(_sequence_powers(g, a, p_max, noise)[1])
 
 
 def _sequence_powers(g: list, a: list, p_max: float, noise: float) -> tuple[list, list]:
@@ -401,17 +411,11 @@ def check_feasibility(powers, rates, reqs, p_max: float) -> tuple[bool, str | No
     powers are finite; a negative power or a NaN rate is a verdict, not an
     input error."""
     reqs = _check_reqs(reqs)
-    _check_p_max(p_max)
-    p, r = (np.asarray(x, dtype=float) for x in (powers, rates))
-    for label, arr in (("powers", p), ("rates", r)):
-        if arr.shape != (len(reqs),):
-            raise ValueError(
-                f"{label} must be one-dimensional, one entry per requirement, "
-                f"got {arr.shape} for {len(reqs)}"
-            )
-    if not np.isfinite(p).all():
+    p_max = _check_p_max(p_max)
+    p, r = _floats("powers", powers, len(reqs)), _floats("rates", rates, len(reqs))
+    if not all(map(math.isfinite, p)):
         raise ValueError("powers must be finite")
-    return _feasibility(p.tolist(), r.tolist(), reqs, p_max)
+    return _feasibility(p, r, reqs, p_max)
 
 
 def _feasibility(p: list, rates: list, reqs: list, p_max: float):
@@ -444,9 +448,9 @@ def solve(gains, reqs, p_max: float, noise: float) -> NomaSolution:
     finite, with its lowest-indexed user, is the diagnostic, and then powers
     and rates are NaN.
     """
-    reqs = _check_reqs(reqs)
-    g, a = check_allocation_inputs(gains, [r.alpha for r in reqs], p_max, noise)
-    g, a, p_max, noise = g.tolist(), a.tolist(), float(p_max), float(noise)
+    g, p_max, noise = _power_inputs("gains", gains, p_max, noise, GAIN_FLOOR)
+    reqs = _check_reqs(reqs, len(g))
+    a = [req.alpha for req in reqs]
     seq = _decoding_sequence(g, a)
     g_seq = [g[k] for k in seq]
     c_seq, p_seq = _sequence_powers(g_seq, [a[k] for k in seq], p_max, noise)

@@ -241,7 +241,8 @@ def brute_force_allocation(gains, alphas, p_max: float, noise: float) -> NomaSol
     order's power problem with fixed_order_lp_powers. Factorial enumeration
     caps the user count.
     """
-    g, a = check_allocation_inputs(gains, alphas, p_max, noise)
+    g, a, p_max, noise = check_allocation_inputs(gains, alphas, p_max, noise)
+    g, a = np.array(g), np.array(a)
     num = len(g)
     if num > MAX_BRUTE_FORCE_USERS:
         raise ValueError(
@@ -292,7 +293,8 @@ def sum_rate_collapsed(gains, powers, noise: float) -> float:
     the gains scaled by an exact power of two 2**-s, so the rate is
     s + log2(2**-s + sum(g 2**-s p) / noise); totals that fit are not scaled.
     """
-    g, p = check_rate_inputs(gains, powers, noise)
+    g, p, noise = check_rate_inputs(gains, powers, noise)
+    g, p = np.array(g), np.array(p)
     with np.errstate(over="ignore"):
         rate = float(np.log2(1.0 + np.sum(g * p) / noise))
     if rate == math.inf:

@@ -19,13 +19,14 @@ whole minorant.
 
 The loop runs on Python floats and complex numbers, and a step calls no
 numpy function. Once per call, _checked_rows checks the initial point
-against the region and then the channel's energy, and _path_rows builds the
-unit-power channel's per-path rows and curvature factor in numpy. _ascent
-is the one per-start loop: each step takes _point_sums (the three path sums
-at one point) and _newton_point (the minorant and its clamped Newton point).
-optimize_position runs each of its starts through _ascent, one after
-another, sca_trajectory runs one start and keeps its iterates, and sca_step
-is one step of the same helpers, with the same energy check. The arithmetic
+against the region and takes UserChannel.normalized(), the one unit-power
+rescale, and _path_rows builds a channel's per-path rows in numpy and its
+curvature factor from UserChannel.amplitude_sum. _ascent is the one
+per-start loop: each step takes _point_sums (the three path sums at one
+point) and _newton_point (the minorant and its clamped Newton point).
+optimize_position runs each start through _ascent, sca_trajectory runs one
+start and keeps its iterates, and sca_step is one step on the channel as
+passed, with its own zero-power check. The arithmetic
 is the channel's: e_l = cmath.rect(1, 2 pi rho_l), Python's complex
 products summed path by path from path 0, |h| by hypot. So h is bit for bit
 channel.channel_coefficient, and no step depends on numpy's CPU dispatch or
@@ -87,23 +88,13 @@ class ScaState:
     iteration: int
 
 
-def _energy(ch: UserChannel) -> float:
-    """The channel's power, which must be positive: an all-zero channel has a
-    gain of zero everywhere and nothing to optimize."""
-    power = ch.power
-    if power == 0.0:
-        raise DegenerateChannelError("all-zero path responses: gain is identically zero")
-    return power
-
-
-def _path_rows(prv: np.ndarray, dirs: np.ndarray) -> tuple[tuple, float]:
-    """Per path, the delay sensitivities d_x, d_y and the conjugated rows
-    conj(f), conj(-2 pi f d_x), conj(-2 pi f d_y) as Python numbers, and the
-    curvature factor 8 pi^2 sum |f_l|, its sum as UserChannel.amplitude_sum
-    sums it."""
-    rows = np.concatenate((prv[None], prv * (-TWO_PI * dirs))).conj()
-    paths = tuple(zip(*dirs.tolist(), *rows.tolist()))
-    return paths, _CURVATURE * float(np.sum(np.abs(prv)))
+def _path_rows(ch: UserChannel) -> tuple[tuple, float]:
+    """Per path of ch, the delay sensitivities d_x, d_y and the conjugated
+    rows conj(f), conj(-2 pi f d_x), conj(-2 pi f d_y) as Python numbers,
+    and the curvature factor 8 pi^2 sum |f_l|."""
+    rows = np.concatenate((ch.prv[None], ch.prv * (-TWO_PI * ch.directions))).conj()
+    paths = tuple(zip(*ch.directions.tolist(), *rows.tolist()))
+    return paths, _CURVATURE * ch.amplitude_sum
 
 
 def _point_sums(x: float, y: float, paths: tuple) -> tuple[complex, complex, complex]:
@@ -165,8 +156,9 @@ def sca_step(z_ref: Position, ch: UserChannel, region: MoveRegion) -> Position:
     bound means the anchor is zero (gain null with a flat surrogate); the
     point is stationary and is returned unchanged.
     """
-    _energy(ch)
-    paths, curvature = _path_rows(ch.prv, ch.directions)
+    if ch.power == 0.0:
+        raise DegenerateChannelError("all-zero path responses: gain is identically zero")
+    paths, curvature = _path_rows(ch)
     x, y = z_ref.x, z_ref.y
     x, y, _, _, _ = _newton_point(x, y, _point_sums(x, y, paths), curvature, region.half)
     return Position(x, y)
@@ -175,19 +167,17 @@ def sca_step(z_ref: Position, ch: UserChannel, region: MoveRegion) -> Position:
 def _checked_rows(
     ch: UserChannel, region: MoveRegion, init: Position
 ) -> tuple[tuple, float, float]:
-    """The unit-power channel's path rows, curvature factor and power.
+    """The path rows and curvature factor of ch.normalized(), and ch's power.
 
     An init outside the region (by MoveRegion.contains) raises ValueError,
-    then an all-zero channel raises DegenerateChannelError. The loop runs on
-    prv / sqrt(power), as UserChannel.normalized() rescales it: scaling the
-    path responses scales the gain but moves no iterate, so the threshold
-    bounds the increase of the unit-power gain at any channel scale.
+    then an all-zero channel raises DegenerateChannelError. Scaling the path
+    responses scales the gain but moves no iterate, so the threshold bounds
+    the increase of the unit-power gain at any channel scale.
     """
     if not region.contains(init):
         raise ValueError(f"initial position {init} lies outside the region")
-    power = _energy(ch)
-    paths, curvature = _path_rows(ch.prv / math.sqrt(power), ch.directions)
-    return paths, curvature, power
+    paths, curvature = _path_rows(ch.normalized())
+    return paths, curvature, ch.power
 
 
 def _ascent(

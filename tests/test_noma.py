@@ -79,6 +79,24 @@ def test_negative_rate_rejected():
         RateRequirement(-0.1)
 
 
+@pytest.mark.bitwise
+def test_rate_requirement_stores_python_floats():
+    # A numpy r_min used to leave r_min and alpha numpy scalars, on which
+    # solve would compute; an int r_min stayed an int.
+    req = RateRequirement(np.float64(0.5))
+    assert type(req.r_min) is float and type(req.alpha) is float
+    assert type(RateRequirement(1).r_min) is float
+    gains = [2.0, 1.0, 0.5]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = solve(gains, [req] * 3, 4.0, 1.0)
+    want = solve(gains, [RateRequirement(0.5)] * 3, 4.0, 1.0)
+    assert got.order == want.order and got.feasible is want.feasible
+    assert got.powers.tobytes() == want.powers.tobytes()
+    assert got.rates.tobytes() == want.rates.tobytes()
+    assert got.sum_rate.hex() == want.sum_rate.hex()
+
+
 @pytest.mark.parametrize("r_min", [math.nan, math.inf])
 def test_non_finite_rate_rejected(r_min):
     # A NaN requirement used to be accepted and solve then reported a rate
@@ -825,6 +843,25 @@ def _invalid_input_cases():
     ]
     for entry, overrides, quantity in found:
         yield pytest.param(entry, overrides, quantity, id=f"found-{entry}-{quantity}")
+    # Per-user entries must be real numbers that fit in a float, and so must
+    # p_max and noise, at every entry point. A complex entry used to be
+    # truncated after a ComplexWarning, a str parsed and a bool read as 0 or
+    # 1, among numbers too (a bool p_max solved at 1 mW), and 10**400 raised
+    # OverflowError.
+    # check_feasibility's rates may be NaN, but not these.
+    quantities = {**_QUANTITIES, "check_feasibility": ("powers", "rates", "p_max")}
+    not_real = {
+        "complex": ([1.0 + 2.0j, 2.0], 1.0 + 2.0j),
+        "str": (["1", "2"], "1"),
+        "bool": ([True, 2.0], True),
+        "huge": ([10**400, 1.0], 10**400),
+    }
+    for entry, names in quantities.items():
+        for quantity in (q for q in names if q != "r_min"):
+            for kind, (array, scalar) in not_real.items():
+                value = array if isinstance(_VALID[quantity], list) else scalar
+                case_id = f"{entry}-{quantity}-{kind}"
+                yield pytest.param(entry, {quantity: value}, quantity, id=case_id)
     # Per-user arrays must be one-dimensional. A 2x2 array with a matching
     # 2x2 partner used to be four users to decoding_order and oma_sum_rate
     # and an IndexError in the power functions; a scalar was one user to

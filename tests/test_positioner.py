@@ -167,7 +167,7 @@ def test_path_sums_coefficient_is_channel_coefficient_bit_for_bit(num_paths):
     for _ in range(5):
         raw = sample_user_channel(cfg, rng)
         for ch in (raw, raw.normalized()):
-            paths = _path_rows(ch.prv, ch.directions)[0]
+            paths = _path_rows(ch)[0]
             for lanes in (1, 11):
                 z = rng.uniform(-1.0, 1.0, (lanes, 2)).tolist()
                 h = [_point_sums(x, y, paths)[0] for x, y in z]
@@ -230,14 +230,14 @@ def test_step_kernels_match_the_reference_expressions_bit_for_bit(num_paths, lan
             lane_channels = channels * lanes
         z = rng.uniform(-half, half, (lanes, 2))
         sums = np.array([
-            _point_sums(x, y, _path_rows(ch.prv, ch.directions)[0])
+            _point_sums(x, y, _path_rows(ch)[0])
             for (x, y), ch in zip(z.tolist(), lane_channels)
         ])
         assert bits(sums) == bits(reference_path_sums(z, prv, dirs))
         h = sums[:, 0]
         ch = channels[0]
         amplitude_sum = ch.amplitude_sum
-        curvature = _path_rows(ch.prv, ch.directions)[1]
+        curvature = _path_rows(ch)[1]
         if not per_lane:
             want_delta, want_grad = reference_minorant(sums, amplitude_sum)
             want_z = reference_newton_step(z, want_delta, want_grad, half)
@@ -286,7 +286,7 @@ def test_minorant_matches_the_anchor_form(family):
             if family == "unit":
                 ch = ch.normalized()
             z = _random_position(rng, span=1.0)
-        paths, curvature = _path_rows(ch.prv, ch.directions)
+        paths, curvature = _path_rows(ch)
         sums = _point_sums(z.x, z.y, paths)
         _, _, delta, *grad_engine = _newton_point(z.x, z.y, sums, curvature, math.inf)
         b = anchor_vector(z, ch)
